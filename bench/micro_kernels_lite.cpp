@@ -9,7 +9,9 @@
 //   4. planned forward on a structurally pruned tiny-VGG: dense vs
 //      sparse execution, with bit-match verification and the
 //      skipped-MAC fraction,
-//   5. int8 qgemm vs float gemm across the tiny-VGG conv shapes,
+//   5. int8 qgemm vs float gemm across the tiny-VGG conv shapes, plus
+//      report-only rows for the 2x2-output (n = 4) conv shapes that run
+//      the kernels' narrow paths,
 //   6. int8 quantized planned forward vs the float sparse forward on
 //      the same pruned tiny-VGG (A/B-interleaved, min-of-N timing).
 //
@@ -282,7 +284,7 @@ int run(bool check_mode) {
     const QShape qshapes[] = {{"conv1", 4, 1024, 27},
                               {"conv4", 8, 256, 72},
                               {"conv7", 16, 64, 144},
-                              {"conv11", 32, 16, 288}};
+                              {"conv9-10", 32, 16, 288}};
     std::printf("\n  int8 qgemm vs float gemm (%s, tiny-VGG conv shapes):\n",
                 qgemm_kernel_name());
     double float_total_s = 0.0;
@@ -337,6 +339,63 @@ int run(bool check_mode) {
     json.set("qgemm_kernel", qgemm_kernel_name());
     json.set("qgemm_shapes", std::move(qgemm_rows_json));
     json.set("qgemm_int8_speedup", qgemm_speedup);
+
+    // Report-only (no gate): the 2x2-output conv11-13 shapes, n = 4, of
+    // the tiny-VGG and of the width-0.25 VGG the serving benchmark's
+    // `singular` workload runs. Float runs gemm's narrow path; int8 runs
+    // the operand-swapped product Conv2d uses for narrow outputs
+    // ([n, k] x [k, m], so its 16-wide tiles span output channels).
+    const QShape narrow_shapes[] = {{"conv11-13", 32, 4, 288},
+                                    {"w0.25 conv11-13", 128, 4, 1152}};
+    std::printf("\n  narrow (n = 4) conv shapes, report-only:\n");
+    std::vector<Json> narrow_json;
+    for (const QShape& shape : narrow_shapes) {
+        const Tensor fa = Tensor::randn({shape.m, shape.k}, rng);
+        const Tensor fb = Tensor::randn({shape.k, shape.n}, rng);
+        Tensor fc({shape.m, shape.n});
+        std::vector<std::int8_t> qa(
+            static_cast<std::size_t>(shape.n * shape.k));
+        std::vector<std::int8_t> qb(
+            static_cast<std::size_t>(shape.k * shape.m));
+        for (auto* q : {&qa, &qb}) {
+            for (std::int8_t& v : *q) {
+                v = static_cast<std::int8_t>(
+                    static_cast<std::int64_t>(rng.uniform_index(255)) - 127);
+            }
+        }
+        std::vector<std::int32_t> qc(
+            static_cast<std::size_t>(shape.n * shape.m));
+        const auto [float_s, int8_s] = ab_time_seconds(
+            iters, /*reps=*/5,
+            [&] {
+                gemm(false, false, shape.m, shape.n, shape.k, 1.0f,
+                     fa.data(), shape.k, fb.data(), shape.n, 0.0f, fc.data(),
+                     shape.n);
+            },
+            [&] {
+                qgemm(shape.n, shape.m, shape.k, qa.data(), shape.k,
+                      qb.data(), shape.m, qc.data(), shape.m);
+            });
+        const double float_gflops = 2.0 *
+                                    static_cast<double>(shape.m * shape.n *
+                                                        shape.k) *
+                                    iters / float_s / 1e9;
+        std::printf("    %-15s %3lldx%4lldx%4lld: float %6.2f GFLOP/s, "
+                    "int8 %5.2fx float time\n",
+                    shape.name, static_cast<long long>(shape.m),
+                    static_cast<long long>(shape.n),
+                    static_cast<long long>(shape.k), float_gflops,
+                    float_s / int8_s);
+        Json row;
+        row.set("shape", std::string(shape.name));
+        row.set("m", shape.m);
+        row.set("n", shape.n);
+        row.set("k", shape.k);
+        row.set("float_gflops", float_gflops);
+        row.set("int8_speedup_vs_float", float_s / int8_s);
+        narrow_json.push_back(std::move(row));
+    }
+    json.set("narrow_shapes", std::move(narrow_json));
 
     // -- 6. int8 quantized planned forward vs float sparse -----------------
     // Two networks with identical weights and pruning so the A/B can

@@ -70,7 +70,7 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
             std::size_t scratch;
             if (quantized_) {
                 step.qweight =
-                    nn::quantize_weights_per_channel(conv->weight().value);
+                    conv->quantize_weights(current.dim(2), current.dim(3));
                 quantized_max_rel_error_ = std::max(
                     quantized_max_rel_error_, step.qweight.max_rel_error);
                 scratch = conv->quantized_workspace_bytes(
@@ -159,7 +159,12 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
                         static_cast<std::size_t>(linear->in_features()));
                 }
             }
-            if (quantized_) {
+            // The classifier (always the graph's last layer) is the
+            // per-task head serving copies in between batches, so an
+            // int8 snapshot of it would go stale at the next task
+            // install: it stays float in every plan.
+            const bool task_head = i + 1 == graph.size();
+            if (quantized_ && !task_head) {
                 // Linear keeps its int8 snapshot transposed ([in, out])
                 // so the GEMM tiles 16-wide over out_features; the
                 // per-output-channel scales are unaffected.
@@ -248,7 +253,7 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                     viewp = &view;
                 }
                 bool compacted;
-                if (quantized_) {
+                if (!step.qweight.empty()) {
                     compacted = step.conv->forward_into_quantized(
                         *cur, workspace, step.buffer, step.qweight, viewp);
                     ++quantized_hits_;
@@ -315,7 +320,7 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                     viewp = &view;
                 }
                 bool compacted;
-                if (quantized_) {
+                if (!step.qweight.empty()) {
                     compacted = step.linear->forward_into_quantized(
                         *cur, workspace, step.buffer, step.qweight, viewp);
                     ++quantized_hits_;

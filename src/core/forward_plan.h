@@ -38,7 +38,10 @@
 // scale per sample into workspace scratch, the contraction happens in
 // int32, and the dequantized float lands in the same output buffer, so
 // BN / activation / threshold-mask stages are unchanged. Deadness
-// propagation composes: the same live sets drive qgemm_rows.
+// propagation composes: the same live sets drive qgemm_rows. The
+// classifier is the exception: it is the per-task head a server copies
+// in at every task install, which a build-time snapshot would miss, so
+// it always runs float.
 //
 // Thresholds are read live from the sites at execution time: a task's
 // threshold install between batches needs no plan rebuild (the
@@ -104,7 +107,8 @@ public:
     /// at build time; MimeNetwork::set_quantized_execution clears
     /// cached plans so the mode can never go stale).
     bool quantized() const noexcept { return quantized_; }
-    /// Cumulative conv/linear steps run through the int8 kernels.
+    /// Cumulative conv/linear steps run through the int8 kernels (every
+    /// conv/linear step of a quantized plan except the float classifier).
     std::uint64_t quantized_hits() const noexcept { return quantized_hits_; }
     /// Worst per-channel relative error of the weights this plan
     /// pre-quantized at build (0 for a float plan).
@@ -171,9 +175,11 @@ private:
         // -- quantized execution (conv / linear steps only) ----------------
         /// Int8 snapshot of the layer's weights with per-output-channel
         /// scales, built once when the plan is built under an enabled
-        /// QuantizedExecution policy (empty otherwise). The float
-        /// master weights stay untouched, so threshold installs and
-        /// calibration see exactly the weights they always did.
+        /// QuantizedExecution policy (empty otherwise, and always empty
+        /// for the classifier); the step runs int8 exactly when it is
+        /// non-empty. The float master weights stay untouched, so
+        /// threshold installs and calibration see exactly the weights
+        /// they always did.
         nn::QuantizedTensor qweight;
     };
 

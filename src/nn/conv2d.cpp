@@ -136,9 +136,14 @@ std::int64_t Conv2d::workspace_floats(std::int64_t in_height,
                                       std::int64_t in_width,
                                       std::int64_t batch) const {
     const ConvGeometry g = geometry(in_height, in_width);
-    return conv_bands(batch) *
-           static_cast<std::int64_t>(
-               Workspace::aligned_floats(g.col_rows() * g.col_cols()));
+    const auto packed =
+        g.col_cols() < kGemmNarrowN
+            ? static_cast<std::int64_t>(Workspace::aligned_floats(
+                  gemm_narrow_pack_floats(out_channels_, g.col_rows())))
+            : 0;
+    return packed + conv_bands(batch) *
+                        static_cast<std::int64_t>(Workspace::aligned_floats(
+                            g.col_rows() * g.col_cols()));
 }
 
 bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
@@ -187,6 +192,19 @@ bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
     const std::int64_t in_stride = in_channels_ * g.in_height * g.in_width;
     const std::int64_t out_stride = out_channels_ * spatial;
 
+    const Workspace::Checkpoint mark = workspace.checkpoint();
+    // Narrow outputs (fewer than kGemmNarrowN spatial positions) take the
+    // GEMM's narrow path, which vectorizes across output channels from a
+    // packed copy of the weights. Every sample contracts against the
+    // same weights, so pack them once per call rather than per sample.
+    float* packed = nullptr;
+    if (spatial < kGemmNarrowN) {
+        packed = workspace.alloc_floats(
+            gemm_narrow_pack_floats(out_channels_, row_count));
+        gemm_narrow_pack(false, out_channels_, ckk, rows, row_count, 1.0f,
+                         weight_.value.data(), ckk, packed);
+    }
+
     auto run_sample = [&](std::int64_t n, float* cols,
                           ThreadPool* gemm_pool) {
         float* out = output.data() + n * out_stride;
@@ -195,11 +213,18 @@ bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
             // `cols` keep stale garbage the compacted GEMM never reads.
             im2col(g, input.data() + n * in_stride, cols,
                    live_in_channels->indices, live_in_channels->count);
+        } else {
+            im2col(g, input.data() + n * in_stride, cols);
+        }
+        if (packed != nullptr) {
+            gemm_narrow_packed(out_channels_, spatial, ckk, rows, row_count,
+                               packed, cols, spatial, 0.0f, out, spatial,
+                               gemm_pool);
+        } else if (sparse) {
             gemm_rows(false, false, out_channels_, spatial, ckk, rows,
                       row_count, 1.0f, weight_.value.data(), ckk, cols,
                       spatial, 0.0f, out, spatial, gemm_pool);
         } else {
-            im2col(g, input.data() + n * in_stride, cols);
             gemm(false, false, out_channels_, spatial, ckk, 1.0f,
                  weight_.value.data(), ckk, cols, spatial, 0.0f, out,
                  spatial, gemm_pool);
@@ -215,7 +240,6 @@ bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
         }
     };
 
-    const Workspace::Checkpoint mark = workspace.checkpoint();
     const std::int64_t bands = conv_bands(batch);
     const std::int64_t band_stride =
         static_cast<std::int64_t>(Workspace::aligned_floats(ckk * spatial));
@@ -259,12 +283,23 @@ std::size_t Conv2d::quantized_workspace_bytes(std::int64_t in_height,
         sizeof(std::int32_t);
     const auto slab = static_cast<std::size_t>(batch * in_channels_ *
                                                in_height * in_width);
+    // A narrow output also needs the column matrix transposed.
+    const std::size_t cols_copies = g.col_cols() < kGemmNarrowN ? 2 : 1;
     return Workspace::aligned_bytes(slab) +
            Workspace::aligned_bytes(static_cast<std::size_t>(batch) *
                                     sizeof(float)) +
            static_cast<std::size_t>(conv_bands(batch)) *
-               (Workspace::aligned_bytes(cols) +
+               (cols_copies * Workspace::aligned_bytes(cols) +
                 Workspace::aligned_bytes(acc));
+}
+
+nn::QuantizedTensor Conv2d::quantize_weights(std::int64_t in_height,
+                                             std::int64_t in_width) const {
+    nn::QuantizedTensor q = nn::quantize_weights_per_channel(weight_.value);
+    if (geometry(in_height, in_width).col_cols() < kGemmNarrowN) {
+        return nn::transpose_quantized(q);
+    }
+    return q;
 }
 
 bool Conv2d::forward_into_quantized(const Tensor& input,
@@ -285,11 +320,19 @@ bool Conv2d::forward_into_quantized(const Tensor& input,
                  "preallocated to " +
                      Shape({batch, out_channels_, ho, wo}).to_string() +
                      ", got " + output.shape().to_string());
-    MIME_REQUIRE(qweight.rows == out_channels_ && qweight.cols == ckk,
+    // Narrow outputs run the int8 GEMM with operands swapped:
+    // acc[spatial, Cout] = cols^T [spatial, C*K*K] x W^T [C*K*K, Cout],
+    // so its 16-wide column tiles land on the output channels instead of
+    // the few spatial positions. quantize_weights() snapshots W
+    // transposed for exactly these geometries.
+    const bool narrow = spatial < kGemmNarrowN;
+    const std::int64_t w_rows = narrow ? ckk : out_channels_;
+    const std::int64_t w_cols = narrow ? out_channels_ : ckk;
+    MIME_REQUIRE(qweight.rows == w_rows && qweight.cols == w_cols,
                  "quantized weights are [" + std::to_string(qweight.rows) +
                      ", " + std::to_string(qweight.cols) +
-                     "], layer needs [" + std::to_string(out_channels_) +
-                     ", " + std::to_string(ckk) + "]");
+                     "], layer needs [" + std::to_string(w_rows) + ", " +
+                     std::to_string(w_cols) + "] (see quantize_weights)");
 
     const bool sparse = live_in_channels != nullptr &&
                         live_in_channels->indices != nullptr &&
@@ -328,8 +371,10 @@ bool Conv2d::forward_into_quantized(const Tensor& input,
     auto* x_scales = workspace.alloc<float>(batch);
 
     const std::int64_t bands = conv_bands(batch);
-    const std::size_t cols_stride =
+    // A narrow band slice holds the column matrix and its transpose.
+    const std::size_t cols_bytes =
         Workspace::aligned_bytes(static_cast<std::size_t>(ckk * spatial));
+    const std::size_t cols_stride = narrow ? 2 * cols_bytes : cols_bytes;
     const std::size_t acc_stride =
         Workspace::aligned_bytes(static_cast<std::size_t>(
             out_channels_ * spatial * sizeof(std::int32_t)));
@@ -345,22 +390,55 @@ bool Conv2d::forward_into_quantized(const Tensor& input,
     auto run_sample = [&](std::int64_t n, std::int8_t* cols,
                           std::int32_t* acc, ThreadPool* gemm_pool) {
         const float* x = input.data() + n * in_stride;
+        std::int8_t* xq = qinput + n * in_stride;
         const float absmax = nn::activation_absmax(x, in_stride);
         x_scales[n] = absmax == 0.0f ? 0.0f : absmax / 127.0f;
         nn::quantize_with_scale(x, in_stride,
-                                absmax == 0.0f ? 0.0f : 127.0f / absmax,
-                                qinput + n * in_stride);
+                                absmax == 0.0f ? 0.0f : 127.0f / absmax, xq);
         if (sparse) {
-            im2col(g, qinput + n * in_stride, cols,
-                   live_in_channels->indices, live_in_channels->count);
+            im2col(g, xq, cols, live_in_channels->indices,
+                   live_in_channels->count);
+        } else {
+            im2col(g, xq, cols);
+        }
+        float* out = output.data() + n * out_stride;
+        if (narrow) {
+            // Transpose only the rows the GEMM reads (dead rows of a
+            // sparse lowering are stale).
+            std::int8_t* cols_t = cols + cols_bytes;
+            for (std::int64_t p = 0; p < row_count; ++p) {
+                const std::int64_t r = rows != nullptr ? rows[p] : p;
+                for (std::int64_t s = 0; s < spatial; ++s) {
+                    cols_t[s * ckk + r] = cols[r * spatial + s];
+                }
+            }
+            if (sparse) {
+                qgemm_rows(spatial, out_channels_, ckk, rows, row_count,
+                           cols_t, ckk, w_data, out_channels_, acc,
+                           out_channels_, gemm_pool);
+            } else {
+                qgemm(spatial, out_channels_, ckk, cols_t, ckk, w_data,
+                      out_channels_, acc, out_channels_, gemm_pool);
+            }
+            for (std::int64_t c = 0; c < out_channels_; ++c) {
+                const float scale = w_scales[c] * x_scales[n];
+                const float add = bias != nullptr ? bias[c] : 0.0f;
+                for (std::int64_t s = 0; s < spatial; ++s) {
+                    out[c * spatial + s] =
+                        static_cast<float>(acc[s * out_channels_ + c]) *
+                            scale +
+                        add;
+                }
+            }
+            return;
+        }
+        if (sparse) {
             qgemm_rows(out_channels_, spatial, ckk, rows, row_count, w_data,
                        ckk, cols, spatial, acc, spatial, gemm_pool);
         } else {
-            im2col(g, qinput + n * in_stride, cols);
             qgemm(out_channels_, spatial, ckk, w_data, ckk, cols, spatial,
                   acc, spatial, gemm_pool);
         }
-        float* out = output.data() + n * out_stride;
         for (std::int64_t c = 0; c < out_channels_; ++c) {
             nn::dequantize_affine(acc + c * spatial, spatial,
                                   w_scales[c] * x_scales[n],

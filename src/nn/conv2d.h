@@ -54,9 +54,12 @@ public:
     /// inflates the others' step size — and each sample's bytes depend
     /// only on its own data, so banding never changes them), lowers to
     /// an int8 column matrix, contracts against `qweight`
-    /// (per-output-channel scales, prebuilt by the plan from the float
-    /// master weights) into int32 accumulators, and dequantizes + bias
-    /// into the float `output`.
+    /// (per-output-channel scales, prebuilt by the plan with
+    /// quantize_weights) into int32 accumulators, and dequantizes + bias
+    /// into the float `output`. An output with fewer than kGemmNarrowN
+    /// spatial positions runs the GEMM with operands swapped (transposed
+    /// column matrix times transposed weights), so the int8 kernel's
+    /// 16-wide tiles span output channels rather than a scalar tail.
     /// Same live-channel compaction and return semantics as
     /// forward_into; scratch comes from `workspace`
     /// (quantized_workspace_bytes), so steady state allocates nothing.
@@ -66,6 +69,13 @@ public:
                                 const ActiveIndexView* live_in_channels =
                                     nullptr);
 
+    /// The int8 weight snapshot forward_into_quantized expects for an
+    /// input of this size: [Cout, C*K*K] with one scale per output
+    /// channel, transposed to [C*K*K, Cout] when the output has fewer
+    /// than kGemmNarrowN spatial positions.
+    nn::QuantizedTensor quantize_weights(std::int64_t in_height,
+                                         std::int64_t in_width) const;
+
     /// Validated convolution geometry for an input of the given spatial
     /// extents — the single source of truth for output sizes that both
     /// the forwards and ForwardPlan's buffer pre-sizing derive from.
@@ -73,15 +83,16 @@ public:
 
     /// Workspace floats forward_into() allocates for one forward at
     /// this input geometry and batch size (already alignment-rounded):
-    /// one im2col scratch slice per band.
+    /// one im2col scratch slice per band, plus the packed weights when
+    /// the output has fewer than kGemmNarrowN spatial positions.
     std::int64_t workspace_floats(std::int64_t in_height,
                                   std::int64_t in_width,
                                   std::int64_t batch = 1) const;
 
     /// Workspace bytes forward_into_quantized() allocates at this input
     /// geometry and batch size (alignment-rounded): the int8 input
-    /// slab plus, per band, an int8 column matrix and an int32
-    /// accumulator tile.
+    /// slab plus, per band, an int8 column matrix (and its transpose
+    /// for a narrow output) and an int32 accumulator tile.
     std::size_t quantized_workspace_bytes(std::int64_t in_height,
                                           std::int64_t in_width,
                                           std::int64_t batch = 1) const;

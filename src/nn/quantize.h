@@ -88,7 +88,9 @@ QuantizedTensor quantize_weights_per_channel(const Tensor& weight);
 /// row (= the transposed matrix's column), i.e. still per output
 /// channel. Linear layers store their plan snapshot this way so the
 /// int8 GEMM runs activations-major ([batch, in] x [in, out]) with the
-/// 16-wide column tiles on out_features instead of the batch.
+/// 16-wide column tiles on out_features instead of the batch; so do
+/// convs whose output has fewer than 16 positions (see
+/// Conv2d::quantize_weights).
 QuantizedTensor transpose_quantized(const QuantizedTensor& q);
 
 /// Quantizes `count` activations into int8 [-127, 127] with one dynamic

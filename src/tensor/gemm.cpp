@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -24,6 +25,10 @@ constexpr std::int64_t kBlockK = 256;
 inline float load(const float* p, std::int64_t ld, std::int64_t row,
                   std::int64_t col, bool transposed) {
     return transposed ? p[col * ld + row] : p[row * ld + col];
+}
+
+inline std::int64_t stored_index(const std::int64_t* rows, std::int64_t p) {
+    return rows != nullptr ? rows[p] : p;
 }
 
 // Packing scratch lives per thread so a pool-banded gemm never shares
@@ -104,15 +109,10 @@ inline void micro_row(float* crow, const float* arow,
 }
 #endif
 
-// Computes one row-band [m0, m1) of C without any threading. `rows`
-// restricts the contraction to the listed stored indices (identity when
-// null, in which case the contraction length is `row_count` itself).
-void gemm_band(bool trans_a, bool trans_b, std::int64_t m0, std::int64_t m1,
-               std::int64_t n, const std::int64_t* rows,
-               std::int64_t row_count, float alpha, const float* a,
-               std::int64_t lda, const float* b, std::int64_t ldb, float beta,
-               float* c, std::int64_t ldc) {
-    // Scale C by beta once up front.
+// C[m0:m1, 0:n) *= beta, with beta == 0 overwriting (so NaN garbage in
+// an uninitialized C never survives).
+void scale_rows(float beta, float* c, std::int64_t ldc, std::int64_t m0,
+                std::int64_t m1, std::int64_t n) {
     for (std::int64_t i = m0; i < m1; ++i) {
         float* crow = c + i * ldc;
         if (beta == 0.0f) {
@@ -123,6 +123,17 @@ void gemm_band(bool trans_a, bool trans_b, std::int64_t m0, std::int64_t m1,
             }
         }
     }
+}
+
+// Computes one row-band [m0, m1) of C without any threading. `rows`
+// restricts the contraction to the listed stored indices (identity when
+// null, in which case the contraction length is `row_count` itself).
+void gemm_band(bool trans_a, bool trans_b, std::int64_t m0, std::int64_t m1,
+               std::int64_t n, const std::int64_t* rows,
+               std::int64_t row_count, float alpha, const float* a,
+               std::int64_t lda, const float* b, std::int64_t ldb, float beta,
+               float* c, std::int64_t ldc) {
+    scale_rows(beta, c, ldc, m0, m1, n);
 
     std::vector<float>& a_pack = tl_a_pack;
     std::vector<float>& b_pack = tl_b_pack;
@@ -185,29 +196,280 @@ void gemm_band(bool trans_a, bool trans_b, std::int64_t m0, std::int64_t m1,
     }
 }
 
+// -- narrow-N path (n < kGemmNarrowN) --------------------------------------
+// A conv whose output has 2x2 spatial positions is an [M, 4] product:
+// micro_row vectorizes across columns of C, so all of it would land in
+// micro_row's scalar tail. Here the vector lanes run across *rows* of C
+// (output channels) instead. op(A) is packed alpha-scaled into panels of
+// kPanelRows rows stored p-major — panel[p * kPanelRows + r] =
+// alpha * op(A)[i0 + r, stored p] — so one load yields the same
+// contraction term for eight output rows. Each output element is still
+// one FMA chain over ascending p, started from the beta-scaled C: the
+// result equals micro_row's for finite inputs (micro_row only skips
+// av == 0 terms, which leave a finite nonzero accumulator unchanged), and
+// the compacted path keeps bit-matching dense for the same reason.
+// narrow_gemm_band blocks the contraction by kBlockK like gemm_band, so
+// its pack scratch stays bounded; a tile stores its accumulators to C
+// between K-blocks and reloads them, which is exact and keeps the chain.
+constexpr std::int64_t kPanelRows = 8;
+
+std::int64_t narrow_pack_floats(std::int64_t m, std::int64_t row_count) {
+    return (m + kPanelRows - 1) / kPanelRows * kPanelRows * row_count;
+}
+
+// Packs rows [i0, i0 + m) of alpha * op(A), contracted over the
+// (possibly compacted) index list, into ceil(m / kPanelRows) panels.
+// Rows past m are zero so every tile runs full-width.
+void pack_panels(bool trans_a, std::int64_t i0, std::int64_t m,
+                 const std::int64_t* rows, std::int64_t row_count,
+                 float alpha, const float* a, std::int64_t lda,
+                 float* packed) {
+    for (std::int64_t r0 = 0; r0 < m; r0 += kPanelRows) {
+        float* dst = packed + r0 * row_count;
+        const std::int64_t live = std::min(kPanelRows, m - r0);
+        if (live < kPanelRows) {
+            std::fill(dst, dst + kPanelRows * row_count, 0.0f);
+        }
+        if (trans_a) {
+            // op(A)'s column p is a contiguous run of the stored row.
+            for (std::int64_t p = 0; p < row_count; ++p) {
+                const float* src = a + stored_index(rows, p) * lda + i0 + r0;
+                for (std::int64_t r = 0; r < live; ++r) {
+                    dst[p * kPanelRows + r] = alpha * src[r];
+                }
+            }
+        } else {
+            for (std::int64_t r = 0; r < live; ++r) {
+                const float* src = a + (i0 + r0 + r) * lda;
+                for (std::int64_t p = 0; p < row_count; ++p) {
+                    dst[p * kPanelRows + r] =
+                        alpha * src[stored_index(rows, p)];
+                }
+            }
+        }
+    }
+}
+
+#if defined(MIME_GEMM_AVX2)
+// NP panels (NP * 8 rows of C, `live_rows` of them real) by NC <= 4
+// columns, all held in registers across the whole contraction: two
+// panels by four columns is 8 accumulators fed by 2 panel loads and 4
+// broadcasts per term. `c` points at the tile's top-left element;
+// op(B)'s compacted row p is b + stored(p) * ldb.
+template <int NP, int NC>
+inline void narrow_tile(const float* panels, std::int64_t row_count,
+                        const float* b, std::int64_t ldb,
+                        const std::int64_t* rows, float* c, std::int64_t ldc,
+                        std::int64_t live_rows) {
+    const std::int64_t panel_stride = kPanelRows * row_count;
+    alignas(32) float lane[kPanelRows];
+    __m256 acc[NP][NC];
+    for (int q = 0; q < NP; ++q) {
+        for (int j = 0; j < NC; ++j) {
+            for (std::int64_t r = 0; r < kPanelRows; ++r) {
+                const std::int64_t i = q * kPanelRows + r;
+                lane[r] = i < live_rows ? c[i * ldc + j] : 0.0f;
+            }
+            acc[q][j] = _mm256_load_ps(lane);
+        }
+    }
+    for (std::int64_t p = 0; p < row_count; ++p) {
+        const float* brow = b + stored_index(rows, p) * ldb;
+        __m256 av[NP];
+        for (int q = 0; q < NP; ++q) {
+            av[q] = _mm256_loadu_ps(panels + q * panel_stride +
+                                    p * kPanelRows);
+        }
+        for (int j = 0; j < NC; ++j) {
+            const __m256 bv = _mm256_broadcast_ss(brow + j);
+            for (int q = 0; q < NP; ++q) {
+                acc[q][j] = _mm256_fmadd_ps(av[q], bv, acc[q][j]);
+            }
+        }
+    }
+    for (int q = 0; q < NP; ++q) {
+        for (int j = 0; j < NC; ++j) {
+            _mm256_store_ps(lane, acc[q][j]);
+            for (std::int64_t r = 0; r < kPanelRows; ++r) {
+                const std::int64_t i = q * kPanelRows + r;
+                if (i < live_rows) {
+                    c[i * ldc + j] = lane[r];
+                }
+            }
+        }
+    }
+}
+
+template <int NP>
+void narrow_tile_cols(std::int64_t cols, const float* panels,
+                      std::int64_t row_count, const float* b,
+                      std::int64_t ldb, const std::int64_t* rows, float* c,
+                      std::int64_t ldc, std::int64_t live_rows) {
+    switch (cols) {
+        case 4:
+            narrow_tile<NP, 4>(panels, row_count, b, ldb, rows, c, ldc,
+                               live_rows);
+            break;
+        case 3:
+            narrow_tile<NP, 3>(panels, row_count, b, ldb, rows, c, ldc,
+                               live_rows);
+            break;
+        case 2:
+            narrow_tile<NP, 2>(panels, row_count, b, ldb, rows, c, ldc,
+                               live_rows);
+            break;
+        default:
+            narrow_tile<NP, 1>(panels, row_count, b, ldb, rows, c, ldc,
+                               live_rows);
+            break;
+    }
+}
+
+// C[0:m, 0:n) += packed panels * op(B), C already beta-scaled.
+void narrow_band(const float* packed, std::int64_t m, std::int64_t n,
+                 std::int64_t row_count, const float* b, std::int64_t ldb,
+                 const std::int64_t* rows, float* c, std::int64_t ldc) {
+    for (std::int64_t i = 0; i < m; i += 2 * kPanelRows) {
+        const std::int64_t live = std::min(2 * kPanelRows, m - i);
+        const float* panels = packed + i * row_count;
+        for (std::int64_t j = 0; j < n; j += 4) {
+            const std::int64_t cols = std::min<std::int64_t>(4, n - j);
+            float* tile = c + i * ldc + j;
+            if (live > kPanelRows) {
+                narrow_tile_cols<2>(cols, panels, row_count, b + j, ldb, rows,
+                                    tile, ldc, live);
+            } else {
+                narrow_tile_cols<1>(cols, panels, row_count, b + j, ldb, rows,
+                                    tile, ldc, live);
+            }
+        }
+    }
+}
+#else
+void narrow_band(const float* packed, std::int64_t m, std::int64_t n,
+                 std::int64_t row_count, const float* b, std::int64_t ldb,
+                 const std::int64_t* rows, float* c, std::int64_t ldc) {
+    for (std::int64_t i = 0; i < m; ++i) {
+        const float* arow =
+            packed + (i - i % kPanelRows) * row_count + i % kPanelRows;
+        for (std::int64_t j = 0; j < n; ++j) {
+            float acc = c[i * ldc + j];
+            for (std::int64_t p = 0; p < row_count; ++p) {
+                acc = std::fma(arow[p * kPanelRows],
+                               b[stored_index(rows, p) * ldb + j], acc);
+            }
+            c[i * ldc + j] = acc;
+        }
+    }
+}
+#endif
+
+// gemm_band for n < kGemmNarrowN: the same beta prologue and K-blocking
+// over positions of the (possibly compacted) row list, with op(A) packed
+// into panels per kBlockM x kBlockK block and op(B) used in place (a
+// transposed op(B) is only n wide, so it packs into kBlockK dense rows).
+void narrow_gemm_band(bool trans_a, bool trans_b, std::int64_t m0,
+                      std::int64_t m1, std::int64_t n,
+                      const std::int64_t* rows, std::int64_t row_count,
+                      float alpha, const float* a, std::int64_t lda,
+                      const float* b, std::int64_t ldb, float beta, float* c,
+                      std::int64_t ldc) {
+    scale_rows(beta, c, ldc, m0, m1, n);
+
+    std::vector<float>& a_pack = tl_a_pack;
+    std::vector<float>& b_pack = tl_b_pack;
+    for (std::int64_t kk = 0; kk < row_count; kk += kBlockK) {
+        const std::int64_t depth = std::min(kBlockK, row_count - kk);
+        // This block's contraction list: the next `depth` listed rows, or
+        // the identity run starting at stored index kk.
+        const std::int64_t* block_rows = rows != nullptr ? rows + kk : nullptr;
+        const float* block_a =
+            rows != nullptr ? a : (trans_a ? a + kk * lda : a + kk);
+        const float* block_b = rows != nullptr ? b : b + kk * ldb;
+        std::int64_t block_ldb = ldb;
+        if (trans_b) {
+            b_pack.resize(static_cast<std::size_t>(depth * n));
+            for (std::int64_t p = 0; p < depth; ++p) {
+                const std::int64_t row = stored_index(rows, kk + p);
+                for (std::int64_t j = 0; j < n; ++j) {
+                    b_pack[static_cast<std::size_t>(p * n + j)] =
+                        b[j * ldb + row];
+                }
+            }
+            block_b = b_pack.data();
+            block_ldb = n;
+        }
+        const std::int64_t* b_rows = trans_b ? nullptr : block_rows;
+
+        for (std::int64_t ii = m0; ii < m1; ii += kBlockM) {
+            const std::int64_t rows_here = std::min(kBlockM, m1 - ii);
+            a_pack.resize(
+                static_cast<std::size_t>(narrow_pack_floats(rows_here, depth)));
+            pack_panels(trans_a, ii, rows_here, block_rows, depth, alpha,
+                        block_a, lda, a_pack.data());
+            narrow_band(a_pack.data(), rows_here, n, depth, block_b,
+                        block_ldb, b_rows, c + ii * ldc, ldc);
+        }
+    }
+}
+
+// Runs fn(m0, m1) over row bands of [0, m): inline without a pool or
+// for small m, else one band per worker. Band starts stay multiples of
+// kPanelRows so a pre-packed narrow operand splits on panel boundaries.
+template <typename Fn>
+void for_each_band(std::int64_t m, ThreadPool* pool, const Fn& fn) {
+    if (pool == nullptr || pool->size() <= 1 || m < 2 * kBlockM) {
+        fn(0, m);
+        return;
+    }
+    const std::int64_t bands =
+        std::min<std::int64_t>(static_cast<std::int64_t>(pool->size()),
+                               (m + kBlockM - 1) / kBlockM);
+    const std::int64_t band_rows =
+        ((m + bands - 1) / bands + kPanelRows - 1) / kPanelRows * kPanelRows;
+    for (std::int64_t b0 = 0; b0 < m; b0 += band_rows) {
+        const std::int64_t b1 = std::min(b0 + band_rows, m);
+        pool->submit([&fn, b0, b1] { fn(b0, b1); });
+    }
+    pool->wait_idle();
+}
+
 void gemm_dispatch(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                    const std::int64_t* rows, std::int64_t row_count,
                    float alpha, const float* a, std::int64_t lda,
                    const float* b, std::int64_t ldb, float beta, float* c,
                    std::int64_t ldc, ThreadPool* pool) {
-    if (pool == nullptr || pool->size() <= 1 || m < 2 * kBlockM) {
-        gemm_band(trans_a, trans_b, 0, m, n, rows, row_count, alpha, a, lda,
-                  b, ldb, beta, c, ldc);
+    const auto band = n < kGemmNarrowN ? narrow_gemm_band : gemm_band;
+    for_each_band(m, pool, [=](std::int64_t m0, std::int64_t m1) {
+        band(trans_a, trans_b, m0, m1, n, rows, row_count, alpha, a, lda, b,
+             ldb, beta, c, ldc);
+    });
+}
+
+// Checks a compacted contraction list: `rows` strictly ascending within
+// [0, k). A null list is the empty contraction when row_count is 0 and,
+// where `null_means_all`, the dense one when row_count is k.
+void validate_rows(const char* fn, std::int64_t k, const std::int64_t* rows,
+                   std::int64_t row_count, bool null_means_all) {
+    // Messages are built only on failure: this runs once per conv sample.
+    MIME_REQUIRE(row_count >= 0 && row_count <= k,
+                 std::string(fn) + " row_count must be in [0, k]");
+    if (rows == nullptr) {
+        MIME_REQUIRE(row_count == 0 || (null_means_all && row_count == k),
+                     std::string(fn) +
+                         (null_means_all
+                              ? " without a row list contracts all k rows "
+                                "or none"
+                              : " needs a row list unless row_count is 0"));
         return;
     }
-
-    const std::int64_t bands =
-        std::min<std::int64_t>(static_cast<std::int64_t>(pool->size()),
-                               (m + kBlockM - 1) / kBlockM);
-    const std::int64_t band_rows = (m + bands - 1) / bands;
-    for (std::int64_t b0 = 0; b0 < m; b0 += band_rows) {
-        const std::int64_t b1 = std::min(b0 + band_rows, m);
-        pool->submit([=] {
-            gemm_band(trans_a, trans_b, b0, b1, n, rows, row_count, alpha, a,
-                      lda, b, ldb, beta, c, ldc);
-        });
+    for (std::int64_t p = 0; p < row_count; ++p) {
+        MIME_REQUIRE(rows[p] >= 0 && rows[p] < k &&
+                         (p == 0 || rows[p] > rows[p - 1]),
+                     std::string(fn) +
+                         " row indices must be strictly ascending within "
+                         "[0, k)");
     }
-    pool->wait_idle();
 }
 
 }  // namespace
@@ -235,16 +497,7 @@ void gemm_rows(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                  "gemm_rows dimensions must be >= 0");
     MIME_REQUIRE(a != nullptr && b != nullptr && c != nullptr,
                  "gemm_rows operands must be non-null");
-    MIME_REQUIRE(row_count >= 0 && row_count <= k,
-                 "gemm_rows row_count must be in [0, k]");
-    MIME_REQUIRE(rows != nullptr || row_count == 0,
-                 "gemm_rows needs a row list unless row_count is 0");
-    for (std::int64_t p = 0; p < row_count; ++p) {
-        MIME_REQUIRE(rows[p] >= 0 && rows[p] < k &&
-                         (p == 0 || rows[p] > rows[p - 1]),
-                     "gemm_rows row indices must be strictly ascending "
-                     "within [0, k)");
-    }
+    validate_rows("gemm_rows", k, rows, row_count, /*null_means_all=*/false);
     if (m == 0 || n == 0) {
         return;
     }
@@ -252,6 +505,47 @@ void gemm_rows(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
     // dense kernel contracted over an all-zero operand.
     gemm_dispatch(trans_a, trans_b, m, n, rows, row_count, alpha, a, lda, b,
                   ldb, beta, c, ldc, pool);
+}
+
+std::int64_t gemm_narrow_pack_floats(std::int64_t m, std::int64_t row_count) {
+    MIME_REQUIRE(m >= 0 && row_count >= 0,
+                 "gemm_narrow_pack_floats extents must be >= 0");
+    return narrow_pack_floats(m, row_count);
+}
+
+void gemm_narrow_pack(bool trans_a, std::int64_t m, std::int64_t k,
+                      const std::int64_t* rows, std::int64_t row_count,
+                      float alpha, const float* a, std::int64_t lda,
+                      float* packed) {
+    MIME_REQUIRE(m >= 0 && k >= 0, "gemm_narrow_pack dimensions must be >= 0");
+    MIME_REQUIRE(a != nullptr && packed != nullptr,
+                 "gemm_narrow_pack operands must be non-null");
+    validate_rows("gemm_narrow_pack", k, rows, row_count,
+                  /*null_means_all=*/true);
+    pack_panels(trans_a, 0, m, rows, row_count, alpha, a, lda, packed);
+}
+
+void gemm_narrow_packed(std::int64_t m, std::int64_t n, std::int64_t k,
+                        const std::int64_t* rows, std::int64_t row_count,
+                        const float* packed, const float* b,
+                        std::int64_t ldb, float beta, float* c,
+                        std::int64_t ldc, ThreadPool* pool) {
+    MIME_REQUIRE(m >= 0 && n >= 0 && k >= 0,
+                 "gemm_narrow_packed dimensions must be >= 0");
+    MIME_REQUIRE(n < kGemmNarrowN,
+                 "gemm_narrow_packed needs n < kGemmNarrowN");
+    MIME_REQUIRE(packed != nullptr && b != nullptr && c != nullptr,
+                 "gemm_narrow_packed operands must be non-null");
+    validate_rows("gemm_narrow_packed", k, rows, row_count,
+                  /*null_means_all=*/true);
+    if (m == 0 || n == 0) {
+        return;
+    }
+    for_each_band(m, pool, [=](std::int64_t m0, std::int64_t m1) {
+        scale_rows(beta, c, ldc, m0, m1, n);
+        narrow_band(packed + m0 * row_count, m1 - m0, n, row_count, b, ldb,
+                    rows, c + m0 * ldc, ldc);
+    });
 }
 
 const char* gemm_kernel_name() {

@@ -9,6 +9,24 @@
 // sparse planned executor: it contracts over a caller-supplied live-row
 // index set only, skipping the multiply-accumulates of rows a threshold
 // mask provably zeroed.
+//
+// Orientation: with n >= kGemmNarrowN output columns the kernel
+// vectorizes across the columns of C. A narrower C (a conv whose output
+// has fewer than 16 spatial positions, a 10-class classifier) would
+// leave that kernel in its scalar column tail, so it vectorizes across
+// the rows of C — the output channels — instead, from op(A) packed into
+// 8-row panels. The path follows from n alone; there is no option.
+//
+// FMA-chain invariant: on both paths each output element is a single
+// fused-multiply-add chain over the contracted indices in ascending
+// order, started from beta * C (or 0 when beta == 0), each term being
+// (alpha * op(A)[i,p]) * op(B)[p,j]. (The wide path skips terms whose A
+// factor is exactly zero; for finite operands such a term cannot change
+// a nonzero accumulator.) Results are therefore independent of the
+// path, the blocking and the thread count, and a row-compacted product
+// bit-matches the dense one whenever the skipped terms are zeros.
+// tests/gemm_test.cpp checks it bit for bit against a sequential
+// std::fma loop.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +35,10 @@
 #include "tensor/tensor.h"
 
 namespace mime {
+
+/// Output-column count below which gemm / gemm_rows vectorize across the
+/// rows of C (output channels) instead of its columns.
+inline constexpr std::int64_t kGemmNarrowN = 16;
 
 /// C[M,N] = alpha * op(A)[M,K] * op(B)[K,N] + beta * C[M,N]
 ///
@@ -48,6 +70,35 @@ void gemm_rows(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t row_count, float alpha, const float* a,
                std::int64_t lda, const float* b, std::int64_t ldb, float beta,
                float* c, std::int64_t ldc, ThreadPool* pool = nullptr);
+
+/// Narrow-N GEMM with op(A) packed once and reused across calls. A conv
+/// layer runs one GEMM per sample against the same weight matrix, so
+/// when its output has fewer than kGemmNarrowN spatial positions it
+/// packs the weights once per layer call instead of once per sample.
+///
+/// Floats gemm_narrow_pack writes for an m-row op(A) contracted over
+/// `row_count` indices (m rounded up to whole 8-row panels).
+std::int64_t gemm_narrow_pack_floats(std::int64_t m, std::int64_t row_count);
+
+/// Packs alpha * op(A) ([m, k] after the optional transpose) into
+/// `packed` (gemm_narrow_pack_floats(m, row_count) floats), contracted
+/// over `rows` as gemm_rows does. A null `rows` contracts all k rows
+/// when row_count is k, and none (like gemm_rows) when it is 0.
+void gemm_narrow_pack(bool trans_a, std::int64_t m, std::int64_t k,
+                      const std::int64_t* rows, std::int64_t row_count,
+                      float alpha, const float* a, std::int64_t lda,
+                      float* packed);
+
+/// C[M,N] = packed * B[K,N] + beta * C for n < kGemmNarrowN, B stored
+/// row-major without transpose, `rows` / `row_count` as given to the
+/// pack. Bit-identical to gemm_rows (or gemm, for the dense null
+/// `rows`) on the same operands: both run this kernel, and its per-K-block
+/// accumulator round trips through C are exact.
+void gemm_narrow_packed(std::int64_t m, std::int64_t n, std::int64_t k,
+                        const std::int64_t* rows, std::int64_t row_count,
+                        const float* packed, const float* b,
+                        std::int64_t ldb, float beta, float* c,
+                        std::int64_t ldc, ThreadPool* pool = nullptr);
 
 /// The microkernel variant this build selected at compile time
 /// ("avx2+fma" or "scalar"); benches report it next to their numbers.

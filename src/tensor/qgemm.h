@@ -2,19 +2,24 @@
 // quantized planned executor.
 //
 // C[M,N] (int32) = A[M,K] (int8) * B[K,N] (int8); C is overwritten.
-// Both quantized call sites arrange their operands row-major with no
-// transpose: conv contracts a [Cout, C*K*K] weight matrix against an
-// int8 im2col column matrix, and linear quantizes its activations
-// *transposed* ([in_features, batch]) so the [out, in] weight matrix is
-// the A operand there too. Per-output-channel scales then live on rows
-// of A, and the dequantize pass is one multiply per output element.
+// Operands are row-major with no transpose flags. The AVX2 kernel tiles
+// C 4 rows by 16 columns; columns past the last full tile run a scalar
+// tail. Orientation rule, as for the float gemm: a product with fewer
+// than 16 output columns belongs on the other side, so callers put the
+// output channels on N there. Linear runs [batch, in] x [in, out]
+// (weights snapshotted transposed), and a conv with fewer than 16 output
+// positions runs [positions, C*K*K] x [C*K*K, Cout] — the transposed
+// column matrix against transposed weights — instead of its usual
+// [Cout, C*K*K] x [C*K*K, positions]. Per-output-channel scales then
+// sit on whichever side holds the channels, and the dequantize pass is
+// one multiply per output element either way.
 //
 // All arithmetic is exact: int8*int8 products are at most 127^2 = 16129,
 // so an int32 accumulator holds any contraction up to k ~ 2^31 / 16129
 // without overflow (enforced by a checked bound). Exactness means the
 // AVX2 kernel, the scalar fallback and the qgemm_reference oracle agree
-// bit-for-bit regardless of accumulation order — the float kernels'
-// careful order-matching is unnecessary here.
+// bit-for-bit regardless of accumulation order or operand orientation —
+// the float kernels' FMA-chain invariant has no int8 counterpart to keep.
 //
 // `qgemm_rows` is the row-compacted variant composing with PR 6's
 // ActiveSet live-row lists: it contracts over a caller-supplied strictly

@@ -10,6 +10,8 @@
 #include "nn/conv2d.h"
 #include "nn/gradcheck.h"
 #include "nn/linear.h"
+#include "nn/quantize.h"
+#include "tensor/qgemm.h"
 #include "tensor/workspace.h"
 
 namespace mime::nn {
@@ -143,23 +145,101 @@ TEST(Conv2d, ParametersExposed) {
 }
 
 TEST(Conv2d, ForwardIntoBitMatchesForward) {
-    Rng rng(12);
-    Conv2d conv(3, 5, 3, 1, 1, rng);
-    const Tensor x = Tensor::randn({4, 3, 8, 8}, rng);
-    const Tensor expected = conv.forward(x);
+    // 8x8 outputs take the GEMM's wide path; 2x2 outputs its narrow path,
+    // where forward_into packs the weights once for the whole batch.
+    for (const std::int64_t size : {8, 2}) {
+        Rng rng(12);
+        Conv2d conv(3, 21, 3, 1, 1, rng);
+        const Tensor x = Tensor::randn({4, 3, size, size}, rng);
+        const Tensor expected = conv.forward(x);
+        const Tensor reference = conv_reference(x, conv.weight().value,
+                                                &conv.bias().value, 1, 1);
+        for (std::int64_t i = 0; i < expected.numel(); ++i) {
+            ASSERT_NEAR(expected[i], reference[i], 1e-4f);
+        }
 
-    conv.set_eval_mode(true);
-    Workspace ws;
-    ws.reserve(static_cast<std::size_t>(conv.workspace_floats(8, 8)) *
-               sizeof(float));
-    Tensor out(expected.shape());
-    conv.forward_into(x, ws, out);
-    for (std::int64_t i = 0; i < expected.numel(); ++i) {
-        ASSERT_EQ(out[i], expected[i]);
+        conv.set_eval_mode(true);
+        Workspace ws;
+        ws.reserve(static_cast<std::size_t>(
+                       conv.workspace_floats(size, size)) *
+                   sizeof(float));
+        Tensor out(expected.shape());
+        conv.forward_into(x, ws, out);
+        for (std::int64_t i = 0; i < expected.numel(); ++i) {
+            ASSERT_EQ(out[i], expected[i]) << "size " << size;
+        }
+        // Scratch is fully rewound after the call.
+        EXPECT_EQ(ws.used_bytes(), 0u);
+        EXPECT_GT(ws.peak_bytes(), 0u);
     }
-    // Scratch is fully rewound after the call.
-    EXPECT_EQ(ws.used_bytes(), 0u);
-    EXPECT_GT(ws.peak_bytes(), 0u);
+}
+
+TEST(Conv2d, QuantizedNarrowOutputSwapsOperandsExactly) {
+    // A 2x2 output runs the int8 GEMM with operands swapped, from weights
+    // snapshotted transposed. Integer accumulation is exact, so every
+    // output must equal the [Cout, C*K*K] x columns product dequantized
+    // the same way — dense, and row-compacted over live channels.
+    Rng rng(16);
+    Conv2d conv(8, 24, 3, 1, 1, rng);
+    conv.bias().value = Tensor::randn({24}, rng);
+    conv.set_eval_mode(true);
+    Tensor x = Tensor::randn({3, 8, 2, 2}, rng);
+    const std::vector<std::int64_t> live{0, 2, 3, 7};
+    for (std::int64_t n = 0; n < 3; ++n) {  // zero the dead channels
+        for (std::int64_t ch = 0; ch < 8; ++ch) {
+            if (ch != 0 && ch != 2 && ch != 3 && ch != 7) {
+                for (std::int64_t i = 0; i < 4; ++i) {
+                    x[(n * 8 + ch) * 4 + i] = 0.0f;
+                }
+            }
+        }
+    }
+
+    const QuantizedTensor wide = quantize_weights_per_channel(
+        conv.weight().value);
+    const QuantizedTensor narrow = conv.quantize_weights(2, 2);
+    EXPECT_EQ(narrow.rows, 72);
+    EXPECT_EQ(narrow.cols, 24);
+    EXPECT_EQ(conv.quantize_weights(4, 4).rows, 24);  // 16 outputs: wide
+
+    const ConvGeometry g = conv.geometry(2, 2);
+    Tensor want({3, 24, 2, 2});
+    for (std::int64_t n = 0; n < 3; ++n) {
+        const float* xn = x.data() + n * 32;
+        const float absmax = activation_absmax(xn, 32);
+        std::vector<std::int8_t> xq(32);
+        quantize_with_scale(xn, 32, 127.0f / absmax, xq.data());
+        std::vector<std::int8_t> cols(72 * 4);
+        im2col(g, xq.data(), cols.data());
+        std::vector<std::int32_t> acc(24 * 4);
+        qgemm_reference(24, 4, 72, wide.data.data(), 72, cols.data(), 4,
+                        acc.data(), 4);
+        for (std::int64_t c = 0; c < 24; ++c) {
+            const float scale = wide.scales[c] * (absmax / 127.0f);
+            for (std::int64_t s = 0; s < 4; ++s) {
+                want[(n * 24 + c) * 4 + s] =
+                    static_cast<float>(acc[c * 4 + s]) * scale +
+                    conv.bias().value[c];
+            }
+        }
+    }
+
+    Workspace ws(conv.quantized_workspace_bytes(2, 2, 3));
+    const ActiveIndexView view{live.data(),
+                               static_cast<std::int64_t>(live.size()), 8};
+    for (const ActiveIndexView* v : {static_cast<const ActiveIndexView*>(
+                                         nullptr),
+                                     &view}) {
+        Tensor out({3, 24, 2, 2});
+        EXPECT_EQ(conv.forward_into_quantized(x, ws, out, narrow, v),
+                  v != nullptr);
+        for (std::int64_t i = 0; i < want.numel(); ++i) {
+            ASSERT_EQ(out[i], want[i]) << (v != nullptr ? "sparse" : "dense");
+        }
+    }
+    // The untransposed snapshot is the wrong orientation here.
+    Tensor out({3, 24, 2, 2});
+    EXPECT_THROW(conv.forward_into_quantized(x, ws, out, wide), check_error);
 }
 
 TEST(Conv2d, ForwardIntoRequiresEvalModeAndExactOutputShape) {

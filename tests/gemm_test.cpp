@@ -1,8 +1,11 @@
-// Tests for the blocked GEMM kernel against the reference triple loop.
+// Tests for the blocked GEMM kernel against the reference triple loop
+// and, bit for bit, against a sequential FMA oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -70,6 +73,197 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmCase{1, 128, 256, false, true},
                       GemmCase{200, 150, 300, false, false},
                       GemmCase{200, 150, 300, true, false}));
+
+// Sequential FMA oracle: every C[i,j] is one std::fma chain over the
+// (compacted) contraction indices in ascending order, started from the
+// beta-scaled C, with alpha folded into the A term. This is the order
+// both kernel paths promise, and what the sparse executor's bit-match
+// with dense rests on.
+void gemm_fma_oracle(bool ta, bool tb, std::int64_t m, std::int64_t n,
+                     const std::vector<std::int64_t>& rows, float alpha,
+                     const float* a, std::int64_t lda, const float* b,
+                     std::int64_t ldb, float beta, float* c,
+                     std::int64_t ldc) {
+    for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t j = 0; j < n; ++j) {
+            float acc = c[i * ldc + j];
+            if (beta == 0.0f) {
+                acc = 0.0f;
+            } else if (beta != 1.0f) {
+                acc *= beta;
+            }
+            for (const std::int64_t p : rows) {
+                const float av = ta ? a[p * lda + i] : a[i * lda + p];
+                const float bv = tb ? b[j * ldb + p] : b[p * ldb + j];
+                acc = std::fma(alpha * av, bv, acc);
+            }
+            c[i * ldc + j] = acc;
+        }
+    }
+}
+
+bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// (m, trans_a, trans_b, compacted). Each case sweeps n = 1..17 — every
+// narrow width below kGemmNarrowN plus the first two wide ones — over
+// short contractions, and the 2x2-output conv width (n = 4) and the
+// widest narrow one over a 3x3 conv across 128 channels (k = 1152).
+using NarrowCase = std::tuple<int, bool, bool, bool>;
+
+class GemmNarrowTest : public ::testing::TestWithParam<NarrowCase> {};
+
+TEST_P(GemmNarrowTest, BitMatchesSequentialFmaOracle) {
+    const auto [m, ta, tb, compacted] = GetParam();
+    for (const std::int64_t k : {1, 9, 300, 1152}) {
+        std::vector<std::int64_t> rows;
+        for (std::int64_t r = 0; r < k; ++r) {
+            if (!compacted || r % 3 != 1) {
+                rows.push_back(r);
+            }
+        }
+        const auto row_count = static_cast<std::int64_t>(rows.size());
+        Rng rng(static_cast<std::uint64_t>(m * 131 + k));
+        const std::int64_t lda = ta ? m : k;
+        const auto a = random_matrix(ta ? k : m, lda, rng);
+        for (std::int64_t n = 1; n <= kGemmNarrowN + 1; ++n) {
+            if (k > 300 && n != 4 && n != kGemmNarrowN - 1) {
+                continue;
+            }
+            SCOPED_TRACE("m=" + std::to_string(m) + " n=" +
+                         std::to_string(n) + " k=" + std::to_string(k));
+            const std::int64_t ldb = tb ? k : n;
+            const auto b = random_matrix(tb ? n : k, ldb, rng);
+            // ldc > n so a kernel that writes past the row shows up.
+            const std::int64_t ldc = n + 3;
+            const auto c0 = random_matrix(m, ldc, rng);
+            for (const float beta : {0.0f, 1.0f, 0.7f}) {
+                if (beta != 0.0f && (n + k) % 2 == 0) {
+                    continue;  // half the shapes also accumulate into C
+                }
+                std::vector<float> want = c0;
+                std::vector<float> got = c0;
+                gemm_fma_oracle(ta, tb, m, n, rows, 1.3f, a.data(), lda,
+                                b.data(), ldb, beta, want.data(), ldc);
+                if (compacted) {
+                    gemm_rows(ta, tb, m, n, k, rows.data(), row_count, 1.3f,
+                              a.data(), lda, b.data(), ldb, beta, got.data(),
+                              ldc);
+                } else {
+                    gemm(ta, tb, m, n, k, 1.3f, a.data(), lda, b.data(), ldb,
+                         beta, got.data(), ldc);
+                }
+                EXPECT_TRUE(bits_equal(want, got)) << "beta=" << beta;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmNarrowTest,
+    ::testing::Combine(::testing::Values(1, 5, 8, 13, 32, 128),
+                       ::testing::Bool(), ::testing::Bool(),
+                       ::testing::Bool()));
+
+TEST(GemmNarrow, PackedOnceBitMatchesGemmRows) {
+    // The conv path packs its weights once and reuses them per sample;
+    // that must be the same arithmetic as a plain gemm_rows call, with
+    // and without a pool splitting the rows into bands.
+    Rng rng(45);
+    const std::int64_t m = 300;
+    const std::int64_t k = 288;
+    const auto a = random_matrix(m, k, rng);
+    std::vector<std::int64_t> rows;
+    for (std::int64_t r = 0; r < k; r += 2) {
+        rows.push_back(r);
+    }
+    const auto row_count = static_cast<std::int64_t>(rows.size());
+    std::vector<float> packed(
+        static_cast<std::size_t>(gemm_narrow_pack_floats(m, row_count)));
+    gemm_narrow_pack(false, m, k, rows.data(), row_count, 1.0f, a.data(), k,
+                     packed.data());
+    ThreadPool pool(4);
+    for (const std::int64_t n : {1, 4, 15}) {
+        const auto b = random_matrix(k, n, rng);
+        std::vector<float> want(static_cast<std::size_t>(m * n), 0.0f);
+        gemm_rows(false, false, m, n, k, rows.data(), row_count, 1.0f,
+                  a.data(), k, b.data(), n, 0.0f, want.data(), n);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+            std::vector<float> got(want.size(), -1.0f);
+            gemm_narrow_packed(m, n, k, rows.data(), row_count, packed.data(),
+                               b.data(), n, 0.0f, got.data(), n, p);
+            EXPECT_TRUE(bits_equal(want, got))
+                << "n=" << n << (p != nullptr ? " pooled" : "");
+        }
+    }
+}
+
+TEST(GemmNarrow, EmptyLiveSetOnlyScalesC) {
+    // A conv whose input channels are all dead contracts over nothing:
+    // its live-row list is empty and may be a null pointer. Both narrow
+    // entry points then leave beta * C, as gemm_rows does.
+    Rng rng(47);
+    const std::int64_t m = 21;
+    const std::int64_t n = 4;
+    const std::int64_t k = 36;
+    const auto a = random_matrix(m, k, rng);
+    const auto b = random_matrix(k, n, rng);
+    const auto c0 = random_matrix(m, n, rng);
+    std::vector<float> want = c0;
+    for (float& v : want) {
+        v *= 0.5f;
+    }
+    std::vector<float> packed(
+        static_cast<std::size_t>(gemm_narrow_pack_floats(m, 0)) + 1);
+    gemm_narrow_pack(false, m, k, nullptr, 0, 1.0f, a.data(), k,
+                     packed.data());
+    std::vector<float> got = c0;
+    gemm_narrow_packed(m, n, k, nullptr, 0, packed.data(), b.data(), n, 0.5f,
+                       got.data(), n);
+    EXPECT_TRUE(bits_equal(want, got));
+    got = c0;
+    gemm_rows(false, false, m, n, k, nullptr, 0, 1.0f, a.data(), k, b.data(),
+              n, 0.5f, got.data(), n);
+    EXPECT_TRUE(bits_equal(want, got));
+}
+
+TEST(GemmNarrow, ThreadedBitMatchesSingle) {
+    Rng rng(46);
+    const std::int64_t m = 300;
+    const std::int64_t n = 4;
+    const std::int64_t k = 576;
+    const auto a = random_matrix(m, k, rng);
+    const auto b = random_matrix(k, n, rng);
+    std::vector<float> c1(static_cast<std::size_t>(m * n), 0.0f);
+    std::vector<float> c2 = c1;
+    gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
+         c1.data(), n);
+    ThreadPool pool(4);
+    gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
+         c2.data(), n, &pool);
+    EXPECT_TRUE(bits_equal(c1, c2));
+}
+
+TEST(GemmNarrow, RejectsWideOrBadRows) {
+    const std::vector<float> packed(16, 1.0f);
+    const std::vector<float> b(32, 1.0f);
+    std::vector<float> c(32, 0.0f);
+    EXPECT_THROW(gemm_narrow_packed(1, kGemmNarrowN, 2, nullptr, 2,
+                                    packed.data(), b.data(), kGemmNarrowN,
+                                    0.0f, c.data(), kGemmNarrowN),
+                 check_error);
+    // A null row list means every row or none, so row_count must be k
+    // or 0.
+    EXPECT_THROW(gemm_narrow_packed(1, 2, 2, nullptr, 1, packed.data(),
+                                    b.data(), 2, 0.0f, c.data(), 2),
+                 check_error);
+    const std::vector<std::int64_t> unsorted{1, 0};
+    EXPECT_THROW(gemm_narrow_pack(false, 1, 2, unsorted.data(), 2, 1.0f,
+                                  b.data(), 2, c.data()),
+                 check_error);
+}
 
 TEST(Gemm, ThreadedMatchesSingle) {
     Rng rng(9);

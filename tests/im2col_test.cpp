@@ -1,7 +1,9 @@
 // Tests for im2col / col2im lowering.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
@@ -133,6 +135,100 @@ TEST(Col2im, AccumulatesOverlaps) {
     // Corner pixel (0,0) is read by the 4 windows whose tap grid covers it.
     EXPECT_FLOAT_EQ(grad[0], 4.0f);
 }
+
+// Direct definition of the lowering: column (c*K*K + ky*K + kx, oy*Wo +
+// ox) holds input (c, oy*stride + ky - pad, ox*stride + kx - pad), or 0
+// outside the image.
+template <typename T>
+std::vector<T> im2col_oracle(const ConvGeometry& g, const std::vector<T>& x) {
+    const std::int64_t ho = g.out_height();
+    const std::int64_t wo = g.out_width();
+    std::vector<T> cols(static_cast<std::size_t>(g.col_rows() * ho * wo));
+    std::size_t i = 0;
+    for (std::int64_t c = 0; c < g.in_channels; ++c) {
+        for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
+            for (std::int64_t kx = 0; kx < g.kernel; ++kx) {
+                for (std::int64_t oy = 0; oy < ho; ++oy) {
+                    for (std::int64_t ox = 0; ox < wo; ++ox, ++i) {
+                        const std::int64_t iy = oy * g.stride + ky - g.padding;
+                        const std::int64_t ix = ox * g.stride + kx - g.padding;
+                        const bool inside = iy >= 0 && iy < g.in_height &&
+                                            ix >= 0 && ix < g.in_width;
+                        cols[i] = inside
+                                      ? x[static_cast<std::size_t>(
+                                            (c * g.in_height + iy) *
+                                                g.in_width +
+                                            ix)]
+                                      : T{};
+                    }
+                }
+            }
+        }
+    }
+    return cols;
+}
+
+template <typename T>
+void expect_lowering_matches_oracle(const ConvGeometry& g) {
+    Rng rng(static_cast<std::uint64_t>(g.in_height * 31 + g.in_width * 7 +
+                                       g.kernel + g.padding * 5 +
+                                       g.stride * 3));
+    std::vector<T> x(static_cast<std::size_t>(g.in_channels * g.in_height *
+                                              g.in_width));
+    for (auto& v : x) {
+        // Nonzero everywhere, so a padding zero can never pass for data.
+        v = static_cast<T>(1 + static_cast<int>(rng.uniform_index(100)));
+    }
+    const std::vector<T> want = im2col_oracle(g, x);
+    std::vector<T> dense(want.size(), T{7});
+    im2col(g, x.data(), dense.data());
+    EXPECT_EQ(dense, want);
+
+    // Live channels only: their rows match, every other row is untouched.
+    const std::vector<std::int64_t> live{0, 2};
+    const std::int64_t rows_per_channel = g.kernel * g.kernel;
+    const std::size_t block = static_cast<std::size_t>(
+        rows_per_channel * g.out_height() * g.out_width());
+    std::vector<T> sparse(want.size(), T{7});
+    im2col(g, x.data(), sparse.data(), live.data(),
+           static_cast<std::int64_t>(live.size()));
+    for (std::int64_t c = 0; c < g.in_channels; ++c) {
+        const bool is_live = c == 0 || c == 2;
+        for (std::size_t k = 0; k < block; ++k) {
+            const std::size_t at = static_cast<std::size_t>(c) * block + k;
+            ASSERT_EQ(sparse[at], is_live ? want[at] : T{7})
+                << "channel " << c << " element " << k;
+        }
+    }
+}
+
+// (height, width, kernel, stride, padding): same-padded squares from the
+// VGG's 2x2 block up and stride-1 rectangular, unpadded and over-padded
+// geometries (the row-copy path), plus a strided one (the general loop).
+using LoweringCase = std::tuple<int, int, int, int, int>;
+
+class Im2colOracleTest : public ::testing::TestWithParam<LoweringCase> {};
+
+TEST_P(Im2colOracleTest, FloatAndInt8MatchDirectDefinition) {
+    const auto [h, w, k, stride, pad] = GetParam();
+    const ConvGeometry g = make_geometry(3, h, w, k, stride, pad);
+    expect_lowering_matches_oracle<float>(g);
+    expect_lowering_matches_oracle<std::int8_t>(g);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, Im2colOracleTest,
+    ::testing::Values(LoweringCase{1, 1, 3, 1, 1}, LoweringCase{2, 2, 3, 1, 1},
+                      LoweringCase{3, 3, 3, 1, 1}, LoweringCase{4, 4, 3, 1, 1},
+                      LoweringCase{5, 5, 3, 1, 1}, LoweringCase{6, 6, 3, 1, 1},
+                      LoweringCase{8, 8, 3, 1, 1},
+                      LoweringCase{32, 32, 3, 1, 1},
+                      LoweringCase{7, 7, 5, 1, 2}, LoweringCase{9, 9, 5, 1, 2},
+                      LoweringCase{16, 16, 1, 1, 0},
+                      LoweringCase{5, 9, 3, 1, 1}, LoweringCase{9, 5, 3, 1, 1},
+                      LoweringCase{8, 8, 3, 2, 1}, LoweringCase{9, 9, 3, 1, 0},
+                      LoweringCase{4, 4, 3, 1, 2},
+                      LoweringCase{12, 12, 3, 1, 2}));
 
 class Im2colRoundTrip
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};

@@ -54,6 +54,28 @@ TEST_P(QgemmParamTest, MatchesReferenceBitExact) {
     qgemm_reference(m, n, k, a.data(), k, b.data(), n, c_ref.data(), n);
     qgemm(m, n, k, a.data(), k, b.data(), n, c_fast.data(), n);
     expect_bit_equal(c_ref, c_fast);
+
+    // Row-compacted over every third row, against the reference on the
+    // gathered operands.
+    std::vector<std::int64_t> rows;
+    for (std::int64_t r = 0; r < k; r += 3) {
+        rows.push_back(r);
+    }
+    const auto rc = static_cast<std::int64_t>(rows.size());
+    std::vector<std::int8_t> a_c(static_cast<std::size_t>(m * rc));
+    std::vector<std::int8_t> b_c(static_cast<std::size_t>(rc * n));
+    for (std::int64_t p = 0; p < rc; ++p) {
+        for (std::int64_t i = 0; i < m; ++i) {
+            a_c[i * rc + p] = a[i * k + rows[p]];
+        }
+        for (std::int64_t j = 0; j < n; ++j) {
+            b_c[p * n + j] = b[rows[p] * n + j];
+        }
+    }
+    qgemm_reference(m, n, rc, a_c.data(), rc, b_c.data(), n, c_ref.data(), n);
+    qgemm_rows(m, n, k, rows.data(), rc, a.data(), k, b.data(), n,
+               c_fast.data(), n);
+    expect_bit_equal(c_ref, c_fast);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -68,8 +90,17 @@ INSTANTIATE_TEST_SUITE_P(
                       QgemmCase{128, 1, 256},
                       QgemmCase{1, 128, 255},
                       QgemmCase{4, 1024, 27},  // tiny-VGG conv1
-                      QgemmCase{32, 16, 288},  // tiny-VGG conv11-13
+                      QgemmCase{32, 16, 288},  // tiny-VGG conv9-10
                       QgemmCase{200, 150, 300}));
+
+// Narrow outputs: every n below the 16-wide tile, including the 2x2
+// conv outputs (n = 4), over contractions up to a 3x3 conv across 128
+// channels.
+INSTANTIATE_TEST_SUITE_P(
+    NarrowN, QgemmParamTest,
+    ::testing::Combine(::testing::Values(1, 5, 8, 13, 32, 128),
+                       ::testing::Range(1, 16),
+                       ::testing::Values(9, 288, 1152)));
 
 TEST(Qgemm, ThreadedBitMatchesSingle) {
     Rng rng(9);

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "arch/plain_cnn.h"
@@ -158,23 +160,33 @@ TEST(SparseForward, MidStreamThresholdSwapRebuildsActiveSets) {
 }
 
 TEST(SparseForward, AllDeadMasksBitMatchDense) {
-    core::MimeNetwork net(cnn_config(false));
-    net.set_training(false);
-    net.set_eval_mode(true);
-    net.set_mode(core::ActivationMode::threshold);
-    net.reset_thresholds(core::kPrunedThreshold);
+    // The VGG's 2x2-output conv11-13 run the narrow-N GEMMs (float and
+    // int8), here over an empty live set.
+    for (const auto& [use_vgg, quantized] :
+         {std::pair{false, false}, std::pair{true, false},
+          std::pair{true, true}}) {
+        SCOPED_TRACE(std::string(use_vgg ? "vgg" : "cnn") +
+                     (quantized ? " int8" : " float"));
+        core::MimeNetwork net(use_vgg ? vgg_config(false)
+                                      : cnn_config(false));
+        net.set_training(false);
+        net.set_eval_mode(true);
+        net.set_mode(core::ActivationMode::threshold);
+        net.reset_thresholds(core::kPrunedThreshold);
+        net.set_quantized_execution({quantized});
 
-    Rng rng(29);
-    const Tensor x = Tensor::randn({3, 3, 32, 32}, rng);
-    Workspace workspace;
+        Rng rng(29);
+        const Tensor x = Tensor::randn({3, 3, 32, 32}, rng);
+        Workspace workspace;
 
-    net.set_sparse_execution({false, 0.85});
-    const std::vector<float> dense =
-        tensor_copy(net.forward_planned(x, workspace));
-    net.set_sparse_execution({true, 0.85});
-    const Tensor& sparse = net.forward_planned(x, workspace);
-    EXPECT_TRUE(bit_equal(dense, sparse));
-    EXPECT_GT(net.planned_sparse_hits(), 0u);
+        net.set_sparse_execution({false, 0.85});
+        const std::vector<float> dense =
+            tensor_copy(net.forward_planned(x, workspace));
+        net.set_sparse_execution({true, 0.85});
+        const Tensor& sparse = net.forward_planned(x, workspace);
+        EXPECT_TRUE(bit_equal(dense, sparse));
+        EXPECT_GT(net.planned_sparse_hits(), 0u);
+    }
 }
 
 TEST(SparseForward, AllLiveMasksFallBackDense) {
@@ -430,6 +442,46 @@ TEST(QuantizedForward, BandedPoolBitMatchesSingleThread) {
     net.set_pool(nullptr);
 }
 
+TEST(QuantizedForward, TaskInstallReachesAnExistingPlan) {
+    // A server installs a task between batches: it loads the task's
+    // thresholds and copies the task's head into the classifier. An int8
+    // plan built under task A must then run task B's head, exactly as a
+    // plan built after B would.
+    core::MimeNetwork net(vgg_config(false));
+    net.set_training(false);
+    net.set_eval_mode(true);
+    net.set_mode(core::ActivationMode::threshold);
+    net.set_quantized_execution({true});
+    net.set_sparse_execution({true, 0.85});
+    // Every channel stays live: deeper pruning starves the classifier of
+    // features, and then logits are just the (float) bias either way.
+    prune_channels(net, 1);
+    auto install_head = [&net](std::uint64_t seed) {
+        const auto params = net.backbone_parameters();
+        Rng rng(seed);
+        for (nn::Parameter* p : {params[params.size() - 2],
+                                 params[params.size() - 1]}) {
+            p->value.copy_from(Tensor::randn(p->value.shape(), rng));
+        }
+    };
+
+    Rng rng(67);
+    const Tensor x = Tensor::randn({3, 3, 32, 32}, rng);
+    Workspace workspace;
+    install_head(101);  // task A; the first forward builds the plan
+    const std::vector<float> task_a =
+        tensor_copy(net.forward_planned(x, workspace));
+    install_head(202);  // task B
+    const std::vector<float> installed =
+        tensor_copy(net.forward_planned(x, workspace));
+    EXPECT_FALSE(bit_equal(task_a, net.forward_planned(x, workspace)));
+
+    net.set_quantized_execution({true});  // drops the plan built under A
+    const Tensor& rebuilt = net.forward_planned(x, workspace);
+    EXPECT_TRUE(bit_equal(installed, rebuilt))
+        << "int8 plan kept the classifier head it was built with";
+}
+
 TEST(QuantizedForward, CountersAndWeightErrorSurface) {
     core::MimeNetwork net(cnn_config(false));
     net.set_training(false);
@@ -442,9 +494,10 @@ TEST(QuantizedForward, CountersAndWeightErrorSurface) {
     const Tensor x = Tensor::randn({2, 3, 32, 32}, rng);
     Workspace workspace;
     net.forward_planned(x, workspace);
-    // plain-cnn: 4 convs + 2 fcs = 6 quantized steps per run.
+    // plain-cnn: 4 convs + 1 hidden fc = 5 quantized steps per run (the
+    // classifier, a per-task head, always runs float).
     const std::uint64_t per_run = net.planned_quantized_hits();
-    EXPECT_EQ(per_run, 6u);
+    EXPECT_EQ(per_run, 5u);
     net.forward_planned(x, workspace);
     EXPECT_EQ(net.planned_quantized_hits(), 2 * per_run);
 
