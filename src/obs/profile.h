@@ -1,7 +1,7 @@
 // Per-layer profile record produced by ForwardPlan::run when profiling
 // is enabled (MimeNetwork::set_plan_profiling). One LayerProfile per
-// plan step, accumulated across runs; the serving layer snapshots them
-// into ServerStats::layer_profiles.
+// plan step, accumulated across runs; MimeNetwork::planned_layer_profiles
+// merges them across every cached plan.
 #pragma once
 
 #include <cstddef>

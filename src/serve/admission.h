@@ -4,31 +4,20 @@
 // needs one global in-flight cap so overload is handled by policy
 // instead of by whichever replica queue happens to fill first:
 //   * block — callers wait for a slot (closed-loop backpressure),
-//   * shed  — callers are refused immediately (fail fast; the caller
-//             sees overload_error and can retry elsewhere).
+//   * shed  — callers are refused immediately (fail fast; the request
+//             completes with ServeStatus::overloaded and the caller can
+//             retry elsewhere).
 // The controller is a counting semaphore with accounting: it tracks the
 // shed total and the high-water mark of concurrently admitted requests,
 // which tests use to prove the cap was never exceeded.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 
 #include "common/sync.h"
 
 namespace mime::serve {
-
-/// Thrown by the deprecated throwing submit shims when admission control
-/// sheds a request; the InferenceService API reports the same condition
-/// as ServeStatus::overloaded on the result channel instead. Derives
-/// from std::runtime_error (not check_error): overload is an
-/// environmental condition, not a caller bug.
-class overload_error : public std::runtime_error {
-public:
-    explicit overload_error(const std::string& message)
-        : std::runtime_error(message) {}
-};
 
 enum class AdmissionMode { block, shed };
 

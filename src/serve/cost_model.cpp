@@ -81,10 +81,6 @@ void CostModel::set_task_sparsity(
         it = it->first.first == task ? base_us_memo_.erase(it)
                                      : std::next(it);
     }
-    for (auto it = energy_memo_.begin(); it != energy_memo_.end();) {
-        it = it->first.first == task ? energy_memo_.erase(it)
-                                     : std::next(it);
-    }
 }
 
 bool CostModel::has_task_profile(const std::string& task) const {
@@ -142,7 +138,6 @@ double CostModel::base_batch_us(const std::string& task,
     const double us = result.total_cycles /
                       (config_.accelerator_clock_ghz * 1000.0) /
                       config_.quantized_mac_scale;
-    energy_memo_[key] = result.total_energy.total();
     base_us_memo_[key] = us;
     return us;
 }
@@ -176,17 +171,6 @@ double CostModel::predict_request_us(const std::string& task,
     MutexLock lock(mutex_);
     return predict_locked(task, expected_batch) /
            static_cast<double>(expected_batch);
-}
-
-double CostModel::predict_batch_energy(const std::string& task,
-                                       std::int64_t batch_size) const {
-    MIME_REQUIRE(batch_size >= 1, "batch_size must be positive");
-    MutexLock lock(mutex_);
-    if (!config_.use_simulator) {
-        return 0.0;
-    }
-    base_batch_us(task, batch_size);  // fills energy_memo_
-    return energy_memo_[std::make_pair(task, batch_size)];
 }
 
 CostFeedback CostModel::observe_batch(const std::string& task,

@@ -1,11 +1,11 @@
-// Hardware-backed service-time/energy predictor for scheduling.
+// Hardware-backed service-time predictor for scheduling.
 //
 // MIME's hardware story is that per-task threshold sparsity changes the
 // *effective* cost of the same network on the same array: the simulator
 // in src/hw prices a batch from the task's per-layer activation
 // sparsity under the paper's systolic model. This class turns that into
 // a scheduling signal: (task sparsity profile, batch size) -> predicted
-// wall microseconds (and energy), consumed by
+// wall microseconds, consumed by
 //   * TaskBatcher        — deadline-feasibility at batch-forming time,
 //   * Router/ServerPool  — predicted-microseconds-outstanding loads for
 //                          least_loaded routing,
@@ -121,13 +121,6 @@ public:
                               std::int64_t expected_batch) const
         MIME_EXCLUDES(mutex_);
 
-    /// Model-side energy of one batch in normalized MAC-energy units
-    /// (simulator path; the linear fallback reports 0 — it has no
-    /// energy story).
-    double predict_batch_energy(const std::string& task,
-                                std::int64_t batch_size) const
-        MIME_EXCLUDES(mutex_);
-
     /// Feeds one measured batch service time back into calibration and
     /// returns what the model had predicted for that shape.
     CostFeedback observe_batch(const std::string& task,
@@ -170,11 +163,9 @@ private:
     /// Simulator profiles rebuilt lazily from tasks_; keyed by task.
     mutable std::map<std::string, hw::SparsityProfile> profiles_
         MIME_GUARDED_BY(mutex_);
-    /// Memoized base prices/energies keyed by (task, batch_size).
+    /// Memoized base prices keyed by (task, batch_size).
     mutable std::map<std::pair<std::string, std::int64_t>, double>
         base_us_memo_ MIME_GUARDED_BY(mutex_);
-    mutable std::map<std::pair<std::string, std::int64_t>, double>
-        energy_memo_ MIME_GUARDED_BY(mutex_);
     /// Observed service-time EWMAs keyed by (task, batch_size).
     std::map<std::pair<std::string, std::int64_t>, ObservedShape>
         observed_ MIME_GUARDED_BY(mutex_);

@@ -17,21 +17,6 @@ double to_us(Clock::duration d) {
     return std::chrono::duration<double, std::micro>(d).count();
 }
 
-/// Installs the cost model's feasibility hook on the batcher config
-/// when cost admission is on and the caller did not bring its own hook.
-BatcherConfig make_batcher_config(const ServerConfig& config) {
-    BatcherConfig batcher = config.batcher;
-    if (config.cost_model && config.cost_admission &&
-        !batcher.predict_batch_us) {
-        std::shared_ptr<CostModel> model = config.cost_model;
-        batcher.predict_batch_us = [model](const std::string& task,
-                                           std::int64_t batch_size) {
-            return model->predict_batch_us(task, batch_size);
-        };
-    }
-    return batcher;
-}
-
 }  // namespace
 
 std::string ServerStats::to_table_string() const {
@@ -100,7 +85,7 @@ InferenceServer::InferenceServer(core::MimeNetwork& network,
       input_shape_(serving_input_shape(network)),
       pool_(config.worker_threads),
       queue_(config.queue_capacity),
-      batcher_(make_batcher_config(config)),
+      batcher_(config.batcher),
       cache_(config.cache_capacity, std::move(loader)),
       sampler_(config.trace_sample_rate),
       served_(registry_.counter("serve.requests_served",
@@ -161,16 +146,11 @@ InferenceServer::InferenceServer(core::MimeNetwork& network,
           {100, 300, 1000, 3000, 10000, 30000, 100000, 300000, 1000000},
           "request latency, enqueue to completion (us)")) {
     network_->set_training(false);
-    // The planned executor needs eval-mode forwards (no backward-only
-    // caches); the legacy path keeps the network's previous cache
-    // behavior so A/B benches compare against the true old path.
-    network_->set_eval_mode(config.planned_executor);
+    network_->set_eval_mode(true);  // required by forward_planned
     network_->set_mode(core::ActivationMode::threshold);
     network_->set_pool(&pool_);
-    network_->set_sparse_execution(
-        {config.sparse_execution, config.sparse_density_cutoff});
+    network_->set_sparse_execution({config.sparse_execution});
     network_->set_quantized_execution({config.quantized_execution});
-    network_->set_plan_profiling(config.profile_layers);
     dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
 
@@ -384,35 +364,22 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
         // traced batches.
         const Clock::time_point installed = traced ? Clock::now() : started;
 
-        // Planned path: stack request images into the plan's
-        // preallocated input slab and execute against plan buffers +
-        // this replica's workspace — zero heap allocations once the
-        // plan for this batch size is warm. Legacy path kept for A/B.
-        std::optional<Tensor> legacy_logits;
-        const Tensor* logits = nullptr;
-        if (config_.planned_executor) {
-            core::ForwardPlan& plan =
-                network_->plan_for(static_cast<std::int64_t>(batch.size()));
-            Tensor& slab = plan.input_slab();
-            for (std::size_t n = 0; n < batch.size(); ++n) {
-                batch_assign(slab, static_cast<std::int64_t>(n),
-                             batch[n].image);
-            }
-            logits = &network_->forward_planned(slab, workspace_);
-        } else {
-            std::vector<Tensor> images;
-            images.reserve(batch.size());
-            for (InferenceRequest& request : batch) {
-                images.push_back(std::move(request.image));
-            }
-            legacy_logits = network_->forward(stack(images));
-            logits = &*legacy_logits;
+        // Stack request images into the plan's preallocated input slab
+        // and execute against plan buffers + this replica's workspace —
+        // zero heap allocations once the plan for this batch size is
+        // warm.
+        core::ForwardPlan& plan =
+            network_->plan_for(static_cast<std::int64_t>(batch.size()));
+        Tensor& slab = plan.input_slab();
+        for (std::size_t n = 0; n < batch.size(); ++n) {
+            batch_assign(slab, static_cast<std::int64_t>(n), batch[n].image);
         }
+        const Tensor& logits = network_->forward_planned(slab, workspace_);
         if (config_.simulated_service_time.count() > 0) {
             std::this_thread::sleep_for(config_.simulated_service_time);
         }
 
-        const std::int64_t head_width = logits->shape().dim(1);
+        const std::int64_t head_width = logits.shape().dim(1);
         const std::int64_t classes = active_classes_;
         MIME_REQUIRE(classes >= 1 && classes <= head_width,
                      "task " + task + " claims " + std::to_string(classes) +
@@ -455,7 +422,7 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
             // Task-restricted logits row (the shared head is sized for
             // the largest task).
             const float* row =
-                logits->data() + static_cast<std::int64_t>(n) * head_width;
+                logits.data() + static_cast<std::int64_t>(n) * head_width;
             std::vector<float> row_values(
                 row, row + static_cast<std::size_t>(classes));
             result.logits = Tensor({classes}, std::move(row_values));
@@ -516,9 +483,6 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
                  batch_sparsity) /
                 static_cast<double>(ts.batches + 1);
             ++ts.batches;
-            if (config_.profile_layers) {
-                profiles_snapshot_ = network_->planned_layer_profiles();
-            }
         }
         // Traced requests get their dispatch-side spans written before
         // delivery — delivery is the hand-off after which the client
@@ -651,7 +615,6 @@ ServerStats InferenceServer::stats() const {
         static_cast<std::int64_t>(quantized_hits_gauge_.value());
     stats.quantized_weight_max_rel_error = quantized_error_gauge_.value();
     stats.cost_infeasible_shed = cost_infeasible_shed_.value();
-    stats.cost_predicted_us = cost_predicted_gauge_.value();
     stats.cost_prediction_error = cost_error_gauge_.value();
     // Numerator counts every request that rode in a batch (served or
     // failed with it) so a failed batch does not understate the mean.
@@ -664,14 +627,12 @@ ServerStats InferenceServer::stats() const {
     stats.batch.completed = lane_completed_batch_.value();
 
     MutexLock lock(stats_mutex_);
-    stats.mean_latency_us = latency_.mean();
     if (latency_.count() > 0) {
         const LatencyRecorder::Summary quantiles = latency_.summary();
         stats.p50_latency_us = quantiles.p50;
         stats.p95_latency_us = quantiles.p95;
         stats.p99_latency_us = quantiles.p99;
         stats.p999_latency_us = quantiles.p999;
-        stats.max_latency_us = latency_.max();
     }
     if (lane_latency_interactive_.count() > 0) {
         const LatencyRecorder::Summary lane =
@@ -689,7 +650,6 @@ ServerStats InferenceServer::stats() const {
         stats.batch.p999_latency_us = lane.p999;
     }
     stats.per_task = per_task_;
-    stats.layer_profiles = profiles_snapshot_;
     return stats;
 }
 

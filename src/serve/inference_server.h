@@ -30,7 +30,6 @@
 #include "common/thread_pool.h"
 #include "core/mime_network.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "serve/batcher.h"
 #include "serve/cost_model.h"
@@ -59,31 +58,21 @@ struct ServerConfig {
     std::size_t queue_capacity = 4096;
     /// Models an attached accelerator with a fixed per-batch service
     /// time: each batch blocks this long after the (functional) CPU
-    /// forward. Lets pool benches expose dispatch-level parallelism on
-    /// hosts whose cores the tiny forward would otherwise saturate —
-    /// the hw-simulator-backed cost-model hook named in ROADMAP.md.
-    /// Zero (the default) disables it.
+    /// forward. Lets pool benches and tests expose dispatch-level
+    /// parallelism on hosts whose cores the tiny forward would
+    /// otherwise saturate. Zero (the default) disables it.
     std::chrono::microseconds simulated_service_time{0};
     /// Invoked after each accepted request reaches a terminal outcome —
     /// batch completions (with the batch size), reaped deadline/cancel
     /// failures, and batch errors. Runs on the dispatch thread; a
     /// ServerPool uses it for admission-slot release and load tracking.
     std::function<void(std::size_t)> on_requests_complete;
-    /// Execute batches with the planned, allocation-free executor:
-    /// requests stack into the plan's preallocated input slab and the
-    /// forward runs against plan buffers plus this server's Workspace
-    /// (zero heap allocations after the first batch of each size). Off
-    /// falls back to the legacy allocate-per-call path — kept so
-    /// benches can A/B the two.
-    bool planned_executor = true;
     /// Let planned conv/linear steps skip structurally pruned rows via
-    /// row-compacted GEMM (bit-identical outputs; only effective with
-    /// the planned executor and tasks whose installed thresholds prune
-    /// neurons with core::kPrunedThreshold). Off forces dense — kept so
-    /// benches can A/B sparse against dense planned execution.
+    /// row-compacted GEMM (bit-identical outputs; only effective for
+    /// tasks whose installed thresholds prune neurons with
+    /// core::kPrunedThreshold). Off forces dense — kept so benches can
+    /// A/B sparse against dense planned execution.
     bool sparse_execution = true;
-    /// Density above which sparse-capable layers run dense anyway.
-    double sparse_density_cutoff = nn::kDefaultSparseDensityCutoff;
     /// Execute planned conv/linear steps through the int8 quantized
     /// kernels (per-output-channel weight scales snapshotted at plan
     /// build; per-sample dynamic activation scales; float masters and
@@ -96,23 +85,14 @@ struct ServerConfig {
     /// sampling (see obs::TraceSampler); untraced requests pay one
     /// branch.
     double trace_sample_rate = 0.0;
-    /// Record per-layer wall time / skipped-MAC / workspace profiles in
-    /// ForwardPlan::run (see ServerStats::layer_profiles). One
-    /// steady_clock read per plan step per batch when on; a single
-    /// branch per step when off.
-    bool profile_layers = false;
     /// Optional shared service-time predictor (see serve/cost_model.h).
     /// When set, every batch's measured service time calibrates the
     /// model and the task's observed site sparsities feed its simulated
     /// path; the serve.cost_* metrics go live. A pool hands the same
-    /// instance to every replica.
+    /// instance to every replica. Deadline-feasibility shedding is the
+    /// batcher's predict_batch_us hook, which a cost-aware ServerPool
+    /// installs from this model.
     std::shared_ptr<CostModel> cost_model;
-    /// With a cost model attached, also install its batcher hook:
-    /// requests whose predicted cost cannot meet their deadline are
-    /// shed at batch-forming time, and batches only grow while
-    /// predicted cost meets every member's deadline. Off keeps batching
-    /// heuristic (calibration still runs) — benches A/B this.
-    bool cost_admission = true;
 };
 
 /// Per-task aggregate serving statistics.
@@ -136,23 +116,20 @@ struct ServerStats {
     std::int64_t cache_misses = 0;
     std::int64_t cache_evictions = 0;
     double mean_batch_size = 0.0;
-    double mean_latency_us = 0.0;
     double p50_latency_us = 0.0;
     double p95_latency_us = 0.0;
     double p99_latency_us = 0.0;
     double p999_latency_us = 0.0;
-    double max_latency_us = 0.0;
     /// Completed requests per wall-clock second between the first
     /// enqueue and the last completion (0 for a zero-length window).
     double throughput_rps = 0.0;
     /// Per-priority completion counts and latency quantiles.
     PriorityLaneStats interactive;
     PriorityLaneStats batch;
-    /// Steady-state scratch high-water mark of this replica's Workspace
-    /// (0 when the legacy executor is configured).
+    /// Steady-state scratch high-water mark of this replica's Workspace.
     std::int64_t workspace_peak_bytes = 0;
     /// Bytes of plan-owned activation buffers across every batch size
-    /// planned so far (0 for the legacy executor).
+    /// planned so far.
     std::int64_t plan_buffer_bytes = 0;
     /// Planned conv/linear steps that ran the row-compacted sparse path.
     std::int64_t sparse_path_hits = 0;
@@ -171,14 +148,10 @@ struct ServerStats {
     /// not meet their deadline (counted inside deadline_expired too —
     /// infeasibility is a deadline failure, just an early one).
     std::int64_t cost_infeasible_shed = 0;
-    /// Cost model's prediction for the last executed batch (us) and its
-    /// running mean |predicted-observed|/observed; 0 without a model.
-    double cost_predicted_us = 0.0;
+    /// Cost model's running mean |predicted-observed|/observed; 0
+    /// without a model.
     double cost_prediction_error = 0.0;
     std::map<std::string, TaskServeStats> per_task;
-    /// Per-plan-step cost profiles, populated only when
-    /// ServerConfig::profile_layers is on (empty otherwise).
-    std::vector<obs::LayerProfile> layer_profiles;
 
     /// Renders the aggregate + per-task rows via common/table.
     std::string to_table_string() const;
@@ -198,9 +171,6 @@ public:
     InferenceServer& operator=(const InferenceServer&) = delete;
 
     const ServerConfig& config() const noexcept { return config_; }
-
-    // Keep the deprecated throwing shims visible next to the override.
-    using InferenceService::submit;
 
     /// Unified submission surface (see InferenceService::submit): never
     /// throws for runtime conditions — shutdown, deadline expiry,
@@ -326,10 +296,6 @@ private:
     LatencyRecorder lane_latency_interactive_ MIME_GUARDED_BY(stats_mutex_);
     LatencyRecorder lane_latency_batch_ MIME_GUARDED_BY(stats_mutex_);
     std::map<std::string, TaskServeStats> per_task_
-        MIME_GUARDED_BY(stats_mutex_);
-    /// Per-layer profiles, refreshed after each batch when
-    /// config_.profile_layers.
-    std::vector<obs::LayerProfile> profiles_snapshot_
         MIME_GUARDED_BY(stats_mutex_);
 };
 

@@ -158,11 +158,20 @@ ServerPool::ServerPool(core::MimeNetwork& prototype,
     for (std::size_t i = 1; i < provisioned; ++i) {
         clones_.push_back(prototype.clone_with_shared_backbone());
     }
+    ServerConfig server_config = config.server;
+    server_config.cost_model = cost_model_;
+    if (config_.cost_aware_scheduling &&
+        !server_config.batcher.predict_batch_us) {
+        // Shed predicted-infeasible work at batch forming; a caller's
+        // own hook wins.
+        server_config.batcher.predict_batch_us =
+            [model = cost_model_](const std::string& task,
+                                  std::int64_t batch_size) {
+                return model->predict_batch_us(task, batch_size);
+            };
+    }
     servers_.reserve(provisioned);
     for (std::size_t i = 0; i < provisioned; ++i) {
-        ServerConfig server_config = config.server;
-        server_config.cost_model = cost_model_;
-        server_config.cost_admission = config_.cost_aware_scheduling;
         server_config.on_requests_complete = [this, i](std::size_t count) {
             on_requests_complete(i, count);
         };
@@ -200,15 +209,18 @@ void ServerPool::autoscaler_loop() {
     std::int64_t last_shed = admission_.shed_count();
     for (;;) {
         // Price a replica from the live footprint of the busiest
-        // provisioned replica (plan buffers + workspace peak — the
-        // PR 4 accounting); 0 until the first batch has planned.
-        // Computed outside mutex_ so the scan never stalls submits.
+        // provisioned replica (plan buffers + workspace peak); 0 until
+        // the first batch has planned. Read from the two gauges, not
+        // stats(), which sorts latency reservoirs under the lock the
+        // dispatch thread takes after every batch; outside mutex_ so
+        // the scan never stalls submits.
         std::int64_t replica_cost_bytes = 0;
         for (const auto& server : servers_) {
-            const ServerStats s = server->stats();
-            replica_cost_bytes =
-                std::max(replica_cost_bytes,
-                         s.plan_buffer_bytes + s.workspace_peak_bytes);
+            replica_cost_bytes = std::max(
+                replica_cost_bytes,
+                static_cast<std::int64_t>(
+                    server->plan_buffers_gauge_.value() +
+                    server->workspace_peak_gauge_.value()));
         }
         const std::int64_t shed = admission_.shed_count();
         const std::int64_t shed_delta = shed - last_shed;
@@ -426,7 +438,6 @@ PoolStats ServerPool::stats() const {
             static_cast<double>(stats.skipped_macs) /
             static_cast<double>(stats.dense_equivalent_macs);
     }
-    stats.mean_latency_us = merged.mean();
     if (merged.count() > 0) {
         const LatencyRecorder::Summary quantiles = merged.summary();
         stats.p50_latency_us = quantiles.p50;

@@ -26,8 +26,9 @@
 //
 // Cost-aware scheduling (default on) replaces the heuristic signals
 // with the shared CostModel's predictions: least_loaded loads become
-// predicted-microseconds-outstanding, and each replica's batcher sheds
-// predicted-infeasible work at batch-forming time. An optional
+// predicted-microseconds-outstanding, and the pool installs the model as
+// each replica's batcher feasibility hook so predicted-infeasible work
+// is shed at batch-forming time. An optional
 // autoscaler (PoolConfig::autoscaler) grows/shrinks the *active*
 // replica set between min/max from admission pressure and predicted
 // per-replica backlog; all max_replicas are provisioned up front (see
@@ -69,8 +70,11 @@ struct PoolConfig {
     ServerConfig server{};
     /// Cost-model-driven scheduling: per-replica loads become predicted
     /// microseconds outstanding (instead of request counts) and every
-    /// replica's batcher enforces predicted deadline feasibility. The
-    /// model calibrates online either way once it exists.
+    /// replica's batcher enforces predicted deadline feasibility (the
+    /// pool installs server.batcher.predict_batch_us from the model
+    /// unless the caller set one). Off keeps routing and batching
+    /// heuristic; the model calibrates online either way once it
+    /// exists.
     bool cost_aware_scheduling = true;
     /// Shared predictor; built from the prototype's layer specs when
     /// null and cost_aware_scheduling or the autoscaler needs one.
@@ -136,7 +140,6 @@ struct PoolStats {
     /// Predicted outstanding microseconds summed over active replicas
     /// at snapshot time (request counts when not cost-aware).
     double predicted_outstanding_us = 0.0;
-    double mean_latency_us = 0.0;
     /// Merged-reservoir percentiles over every replica's stream.
     double p50_latency_us = 0.0;
     double p95_latency_us = 0.0;
@@ -187,9 +190,6 @@ public:
     const std::shared_ptr<CostModel>& cost_model() const noexcept {
         return cost_model_;
     }
-
-    // Keep the deprecated throwing shims visible next to the override.
-    using InferenceService::submit;
 
     /// Unified submission surface (see InferenceService::submit):
     /// admission shedding completes the request with

@@ -1,11 +1,6 @@
 #include "serve/service.h"
 
-#include <exception>
-#include <thread>
 #include <utility>
-
-#include "common/sync.h"
-#include "serve/admission.h"
 
 namespace mime::serve {
 
@@ -37,16 +32,6 @@ const char* to_string(Priority priority) {
     return "unknown";
 }
 
-const char* to_string(DeliveryMode mode) {
-    switch (mode) {
-        case DeliveryMode::future:
-            return "future";
-        case DeliveryMode::callback:
-            return "callback";
-    }
-    return "unknown";
-}
-
 void InferenceRequest::deliver(Outcome<InferenceResult> outcome) {
     if (on_result) {
         try {
@@ -67,63 +52,6 @@ Outcome<InferenceResult> InferenceService::run(const std::string& task,
                  "run() waits on the ticket; use submit() for callback "
                  "delivery");
     return submit(task, std::move(image), std::move(options)).wait();
-}
-
-namespace {
-
-std::exception_ptr to_legacy_exception(const Outcome<InferenceResult>& outcome) {
-    if (outcome.status() == ServeStatus::overloaded) {
-        return std::make_exception_ptr(overload_error(outcome.message()));
-    }
-    return std::make_exception_ptr(check_error(
-        to_string(outcome.status()), __FILE__, __LINE__, outcome.message()));
-}
-
-/// Bridges the Outcome channel back to the legacy promise/exception
-/// contract. Failures delivered synchronously (from the submitting
-/// thread, inside submit()) are recorded so the shim can rethrow them at
-/// the call site, exactly where the old API threw.
-struct LegacyRelay {
-    Mutex mutex;
-    std::promise<InferenceResult> promise;
-    std::thread::id submitter = std::this_thread::get_id();
-    std::exception_ptr sync_error MIME_GUARDED_BY(mutex);
-};
-
-}  // namespace
-
-std::future<InferenceResult> InferenceService::submit_async(
-    const std::string& task, Tensor image) {
-    auto relay = std::make_shared<LegacyRelay>();
-    std::future<InferenceResult> future = relay->promise.get_future();
-
-    SubmitOptions options;
-    options.on_result = [relay](Outcome<InferenceResult> outcome) {
-        if (outcome.ok()) {
-            relay->promise.set_value(std::move(outcome).value());
-            return;
-        }
-        std::exception_ptr error = to_legacy_exception(outcome);
-        relay->promise.set_exception(error);
-        if (std::this_thread::get_id() == relay->submitter) {
-            MutexLock lock(relay->mutex);
-            relay->sync_error = error;
-        }
-    };
-    submit(task, std::move(image), std::move(options));
-
-    {
-        MutexLock lock(relay->mutex);
-        if (relay->sync_error) {
-            std::rethrow_exception(relay->sync_error);
-        }
-    }
-    return future;
-}
-
-InferenceResult InferenceService::submit(const std::string& task,
-                                         Tensor image) {
-    return submit_async(task, std::move(image)).get();
 }
 
 std::optional<std::string> InferenceService::envelope_error(

@@ -5,17 +5,12 @@
 // thread) and `ServerPool` (N sharded replicas); the ROADMAP's
 // cross-host sharding step plugs behind the same contract. A submission
 // carries a `SubmitOptions` envelope (relative deadline, priority class,
-// delivery mode) and returns a move-only `RequestTicket` supporting
+// delivery channel) and returns a move-only `RequestTicket` supporting
 // best-effort cancel(). Results arrive as `Outcome<InferenceResult>` —
 // overload shedding, stopped-service submission, deadline expiry and
 // cancellation are ServeStatus values on that channel, never exceptions
 // — through the ticket's future or, when `on_result` is set, a callback
-// invoked from the dispatch side (the async delivery step named in
-// ROADMAP.md).
-//
-// The pre-redesign throwing API (`submit(task, image)` /
-// `submit_async(task, image)`) survives only as thin deprecated shims
-// implemented on top of submit(); new code should branch on ServeStatus.
+// invoked from the dispatch side.
 #pragma once
 
 #include <chrono>
@@ -32,14 +27,6 @@
 #include "tensor/tensor.h"
 
 namespace mime::serve {
-
-/// How a request's outcome reaches the caller.
-enum class DeliveryMode {
-    future,   ///< wait on RequestTicket::wait() / the ticket's future
-    callback  ///< SubmitOptions::on_result runs on the dispatch side
-};
-
-const char* to_string(DeliveryMode mode);
 
 /// Per-request submission envelope.
 struct SubmitOptions {
@@ -60,10 +47,6 @@ struct SubmitOptions {
     /// sampling rate (rate-based sampling still applies when false).
     /// The trace arrives on RequestTicket::trace().
     bool trace = false;
-
-    DeliveryMode delivery_mode() const noexcept {
-        return on_result ? DeliveryMode::callback : DeliveryMode::future;
-    }
 };
 
 /// Move-only handle to one submitted request. Immediately-rejected
@@ -169,20 +152,6 @@ public:
     virtual void stop() = 0;
 
     virtual ServiceStats service_stats() const = 0;
-
-    // --- Deprecated throwing shims (pre-InferenceService API) ---------
-    // Thin wrappers over submit() that translate failure statuses back
-    // into the old exceptions: overloaded -> overload_error, everything
-    // else -> check_error. Kept so existing callers compile; new code
-    // should branch on ServeStatus instead.
-
-    /// Deprecated: future resolves with the result or the mapped
-    /// exception; rejections detected at submission rethrow here.
-    std::future<InferenceResult> submit_async(const std::string& task,
-                                              Tensor image);
-
-    /// Deprecated: submit and wait, throwing on any non-ok status.
-    InferenceResult submit(const std::string& task, Tensor image);
 
 protected:
     /// Delivers an immediate rejection on the envelope's channel and

@@ -257,8 +257,6 @@ TEST(CostModel, SparserTasksPriceCheaperThanDense) {
     const double sparse_us = model.predict_batch_us("sparse", 4);
     const double dense_us = model.predict_batch_us("dense", 4);
     EXPECT_LT(sparse_us, dense_us);
-    EXPECT_LT(model.predict_batch_energy("sparse", 4),
-              model.predict_batch_energy("dense", 4));
 
     // Unknown tasks price pessimistically at dense.
     EXPECT_FALSE(model.has_task_profile("never-seen"));
@@ -286,7 +284,6 @@ TEST(CostModel, LinearFallbackPricesExactly) {
     CostModel model(tiny_layers(), config);
     EXPECT_DOUBLE_EQ(model.predict_batch_us("t", 1), 250.0);
     EXPECT_DOUBLE_EQ(model.predict_batch_us("t", 4), 850.0);
-    EXPECT_DOUBLE_EQ(model.predict_batch_energy("t", 4), 0.0);
 
     // An empty layer list cannot be priced by the simulator; the model
     // must quietly fall back instead of faulting on every predict.

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <thread>
 
@@ -649,7 +648,7 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
 
     std::vector<std::string> request_tasks;
     std::vector<Tensor> request_images;
-    std::vector<std::future<InferenceResult>> futures;
+    std::vector<RequestTicket> tickets;
     {
         ServerConfig config;
         config.batcher.policy = BatchingPolicy::task_grouped;
@@ -665,7 +664,7 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
             Tensor image = Tensor::randn({3, 32, 32}, rng);
             request_tasks.push_back(task);
             request_images.push_back(image);
-            futures.push_back(server.submit_async(task, std::move(image)));
+            tickets.push_back(server.submit(task, std::move(image), {}));
         }
         server.drain();
 
@@ -677,8 +676,8 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
         server.stop();
     }
 
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        const InferenceResult result = futures[i].get();
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+        const InferenceResult result = tickets[i].wait().value();
         EXPECT_EQ(result.task, request_tasks[i]);
         const Tensor reference =
             fixture.direct_logits(request_tasks[i], request_images[i]);
@@ -711,20 +710,17 @@ TEST(InferenceServer, QuantizedExecutionServesAndReportsCounters) {
     const Tensor image = Tensor::randn({3, 32, 32}, rng);
     // The same (task, image) twice: the int8 path is deterministic, so
     // serving must reproduce logits bit-for-bit across batches.
-    const InferenceResult first =
-        server.submit_async("alpha", image.clone()).get();
+    const InferenceResult first = server.run("alpha", image.clone()).value();
     server.drain();
     const InferenceResult second =
-        server.submit_async("alpha", image.clone()).get();
-    const InferenceResult other =
-        server.submit_async("beta", image.clone()).get();
+        server.run("alpha", image.clone()).value();
+    EXPECT_TRUE(server.run("beta", image.clone()).ok());
     server.drain();
 
     ASSERT_EQ(first.logits.numel(), second.logits.numel());
     for (std::int64_t c = 0; c < first.logits.numel(); ++c) {
         ASSERT_EQ(first.logits[c], second.logits[c]) << "class " << c;
     }
-    (void)other;
 
     const ServerStats stats = server.stats();
     EXPECT_EQ(stats.requests_served, 3);
@@ -747,7 +743,7 @@ TEST(InferenceServer, QuantizedExecutionServesAndReportsCounters) {
     // A float server reports zero quantized activity.
     config.quantized_execution = false;
     InferenceServer fp32(fixture.network, fixture.loader(), config);
-    fp32.submit_async("alpha", image.clone()).get();
+    EXPECT_TRUE(fp32.run("alpha", image.clone()).ok());
     fp32.drain();
     EXPECT_EQ(fp32.stats().quantized_path_hits, 0);
     EXPECT_EQ(fp32.stats().quantized_weight_max_rel_error, 0.0);
@@ -775,7 +771,8 @@ TEST(InferenceServer, ConcurrentSubmitsAreSafe) {
                 const std::string& task =
                     tasks[static_cast<std::size_t>((t + i) % 3)];
                 results[static_cast<std::size_t>(t)].push_back(
-                    server.submit(task, Tensor::randn({3, 32, 32}, rng)));
+                    server.run(task, Tensor::randn({3, 32, 32}, rng))
+                        .value());
             }
         });
     }
@@ -802,12 +799,15 @@ TEST(InferenceServer, RejectsWrongImageShapeAtSubmit) {
     ServeFixture fixture;
     InferenceServer server(fixture.network, fixture.loader());
     // A mis-shaped request must fail at the door, not poison a batch.
-    EXPECT_THROW(server.submit("alpha", Tensor({1, 28, 28})), check_error);
-    EXPECT_THROW(server.submit("alpha", Tensor({3, 32})), check_error);
+    EXPECT_EQ(server.run("alpha", Tensor({1, 28, 28})).status(),
+              ServeStatus::invalid_request);
+    EXPECT_EQ(server.run("alpha", Tensor({3, 32})).status(),
+              ServeStatus::invalid_request);
     // Well-formed traffic is unaffected.
-    const InferenceResult result =
-        server.submit("alpha", Tensor({3, 32, 32}, 0.2f));
-    EXPECT_EQ(result.task, "alpha");
+    const Outcome<InferenceResult> result =
+        server.run("alpha", Tensor({3, 32, 32}, 0.2f));
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().task, "alpha");
     server.stop();
 }
 
@@ -816,13 +816,6 @@ TEST(LoadGen, RejectsDegenerateBurstGapFraction) {
     spec.pattern = ArrivalPattern::bursty;
     spec.burst_gap_fraction = 1.5;  // would make the idle gap negative
     EXPECT_THROW(generate_arrivals(spec), check_error);
-}
-
-TEST(InferenceServer, SubmitAfterStopThrows) {
-    ServeFixture fixture;
-    InferenceServer server(fixture.network, fixture.loader());
-    server.stop();
-    EXPECT_THROW(server.submit("alpha", Tensor({3, 32, 32})), check_error);
 }
 
 TEST(InferenceServer, HydratesFromAdaptationStoreOnDisk) {
@@ -836,7 +829,7 @@ TEST(InferenceServer, HydratesFromAdaptationStoreOnDisk) {
 
     InferenceServer server(fixture.network, store.task_loader());
     const InferenceResult result =
-        server.submit("beta", Tensor({3, 32, 32}, 0.1f));
+        server.run("beta", Tensor({3, 32, 32}, 0.1f)).value();
     EXPECT_EQ(result.task, "beta");
     EXPECT_EQ(server.stats().cache_misses, 1);
     server.stop();
@@ -853,12 +846,12 @@ TEST(InferenceServer, ReportsWorkspaceBytesWithPlannedExecutor) {
     config.batcher.max_batch_size = 4;
     config.batcher.max_wait = std::chrono::microseconds(500);
     config.worker_threads = 1;
-    ASSERT_TRUE(config.planned_executor);  // the default
     InferenceServer server(fixture.network, fixture.loader(), config);
 
     Rng rng(27);
     for (int i = 0; i < 8; ++i) {
-        server.submit("alpha", Tensor::randn({3, 32, 32}, rng));
+        EXPECT_TRUE(
+            server.run("alpha", Tensor::randn({3, 32, 32}, rng)).ok());
     }
     server.drain();
     const ServerStats stats = server.stats();
@@ -879,47 +872,21 @@ TEST(InferenceServer, SteadyStateBatchesAllocateNoTensorStorage) {
 
     const Tensor image({3, 32, 32}, 0.1f);
     // Warm-up: hydrate the task, build the plan, reserve the workspace.
-    server.submit("alpha", image);
-    server.submit("alpha", image);
+    ASSERT_TRUE(server.run("alpha", image).ok());
+    ASSERT_TRUE(server.run("alpha", image).ok());
 
     const std::int64_t allocations = Tensor::storage_allocation_count();
-    server.submit("alpha", image);
+    ASSERT_TRUE(server.run("alpha", image).ok());
     const std::int64_t per_request =
         Tensor::storage_allocation_count() - allocations;
     // The forward itself is allocation-free; what remains is request
     // plumbing (the submitted image, the result logits row) — a handful
-    // of tiny tensors, not the per-layer activation churn of the legacy
-    // path. Bound it tightly so a regression reintroducing per-layer
-    // allocation trips this immediately.
+    // of tiny tensors, not per-layer activation churn. Bound it tightly
+    // so a regression reintroducing per-layer allocation trips this
+    // immediately.
     EXPECT_LE(per_request, 8)
         << "steady-state request allocated " << per_request
         << " tensor storage blocks";
-    server.stop();
-}
-
-TEST(InferenceServer, LegacyExecutorStillServesAndReportsNoWorkspace) {
-    ServeFixture fixture;
-    ServerConfig config;
-    config.batcher.max_batch_size = 4;
-    config.batcher.max_wait = std::chrono::microseconds(500);
-    config.worker_threads = 1;
-    config.planned_executor = false;
-    InferenceServer server(fixture.network, fixture.loader(), config);
-
-    Rng rng(28);
-    const Tensor image = Tensor::randn({3, 32, 32}, rng);
-    const InferenceResult result = server.submit("beta", image.clone());
-    EXPECT_EQ(result.task, "beta");
-    server.drain();
-    const ServerStats stats = server.stats();
-    EXPECT_EQ(stats.workspace_peak_bytes, 0);
-    EXPECT_EQ(stats.plan_buffer_bytes, 0);
-
-    // Legacy and planned paths serve bit-identical logits.
-    const Tensor reference = fixture.direct_logits("beta", image);
-    for (std::int64_t c = 0; c < result.logits.numel(); ++c) {
-        ASSERT_EQ(result.logits[c], reference[c]);
-    }
     server.stop();
 }
 

@@ -254,7 +254,7 @@ TEST(ServerPool, PooledResultsBitMatchDirectForward) {
 
     std::vector<std::string> request_tasks;
     std::vector<Tensor> request_images;
-    std::vector<std::future<InferenceResult>> futures;
+    std::vector<RequestTicket> tickets;
     {
         PoolConfig config;
         config.replica_count = 3;
@@ -273,7 +273,7 @@ TEST(ServerPool, PooledResultsBitMatchDirectForward) {
             Tensor image = Tensor::randn({3, 32, 32}, rng);
             request_tasks.push_back(task);
             request_images.push_back(image);
-            futures.push_back(pool.submit_async(task, std::move(image)));
+            tickets.push_back(pool.submit(task, std::move(image), {}));
         }
         pool.drain();
 
@@ -290,8 +290,8 @@ TEST(ServerPool, PooledResultsBitMatchDirectForward) {
     // The pool mutated per-replica thresholds/heads, but the shared
     // backbone is untouched: direct forwards still reproduce every
     // served logit bit for bit.
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        const InferenceResult result = futures[i].get();
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+        const InferenceResult result = tickets[i].wait().value();
         const Tensor reference =
             fixture.direct_logits(request_tasks[i], request_images[i]);
         ASSERT_EQ(result.logits.numel(), 10);
@@ -350,8 +350,9 @@ TEST(ServerPool, TaskAffinityHydratesEachTaskOncePoolWide) {
         ServerPool pool(fixture.network, fixture.loader(), config);
         for (int round = 0; round < 6; ++round) {
             for (std::size_t t = 0; t < kTasks; ++t) {
-                pool.submit("task" + std::to_string(t),
-                            Tensor({3, 32, 32}, 0.1f));
+                EXPECT_TRUE(pool.run("task" + std::to_string(t),
+                                     Tensor({3, 32, 32}, 0.1f))
+                                .ok());
             }
         }
         pool.drain();
@@ -396,17 +397,18 @@ TEST(ServerPool, ShedModeRefusesDeterministically) {
     config.server.worker_threads = 1;
     ServerPool pool(fixture.network, gated_loader, config);
 
-    auto first = pool.submit_async("task0", Tensor({3, 32, 32}, 0.1f));
+    RequestTicket first =
+        pool.submit("task0", Tensor({3, 32, 32}, 0.1f), {});
     loader_entered.get_future().wait();  // dispatch is now wedged
-    auto second = pool.submit_async("task0", Tensor({3, 32, 32}, 0.2f));
+    RequestTicket second =
+        pool.submit("task0", Tensor({3, 32, 32}, 0.2f), {});
     // Two in flight at max_pending=2: the third MUST be shed.
-    EXPECT_THROW(
-        pool.submit_async("task0", Tensor({3, 32, 32}, 0.3f)),
-        overload_error);
+    EXPECT_EQ(pool.run("task0", Tensor({3, 32, 32}, 0.3f)).status(),
+              ServeStatus::overloaded);
 
     gate.set_value();
-    first.get();
-    second.get();
+    EXPECT_TRUE(first.wait().ok());
+    EXPECT_TRUE(second.wait().ok());
     pool.drain();
 
     const PoolStats stats = pool.stats();
@@ -431,9 +433,11 @@ TEST(ServerPool, BlockModeNeverExceedsMaxPending) {
     for (int c = 0; c < 4; ++c) {
         clients.emplace_back([&, c] {
             for (int i = 0; i < 10; ++i) {
-                pool.submit("task" + std::to_string((c + i) % 2),
-                            Tensor({3, 32, 32}, 0.05f * c));
-                ++completed;
+                if (pool.run("task" + std::to_string((c + i) % 2),
+                             Tensor({3, 32, 32}, 0.05f * c))
+                        .ok()) {
+                    ++completed;
+                }
             }
         });
     }
@@ -473,11 +477,12 @@ TEST(ServerPool, ConcurrentClientsOnAllPolicies) {
             clients.emplace_back([&, t] {
                 Rng rng(static_cast<std::uint64_t>(50 + t));
                 for (int i = 0; i < kPerThread; ++i) {
-                    const InferenceResult result = pool.submit(
+                    const Outcome<InferenceResult> outcome = pool.run(
                         "task" + std::to_string((t + i) % 3),
                         Tensor::randn({3, 32, 32}, rng));
-                    if (result.predicted_class >= 0 &&
-                        result.predicted_class < 10) {
+                    if (outcome.ok() &&
+                        outcome.value().predicted_class >= 0 &&
+                        outcome.value().predicted_class < 10) {
                         ++predictions_in_range;
                     }
                 }
@@ -503,15 +508,6 @@ TEST(ServerPool, ConcurrentClientsOnAllPolicies) {
     }
 }
 
-TEST(ServerPool, SubmitAfterStopThrows) {
-    PoolFixture fixture(2);
-    PoolConfig config;
-    config.replica_count = 2;
-    ServerPool pool(fixture.network, fixture.loader(), config);
-    pool.stop();
-    EXPECT_THROW(pool.submit("task0", Tensor({3, 32, 32})), check_error);
-}
-
 TEST(ServerPool, StatsMergeUsesPooledReservoirs) {
     // Percentiles in pool stats must come from merged reservoirs: with
     // one slow replica, the pooled p95 must reflect the slow stream,
@@ -524,8 +520,8 @@ TEST(ServerPool, StatsMergeUsesPooledReservoirs) {
     config.server.worker_threads = 1;
     ServerPool pool(fixture.network, fixture.loader(), config);
     for (int i = 0; i < 10; ++i) {
-        pool.submit("task0", Tensor({3, 32, 32}, 0.1f));
-        pool.submit("task1", Tensor({3, 32, 32}, 0.2f));
+        EXPECT_TRUE(pool.run("task0", Tensor({3, 32, 32}, 0.1f)).ok());
+        EXPECT_TRUE(pool.run("task1", Tensor({3, 32, 32}, 0.2f)).ok());
     }
     pool.drain();
     const PoolStats stats = pool.stats();
@@ -553,8 +549,9 @@ TEST(ServerPool, CostAwareSchedulingCalibratesAndRetiresLoad) {
     ASSERT_NE(pool.cost_model(), nullptr);
 
     for (int i = 0; i < 16; ++i) {
-        pool.submit("task" + std::to_string(i % 2),
-                    Tensor({3, 32, 32}, 0.1f));
+        EXPECT_TRUE(pool.run("task" + std::to_string(i % 2),
+                             Tensor({3, 32, 32}, 0.1f))
+                        .ok());
     }
     pool.drain();
     const PoolStats stats = pool.stats();
@@ -568,6 +565,46 @@ TEST(ServerPool, CostAwareSchedulingCalibratesAndRetiresLoad) {
     // All work completed -> the predicted-outstanding ledger is empty.
     EXPECT_EQ(stats.predicted_outstanding_us, 0.0);
     EXPECT_EQ(stats.active_replicas, 2u);
+}
+
+TEST(ServerPool, CostAwareSchedulingDecidesPredictiveShedding) {
+    // The pool owns cost admission: cost-aware, it installs the model as
+    // every replica's batcher feasibility hook, so a request priced far
+    // past its deadline is shed at batch forming. Heuristic, the same
+    // request is served, and the model still calibrates on it.
+    for (const bool cost_aware : {true, false}) {
+        SCOPED_TRACE(cost_aware ? "cost-aware" : "heuristic");
+        PoolFixture fixture(1);
+        CostModelConfig cost_config;
+        cost_config.use_simulator = false;
+        cost_config.default_per_sample_us = 1e8;  // 100 s per sample
+
+        PoolConfig config;
+        config.replica_count = 1;
+        config.cost_aware_scheduling = cost_aware;
+        config.cost_model = std::make_shared<CostModel>(
+            fixture.network.layer_specs(), cost_config);
+        config.server.batcher.max_wait = std::chrono::microseconds(0);
+        config.server.worker_threads = 1;
+        ServerPool pool(fixture.network, fixture.loader(), config);
+
+        SubmitOptions options;
+        options.deadline = std::chrono::seconds(2);
+        const Outcome<InferenceResult> outcome =
+            pool.run("task0", Tensor({3, 32, 32}, 0.1f), options);
+        pool.drain();
+        const PoolStats stats = pool.stats();
+        pool.stop();
+
+        if (cost_aware) {
+            EXPECT_EQ(outcome.status(), ServeStatus::deadline_exceeded);
+            EXPECT_EQ(stats.cost_infeasible_shed, 1);
+        } else {
+            EXPECT_TRUE(outcome.ok()) << outcome.message();
+            EXPECT_EQ(stats.cost_infeasible_shed, 0);
+            EXPECT_GE(pool.cost_model()->observation_count(), 1);
+        }
+    }
 }
 
 TEST(ServerPool, AutoscalerGrowsUnderLoadAndShrinksBackToMin) {
@@ -604,10 +641,10 @@ TEST(ServerPool, AutoscalerGrowsUnderLoadAndShrinksBackToMin) {
     EXPECT_EQ(pool.replica_count(), 3u);  // provisioned to max up front
     EXPECT_EQ(pool.active_replicas(), 1u);
 
-    std::vector<std::future<InferenceResult>> futures;
+    std::vector<RequestTicket> tickets;
     for (int i = 0; i < 48; ++i) {
-        futures.push_back(pool.submit_async(
-            "task" + std::to_string(i % 2), Tensor({3, 32, 32}, 0.1f)));
+        tickets.push_back(pool.submit("task" + std::to_string(i % 2),
+                                      Tensor({3, 32, 32}, 0.1f), {}));
     }
     // The scaler must activate extra replicas while the queue drains.
     std::size_t peak_active = pool.active_replicas();
@@ -617,8 +654,8 @@ TEST(ServerPool, AutoscalerGrowsUnderLoadAndShrinksBackToMin) {
     }
     EXPECT_GE(peak_active, 2u);
     pool.drain();
-    for (std::future<InferenceResult>& future : futures) {
-        EXPECT_EQ(future.get().logits.shape().dim(-1), 10);
+    for (RequestTicket& ticket : tickets) {
+        EXPECT_EQ(ticket.wait().value().logits.shape().dim(-1), 10);
     }
 
     // Idle backlog sits below shrink_backlog_us: the scaler must hand
@@ -696,8 +733,9 @@ TEST(ServerPool, ActiveCountStaysBoundedWhileAutoscalerRacesSubmits) {
     for (int c = 0; c < kClients; ++c) {
         clients.emplace_back([&pool, c] {
             for (int i = 0; i < kPerClient; ++i) {
-                pool.submit("task" + std::to_string(c % 2),
-                            Tensor({3, 32, 32}, 0.1f));
+                EXPECT_TRUE(pool.run("task" + std::to_string(c % 2),
+                                     Tensor({3, 32, 32}, 0.1f))
+                                .ok());
             }
         });
     }
@@ -749,14 +787,14 @@ TEST(ServerPool, StatsSnapshotStaysCoherentUnderConcurrentTraffic) {
         }
     });
 
-    std::vector<std::future<InferenceResult>> futures;
-    futures.reserve(32);
+    std::vector<RequestTicket> tickets;
+    tickets.reserve(32);
     for (int i = 0; i < 32; ++i) {
-        futures.push_back(pool.submit_async(
-            "task" + std::to_string(i % 2), Tensor({3, 32, 32}, 0.1f)));
+        tickets.push_back(pool.submit("task" + std::to_string(i % 2),
+                                      Tensor({3, 32, 32}, 0.1f), {}));
     }
-    for (std::future<InferenceResult>& future : futures) {
-        EXPECT_EQ(future.get().logits.shape().dim(-1), 10);
+    for (RequestTicket& ticket : tickets) {
+        EXPECT_EQ(ticket.wait().value().logits.shape().dim(-1), 10);
     }
     pool.drain();
     done.store(true);

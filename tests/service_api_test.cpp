@@ -162,10 +162,6 @@ TEST_P(ServiceApiTest, StoppedServiceDeliversShutdownNotException) {
     // Nothing left to cancel on a rejected ticket.
     RequestTicket again = service->submit("task0", Tensor({3, 32, 32}), {});
     EXPECT_FALSE(again.cancel());
-
-    // The deprecated shims keep the old exception contract.
-    EXPECT_THROW(service->submit("task0", Tensor({3, 32, 32})),
-                 check_error);
 }
 
 TEST_P(ServiceApiTest, MalformedEnvelopeDeliversInvalidRequest) {
