@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -11,29 +10,14 @@ namespace mime::serve {
 
 namespace {
 
-/// SparsityProfile rejects values outside [0, 1); observed site
-/// sparsities can legitimately hit 1.0 (a fully dead site under heavy
-/// structural pruning), so cap just below.
-constexpr double kMaxSparsity = 0.999;
-
-double clamp_sparsity(double s) {
-    if (!(s > 0.0)) {  // also catches NaN
-        return 0.0;
-    }
-    return std::min(s, kMaxSparsity);
-}
+/// Clamp on the calibration scale so one wild measurement (page fault,
+/// first-batch plan warm-up) cannot poison scheduling.
+constexpr double kMinCalibrationScale = 0.01;
+constexpr double kMaxCalibrationScale = 1000.0;
 
 }  // namespace
 
-CostModel::CostModel(std::vector<arch::LayerSpec> layers,
-                     CostModelConfig config)
-    : config_(config),
-      layers_(std::move(layers)),
-      simulator_(config.systolic),
-      dense_profile_("cost-model/dense", std::vector<double>(
-                         std::max<std::size_t>(layers_.size(), 1), 0.0)) {
-    MIME_REQUIRE(config_.accelerator_clock_ghz > 0.0,
-                 "accelerator clock must be positive");
+CostModel::CostModel(CostModelConfig config) : config_(config) {
     MIME_REQUIRE(config_.default_per_sample_us > 0.0,
                  "default_per_sample_us must be positive");
     MIME_REQUIRE(config_.default_batch_overhead_us >= 0.0,
@@ -41,105 +25,24 @@ CostModel::CostModel(std::vector<arch::LayerSpec> layers,
     MIME_REQUIRE(config_.calibration_alpha > 0.0 &&
                      config_.calibration_alpha <= 1.0,
                  "calibration_alpha must be in (0, 1]");
-    MIME_REQUIRE(config_.min_calibration_scale > 0.0 &&
-                     config_.min_calibration_scale <=
-                         config_.max_calibration_scale,
-                 "calibration scale clamp must be a positive range");
-    MIME_REQUIRE(config_.quantized_mac_scale > 0.0,
-                 "quantized_mac_scale must be positive");
-    if (layers_.empty()) {
-        // Nothing for the simulator to price; fall back to the linear
-        // model rather than faulting on every predict.
-        config_.use_simulator = false;
-    }
 }
 
-void CostModel::set_task_sparsity(
-    const std::string& task, const std::vector<double>& site_sparsities) {
+void CostModel::set_task_live_fraction(const std::string& task,
+                                       double fraction) {
+    // NaN fails the comparison too, so it prices as dense.
+    const double clamped = fraction < 1.0 ? std::max(fraction, 0.0) : 1.0;
     MutexLock lock(mutex_);
-    TaskProfile& profile = tasks_[task];
-    std::vector<double> clamped;
-    clamped.reserve(site_sparsities.size());
-    for (const double s : site_sparsities) {
-        clamped.push_back(clamp_sparsity(s));
-    }
-    if (!profile.sparsity.empty() &&
-        profile.sparsity.size() == clamped.size()) {
-        double max_delta = 0.0;
-        for (std::size_t i = 0; i < clamped.size(); ++i) {
-            max_delta = std::max(
-                max_delta, std::abs(clamped[i] - profile.sparsity[i]));
-        }
-        if (max_delta < config_.sparsity_epsilon) {
-            return;  // keep the memoized prices
-        }
-    }
-    profile.sparsity = std::move(clamped);
-    // Invalidate this task's cached profile and prices.
-    profiles_.erase(task);
-    for (auto it = base_us_memo_.begin(); it != base_us_memo_.end();) {
-        it = it->first.first == task ? base_us_memo_.erase(it)
-                                     : std::next(it);
-    }
-}
-
-bool CostModel::has_task_profile(const std::string& task) const {
-    MutexLock lock(mutex_);
-    return tasks_.count(task) > 0;
-}
-
-const hw::SparsityProfile& CostModel::profile_for(
-    const std::string& task) const {
-    const auto found = tasks_.find(task);
-    if (found == tasks_.end() || found->second.sparsity.empty()) {
-        return dense_profile_;
-    }
-    const auto cached = profiles_.find(task);
-    if (cached != profiles_.end()) {
-        return cached->second;
-    }
-    // The simulator needs one sparsity per priced layer; a shorter
-    // observation (fewer threshold sites than layers) repeats its last
-    // value, a longer one truncates.
-    std::vector<double> per_layer(layers_.size(), 0.0);
-    const std::vector<double>& observed = found->second.sparsity;
-    for (std::size_t i = 0; i < per_layer.size(); ++i) {
-        per_layer[i] =
-            i < observed.size() ? observed[i] : observed.back();
-    }
-    return profiles_
-        .emplace(task,
-                 hw::SparsityProfile("cost-model/" + task,
-                                     std::move(per_layer)))
-        .first->second;
+    live_fraction_[task] = clamped;
 }
 
 double CostModel::base_batch_us(const std::string& task,
                                 std::int64_t batch_size) const {
-    // The compute term scales inversely with the replicas' MAC
-    // throughput (int8 replicas price cheaper); the batch overhead is
-    // dispatch bookkeeping, which quantization does not touch.
-    if (!config_.use_simulator) {
-        return config_.default_batch_overhead_us +
-               config_.default_per_sample_us *
-                   static_cast<double>(batch_size) /
-                   config_.quantized_mac_scale;
-    }
-    const auto key = std::make_pair(task, batch_size);
-    const auto memo = base_us_memo_.find(key);
-    if (memo != base_us_memo_.end()) {
-        return memo->second;
-    }
-    hw::SimulationOptions options;
-    options.scheme = hw::Scheme::mime;
-    options.batch.assign(static_cast<std::size_t>(batch_size), 0);
-    options.profiles = {profile_for(task)};
-    const hw::SimulationResult result = simulator_.run(layers_, options);
-    const double us = result.total_cycles /
-                      (config_.accelerator_clock_ghz * 1000.0) /
-                      config_.quantized_mac_scale;
-    base_us_memo_[key] = us;
-    return us;
+    const auto found = live_fraction_.find(task);
+    const double live =
+        found == live_fraction_.end() ? 1.0 : found->second;
+    return config_.default_batch_overhead_us +
+           config_.default_per_sample_us * static_cast<double>(batch_size) *
+               live;
 }
 
 double CostModel::predict_locked(const std::string& task,
@@ -194,7 +97,7 @@ CostFeedback CostModel::observe_batch(const std::string& task,
         calibration_scale_ = std::clamp(
             (1.0 - config_.calibration_alpha) * calibration_scale_ +
                 config_.calibration_alpha * ratio,
-            config_.min_calibration_scale, config_.max_calibration_scale);
+            kMinCalibrationScale, kMaxCalibrationScale);
     }
     ObservedShape& shape = observed_[std::make_pair(task, batch_size)];
     shape.ewma_us =

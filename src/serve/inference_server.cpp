@@ -374,6 +374,10 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
         for (std::size_t n = 0; n < batch.size(); ++n) {
             batch_assign(slab, static_cast<std::int64_t>(n), batch[n].image);
         }
+        // The plan's cumulative MAC counters, differenced across this
+        // forward, give the live fraction the cost model prices with.
+        const std::uint64_t dense_before = plan.dense_macs();
+        const std::uint64_t skipped_before = plan.skipped_macs();
         const Tensor& logits = network_->forward_planned(slab, workspace_);
         if (config_.simulated_service_time.count() > 0) {
             std::this_thread::sleep_for(config_.simulated_service_time);
@@ -399,11 +403,17 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
 
         const Clock::time_point finished = Clock::now();
         if (config_.cost_model) {
-            // Feed reality back: this task's observed site sparsities
-            // refresh the simulated path, and the measured service time
-            // (install + forward + simulated accelerator) calibrates
-            // the absolute scale.
-            config_.cost_model->set_task_sparsity(task, site_sparsities);
+            // Feed reality back: the MACs this batch executed reprice
+            // the task, and the measured service time (install +
+            // forward + simulated accelerator) calibrates the absolute
+            // scale.
+            const std::uint64_t dense = plan.dense_macs() - dense_before;
+            const std::uint64_t skipped =
+                plan.skipped_macs() - skipped_before;
+            config_.cost_model->set_task_live_fraction(
+                task, dense == 0 ? 1.0
+                                 : static_cast<double>(dense - skipped) /
+                                       static_cast<double>(dense));
             const CostFeedback feedback = config_.cost_model->observe_batch(
                 task, static_cast<std::int64_t>(batch.size()),
                 to_us(finished - started));

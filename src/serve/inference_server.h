@@ -87,11 +87,11 @@ struct ServerConfig {
     double trace_sample_rate = 0.0;
     /// Optional shared service-time predictor (see serve/cost_model.h).
     /// When set, every batch's measured service time calibrates the
-    /// model and the task's observed site sparsities feed its simulated
-    /// path; the serve.cost_* metrics go live. A pool hands the same
-    /// instance to every replica. Deadline-feasibility shedding is the
-    /// batcher's predict_batch_us hook, which a cost-aware ServerPool
-    /// installs from this model.
+    /// model and the fraction of its dense MACs the batch executed
+    /// reprices the task; the serve.cost_* metrics go live. A pool
+    /// hands the same instance to every replica. Deadline-feasibility
+    /// shedding is the batcher's predict_batch_us hook, which a
+    /// cost-aware ServerPool installs from this model.
     std::shared_ptr<CostModel> cost_model;
 };
 

@@ -122,6 +122,9 @@ ServerPool::ServerPool(core::MimeNetwork& prototype,
         MIME_REQUIRE(scaler.max_replicas >= scaler.min_replicas &&
                          scaler.min_replicas >= 1,
                      "autoscaler bounds must satisfy 1 <= min <= max");
+        MIME_REQUIRE(config.cost_aware_scheduling,
+                     "the autoscaler reads predicted-microsecond backlog, "
+                     "which needs cost_aware_scheduling");
         provisioned = std::max(provisioned, scaler.max_replicas);
         active_ = std::clamp(active_, scaler.min_replicas,
                              scaler.max_replicas);
@@ -131,18 +134,8 @@ ServerPool::ServerPool(core::MimeNetwork& prototype,
     // One shared cost model feeds batcher feasibility, routing loads
     // and the autoscaler; every replica calibrates it.
     cost_model_ = config_.cost_model;
-    if (!cost_model_ &&
-        (config_.cost_aware_scheduling || scaler.enabled)) {
-        CostModelConfig cost_config;
-        if (config_.server.quantized_execution) {
-            // Int8 replicas finish batches ~1.5x faster than float ones
-            // (measured planned-forward speedup); seed the model so the
-            // first batches' feasibility checks and routing loads start
-            // near reality instead of waiting for calibration.
-            cost_config.quantized_mac_scale = 1.5;
-        }
-        cost_model_ = std::make_shared<CostModel>(prototype.layer_specs(),
-                                                  cost_config);
+    if (!cost_model_ && config_.cost_aware_scheduling) {
+        cost_model_ = std::make_shared<CostModel>();
     }
 
     loads_.assign(provisioned, 0.0);
@@ -194,7 +187,7 @@ std::size_t ServerPool::active_replicas() const {
 }
 
 double ServerPool::request_cost_us(const std::string& task) const {
-    if (!config_.cost_aware_scheduling || !cost_model_) {
+    if (!config_.cost_aware_scheduling) {
         return 1.0;  // plain request count
     }
     // Price the request at its share of a typical (half-full) batch:

@@ -76,11 +76,14 @@ struct PoolConfig {
     /// heuristic; the model calibrates online either way once it
     /// exists.
     bool cost_aware_scheduling = true;
-    /// Shared predictor; built from the prototype's layer specs when
-    /// null and cost_aware_scheduling or the autoscaler needs one.
+    /// Shared predictor; a default CostModel is built when null and
+    /// cost_aware_scheduling is on.
     std::shared_ptr<CostModel> cost_model;
     /// Replica autoscaling between min/max from admission pressure and
-    /// predicted per-replica backlog (see serve/autoscaler.h).
+    /// predicted per-replica backlog (see serve/autoscaler.h). Enabling
+    /// it requires cost_aware_scheduling (the constructor rejects the
+    /// combination otherwise): heuristic loads are request counts, not
+    /// the microseconds the grow/shrink thresholds are set in.
     AutoscalerConfig autoscaler{};
 };
 
@@ -185,8 +188,8 @@ public:
     std::size_t replica_count() const noexcept { return servers_.size(); }
     /// Replicas currently receiving traffic.
     std::size_t active_replicas() const MIME_EXCLUDES(mutex_);
-    /// The shared cost model (null when neither cost-aware scheduling
-    /// nor the autoscaler asked for one).
+    /// The shared cost model (null when scheduling is heuristic and the
+    /// caller passed none).
     const std::shared_ptr<CostModel>& cost_model() const noexcept {
         return cost_model_;
     }

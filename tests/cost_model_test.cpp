@@ -1,5 +1,5 @@
-// Tests for cost-model-driven scheduling: the hardware-backed cost
-// predictor (simulator pricing, online calibration), the pure
+// Tests for cost-model-driven scheduling: the work-proportional cost
+// predictor (live-fraction pricing, online calibration), the pure
 // autoscaler policy, predictive deadline feasibility in the batcher,
 // plus regressions for this PR's bugfix sweep (zipf CDF sampling stays
 // seed-stable, batch compaction preserves arrival order, the cache
@@ -209,33 +209,8 @@ TEST(ThresholdCache, RejectsZeroCapacity) {
 // CostModel
 // ---------------------------------------------------------------------------
 
-std::vector<arch::LayerSpec> tiny_layers() {
-    arch::LayerSpec conv;
-    conv.name = "conv1";
-    conv.kind = arch::LayerKind::conv;
-    conv.in_channels = 3;
-    conv.out_channels = 8;
-    conv.kernel = 3;
-    conv.padding = 1;
-    conv.in_height = 8;
-    conv.in_width = 8;
-
-    arch::LayerSpec conv2 = conv;
-    conv2.name = "conv2";
-    conv2.in_channels = 8;
-    conv2.out_channels = 8;
-
-    arch::LayerSpec fc;
-    fc.name = "fc";
-    fc.kind = arch::LayerKind::fc;
-    fc.in_channels = 8 * 8 * 8;
-    fc.out_channels = 16;
-
-    return {conv, conv2, fc};
-}
-
-TEST(CostModel, SimulatorPredictionIsMonotoneInBatchSize) {
-    CostModel model(tiny_layers());
+TEST(CostModel, PredictionIsMonotoneInBatchSize) {
+    CostModel model;
     const double one = model.predict_batch_us("t", 1);
     const double two = model.predict_batch_us("t", 2);
     const double four = model.predict_batch_us("t", 4);
@@ -249,80 +224,54 @@ TEST(CostModel, SimulatorPredictionIsMonotoneInBatchSize) {
 }
 
 TEST(CostModel, SparserTasksPriceCheaperThanDense) {
-    CostModel model(tiny_layers());
-    model.set_task_sparsity("sparse", {0.9, 0.9, 0.9});
-    model.set_task_sparsity("dense", {0.0, 0.0, 0.0});
-    EXPECT_TRUE(model.has_task_profile("sparse"));
+    CostModel model;
+    model.set_task_live_fraction("sparse", 0.1);
+    model.set_task_live_fraction("dense", 1.0);
 
     const double sparse_us = model.predict_batch_us("sparse", 4);
     const double dense_us = model.predict_batch_us("dense", 4);
     EXPECT_LT(sparse_us, dense_us);
 
     // Unknown tasks price pessimistically at dense.
-    EXPECT_FALSE(model.has_task_profile("never-seen"));
     EXPECT_EQ(model.predict_batch_us("never-seen", 4), dense_us);
 }
 
 TEST(CostModel, ClampsHostileSparsityObservations) {
-    CostModel model(tiny_layers());
-    // 1.0 (fully dead site), negatives and NaN must all be absorbed —
-    // SparsityProfile itself rejects values outside [0, 1).
-    model.set_task_sparsity(
-        "hostile", {1.0, -0.5, std::nan("")});
-    EXPECT_GT(model.predict_batch_us("hostile", 2), 0.0);
-    // A short observation (one site) pads by repeating its last value.
-    model.set_task_sparsity("short", {0.8});
-    EXPECT_LT(model.predict_batch_us("short", 2),
-              model.predict_batch_us("never-seen", 2));
+    CostModel model;
+    // NaN prices as dense; fractions outside [0, 1] clamp to its ends.
+    model.set_task_live_fraction("nan", std::nan(""));
+    model.set_task_live_fraction("negative", -0.5);
+    model.set_task_live_fraction("above-one", 1.5);
+    const double dense_us = model.predict_batch_us("never-seen", 2);
+    EXPECT_EQ(model.predict_batch_us("nan", 2), dense_us);
+    EXPECT_EQ(model.predict_batch_us("above-one", 2), dense_us);
+    // A task with no live MACs still pays the batch overhead.
+    EXPECT_DOUBLE_EQ(model.predict_batch_us("negative", 2),
+                     model.config().default_batch_overhead_us);
+    EXPECT_GT(model.predict_batch_us("negative", 2), 0.0);
 }
 
 TEST(CostModel, LinearFallbackPricesExactly) {
     CostModelConfig config;
-    config.use_simulator = false;
     config.default_per_sample_us = 200.0;
     config.default_batch_overhead_us = 50.0;
-    CostModel model(tiny_layers(), config);
+    CostModel model(config);
+    model.set_task_live_fraction("t", 1.0);
     EXPECT_DOUBLE_EQ(model.predict_batch_us("t", 1), 250.0);
     EXPECT_DOUBLE_EQ(model.predict_batch_us("t", 4), 850.0);
 
-    // An empty layer list cannot be priced by the simulator; the model
-    // must quietly fall back instead of faulting on every predict.
-    CostModel degenerate({});
-    EXPECT_GT(degenerate.predict_batch_us("t", 1), 0.0);
-}
-
-TEST(CostModel, QuantizedMacScaleDiscountsComputeNotOverhead) {
-    // Int8 replicas price their MAC work cheaper by the configured
-    // throughput multiplier; dispatch overhead is unaffected.
-    CostModelConfig config;
-    config.use_simulator = false;
-    config.default_per_sample_us = 200.0;
-    config.default_batch_overhead_us = 50.0;
-    config.quantized_mac_scale = 2.0;
-    CostModel model(tiny_layers(), config);
-    EXPECT_DOUBLE_EQ(model.predict_batch_us("t", 1), 150.0);
-    EXPECT_DOUBLE_EQ(model.predict_batch_us("t", 4), 450.0);
-
-    // Simulator path: the whole modeled compute scales down.
-    CostModelConfig sim_config;
-    sim_config.quantized_mac_scale = 1.5;
-    CostModel quantized(tiny_layers(), sim_config);
-    CostModel fp32(tiny_layers());
-    EXPECT_NEAR(quantized.predict_batch_us("t", 4) * 1.5,
-                fp32.predict_batch_us("t", 4),
-                fp32.predict_batch_us("t", 4) * 1e-9);
-
-    CostModelConfig bad;
-    bad.quantized_mac_scale = 0.0;
-    EXPECT_THROW(CostModel(tiny_layers(), bad), check_error);
+    // A quarter-live task executes a quarter of the per-sample MACs;
+    // the batch overhead does not shrink with it.
+    model.set_task_live_fraction("quarter", 0.25);
+    EXPECT_DOUBLE_EQ(model.predict_batch_us("quarter", 1), 100.0);
+    EXPECT_DOUBLE_EQ(model.predict_batch_us("quarter", 4), 250.0);
 }
 
 TEST(CostModel, CalibrationConvergesOnObservedServiceTimes) {
     CostModelConfig config;
-    config.use_simulator = false;
     config.default_per_sample_us = 100.0;
     config.default_batch_overhead_us = 0.0;
-    CostModel model(tiny_layers(), config);
+    CostModel model(config);
 
     // The replica consistently measures 2.5x the base model.
     ASSERT_DOUBLE_EQ(model.predict_batch_us("t", 1), 100.0);
@@ -347,17 +296,15 @@ TEST(CostModel, CalibrationConvergesOnObservedServiceTimes) {
 
 TEST(CostModel, CalibrationScaleIsClampedAndIgnoresBadSamples) {
     CostModelConfig config;
-    config.use_simulator = false;
     config.default_per_sample_us = 1.0;
     config.default_batch_overhead_us = 0.0;
     config.calibration_alpha = 1.0;  // jump straight to each ratio
-    config.max_calibration_scale = 10.0;
-    CostModel model(tiny_layers(), config);
+    CostModel model(config);
 
     // A wild measurement (plan warm-up page fault) cannot poison the
     // scale past the clamp.
     model.observe_batch("t", 1, 1e9);
-    EXPECT_DOUBLE_EQ(model.calibration_scale(), 10.0);
+    EXPECT_DOUBLE_EQ(model.calibration_scale(), 1000.0);
 
     // Non-positive measurements are clock glitches: no calibration, no
     // error accounting.
@@ -365,21 +312,20 @@ TEST(CostModel, CalibrationScaleIsClampedAndIgnoresBadSamples) {
     model.observe_batch("t", 1, 0.0);
     model.observe_batch("t", 1, -5.0);
     EXPECT_EQ(model.observation_count(), before);
-    EXPECT_DOUBLE_EQ(model.calibration_scale(), 10.0);
+    EXPECT_DOUBLE_EQ(model.calibration_scale(), 1000.0);
 }
 
 // Regression for the capability-annotation audit: one model is shared
 // by every replica's dispatch thread (calibrating), the pool's submit
-// path (pricing) and sparsity installs — all serialized on the model's
-// internal mutex. Hammer all three concurrently; afterwards the
+// path (pricing) and live-fraction installs — all serialized on the
+// model's internal mutex. Hammer all three concurrently; afterwards the
 // bookkeeping must be exact and the scale inside its clamps. Runs
 // under ThreadSanitizer in CI.
 TEST(CostModel, ConcurrentCalibrateAndPredictStayCoherent) {
     CostModelConfig config;
-    config.use_simulator = false;
     config.default_per_sample_us = 100.0;
     config.default_batch_overhead_us = 10.0;
-    CostModel model(tiny_layers(), config);
+    CostModel model(config);
 
     constexpr int kCalibrators = 3;
     constexpr int kObservationsEach = 500;
@@ -413,8 +359,8 @@ TEST(CostModel, ConcurrentCalibrateAndPredictStayCoherent) {
     threads.emplace_back([&model, &stop_predicting] {
         int i = 0;
         while (!stop_predicting.load()) {
-            const double s = 0.1 * static_cast<double>(i++ % 9);
-            model.set_task_sparsity("task0", {s, s, s});
+            model.set_task_live_fraction(
+                "task0", 0.1 * static_cast<double>(1 + i++ % 9));
         }
     });
 
@@ -430,8 +376,8 @@ TEST(CostModel, ConcurrentCalibrateAndPredictStayCoherent) {
     // No observation lost or double-counted under contention.
     EXPECT_EQ(model.observation_count(),
               static_cast<std::int64_t>(kCalibrators) * kObservationsEach);
-    EXPECT_GE(model.calibration_scale(), config.min_calibration_scale);
-    EXPECT_LE(model.calibration_scale(), config.max_calibration_scale);
+    EXPECT_GE(model.calibration_scale(), 0.01);
+    EXPECT_LE(model.calibration_scale(), 1000.0);
     EXPECT_GT(model.mean_abs_relative_error(), 0.0);
 }
 

@@ -536,9 +536,9 @@ TEST(ServerPool, StatsMergeUsesPooledReservoirs) {
 }
 
 TEST(ServerPool, CostAwareSchedulingCalibratesAndRetiresLoad) {
-    // Default pool: cost-aware scheduling builds its own model from the
-    // prototype's layer specs, prices every routed request, and retires
-    // the predicted load as completions arrive.
+    // Default pool: cost-aware scheduling builds its own model, prices
+    // every routed request, and retires the predicted load as
+    // completions arrive.
     PoolFixture fixture(2);
     PoolConfig config;
     config.replica_count = 2;
@@ -576,14 +576,12 @@ TEST(ServerPool, CostAwareSchedulingDecidesPredictiveShedding) {
         SCOPED_TRACE(cost_aware ? "cost-aware" : "heuristic");
         PoolFixture fixture(1);
         CostModelConfig cost_config;
-        cost_config.use_simulator = false;
         cost_config.default_per_sample_us = 1e8;  // 100 s per sample
 
         PoolConfig config;
         config.replica_count = 1;
         config.cost_aware_scheduling = cost_aware;
-        config.cost_model = std::make_shared<CostModel>(
-            fixture.network.layer_specs(), cost_config);
+        config.cost_model = std::make_shared<CostModel>(cost_config);
         config.server.batcher.max_wait = std::chrono::microseconds(0);
         config.server.worker_threads = 1;
         ServerPool pool(fixture.network, fixture.loader(), config);
@@ -607,6 +605,68 @@ TEST(ServerPool, CostAwareSchedulingDecidesPredictiveShedding) {
     }
 }
 
+TEST(ServerPool, CostModelPricesExecutedMacsNotActivationZeros) {
+    // A task's price follows the MACs the executor runs. Thresholds of
+    // 1e30 zero every activation at run time, but no channel is
+    // structurally dead, so every MAC still runs and the task must price
+    // exactly like dense. Pruning 3 of 4 channels per site with
+    // kPrunedThreshold skips work, so that task must price cheaper.
+    PoolFixture fixture(0);
+    core::MimeNetwork& network = fixture.network;
+    const auto capture = [&](const std::string& name, float threshold,
+                             bool prune) {
+        network.reset_thresholds(threshold);
+        for (std::int64_t s = 0; prune && s < network.site_count(); ++s) {
+            core::ThresholdMask& mask = network.site(s).mask();
+            Tensor& t = mask.thresholds().value;
+            const std::int64_t extent =
+                t.numel() / mask.activation_shape().dim(0);
+            for (std::int64_t i = 0; i < t.numel(); ++i) {
+                if ((i / extent) % 4 != 0) {
+                    t.data()[i] = core::kPrunedThreshold;
+                }
+            }
+        }
+        fixture.adaptations.push_back(
+            core::capture_adaptation(network, name, 10));
+    };
+    capture("dense", 0.0f, false);
+    capture("zero_at_run_time", 1e30f, false);
+    capture("pruned", 0.0f, true);
+
+    PoolConfig config;
+    config.replica_count = 1;
+    config.server.worker_threads = 1;
+    ServerPool pool(network, fixture.loader(), config);
+    for (const char* task : {"dense", "zero_at_run_time", "pruned"}) {
+        EXPECT_TRUE(pool.run(task, Tensor({3, 32, 32}, 0.1f)).ok());
+    }
+    pool.drain();
+    pool.stop();
+
+    // No batch of 5 ever ran, so no observed EWMA blends in: both prices
+    // are the shared calibration scale times each task's base price.
+    const CostModel& model = *pool.cost_model();
+    EXPECT_EQ(model.predict_batch_us("zero_at_run_time", 5),
+              model.predict_batch_us("dense", 5));
+    EXPECT_LT(model.predict_batch_us("pruned", 5),
+              model.predict_batch_us("dense", 5));
+}
+
+TEST(ServerPool, AutoscalerRequiresCostAwareScheduling) {
+    // Heuristic loads are request counts, while the autoscaler's grow
+    // and shrink thresholds are predicted microseconds: the pool must
+    // refuse the combination rather than scale on mismatched units.
+    PoolFixture fixture(1);
+    PoolConfig config;
+    config.cost_aware_scheduling = false;
+    config.autoscaler.enabled = true;
+    config.autoscaler.min_replicas = 1;
+    config.autoscaler.max_replicas = 2;
+    EXPECT_THROW(ServerPool(fixture.network, fixture.loader(), config),
+                 check_error);
+}
+
 TEST(ServerPool, AutoscalerGrowsUnderLoadAndShrinksBackToMin) {
     PoolFixture fixture(2);
 
@@ -614,14 +674,12 @@ TEST(ServerPool, AutoscalerGrowsUnderLoadAndShrinksBackToMin) {
     // a 48-request burst on one active replica is tens of thousands of
     // predicted microseconds, far past grow_backlog_us.
     CostModelConfig cost_config;
-    cost_config.use_simulator = false;
     cost_config.default_per_sample_us = 2000.0;
 
     PoolConfig config;
     config.replica_count = 1;  // start at min
     config.routing = RoutingPolicy::least_loaded;
-    config.cost_model = std::make_shared<CostModel>(
-        fixture.network.layer_specs(), cost_config);
+    config.cost_model = std::make_shared<CostModel>(cost_config);
     config.autoscaler.enabled = true;
     config.autoscaler.min_replicas = 1;
     config.autoscaler.max_replicas = 3;
@@ -687,14 +745,12 @@ TEST(ServerPool, ActiveCountStaysBoundedWhileAutoscalerRacesSubmits) {
     PoolFixture fixture(2);
 
     CostModelConfig cost_config;
-    cost_config.use_simulator = false;
     cost_config.default_per_sample_us = 2000.0;
 
     PoolConfig config;
     config.replica_count = 1;
     config.routing = RoutingPolicy::least_loaded;
-    config.cost_model = std::make_shared<CostModel>(
-        fixture.network.layer_specs(), cost_config);
+    config.cost_model = std::make_shared<CostModel>(cost_config);
     config.autoscaler.enabled = true;
     config.autoscaler.min_replicas = 1;
     config.autoscaler.max_replicas = 3;

@@ -19,6 +19,12 @@ Checks structural invariants the compiler cannot:
      for patterns the analysis genuinely cannot express, not for
      silencing findings.
 
+  4. No #include "hw/..." under src/serve/. The systolic-array
+     simulator models an accelerator the server never runs on, and
+     mime_serve does not link mime_hw. perfbench links only mime_serve
+     and the CI build does not build it, so a stray include would
+     otherwise first surface as a perfbench build failure.
+
 Exit status 0 when clean, 1 with findings (one per line, grep-style).
 """
 
@@ -38,6 +44,8 @@ RAW_SYNC_PATTERN = re.compile(
     r"unique_lock|scoped_lock|shared_lock|condition_variable(?:_any)?)\b"
     r"|#\s*include\s*<(?:mutex|condition_variable|shared_mutex)>"
 )
+HW_INCLUDE_PATTERN = re.compile(r'#\s*include\s*"hw/')
+SERVE_DIR = REPO / "src" / "serve"
 ESCAPE_HATCH = "MIME_NO_THREAD_SAFETY_ANALYSIS"
 ESCAPE_BUDGET = 3
 
@@ -92,6 +100,19 @@ def check_iostream_in_headers(
             )
 
 
+def check_hw_in_serve(
+    path: Path, lines: list[str], findings: list[str]
+) -> None:
+    if SERVE_DIR not in path.parents:
+        return
+    for number, line in enumerate(lines, start=1):
+        if HW_INCLUDE_PATTERN.search(strip_comments(line)):
+            findings.append(
+                f"{path.relative_to(REPO)}:{number}: src/serve includes "
+                f"src/hw — serving must not depend on the simulator"
+            )
+
+
 def has_adjacent_comment(lines: list[str], index: int) -> bool:
     """A justification is a comment on the use's line or either of the
     two lines above it (attribute lines often sit between the comment
@@ -136,6 +157,7 @@ def main() -> int:
         lines = path.read_text(encoding="utf-8").splitlines()
         check_raw_sync(path, lines, findings)
         check_iostream_in_headers(path, lines, findings)
+        check_hw_in_serve(path, lines, findings)
     check_escape_budget(files, findings)
 
     for finding in findings:
