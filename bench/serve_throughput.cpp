@@ -133,7 +133,6 @@ serve::ServerStats replay(
     serve::ServerConfig config;
     config.batcher.policy = policy;
     config.batcher.max_batch_size = 8;
-    config.batcher.max_wait = std::chrono::microseconds(2000);
     config.cache_capacity = adaptations.size();
     config.worker_threads = 1;
     serve::InferenceServer server(network, make_loader(adaptations),
@@ -284,7 +283,6 @@ serve::ServerStats replay_sparse_ab(
     serve::ServerConfig config;
     config.batcher.policy = serve::BatchingPolicy::task_grouped;
     config.batcher.max_batch_size = 8;
-    config.batcher.max_wait = std::chrono::microseconds(2000);
     config.cache_capacity = adaptations.size();
     config.worker_threads = 1;
     config.sparse_execution = sparse;
@@ -325,7 +323,6 @@ serve::PoolStats replay_pool(
     config.max_pending = pool_size * 16;
     config.server.batcher.policy = serve::BatchingPolicy::task_grouped;
     config.server.batcher.max_batch_size = 8;
-    config.server.batcher.max_wait = std::chrono::microseconds(2000);
     // Deliberately smaller than the task count: capacity pressure is
     // what separates affinity (each replica hosts few tasks) from
     // round_robin (every replica churns through all of them).
@@ -725,8 +722,6 @@ int main() {
     mixed_config.server.batcher.policy =
         serve::BatchingPolicy::task_grouped;
     mixed_config.server.batcher.max_batch_size = 8;
-    mixed_config.server.batcher.max_wait =
-        std::chrono::microseconds(2000);
     mixed_config.server.cache_capacity = 3;
     mixed_config.server.worker_threads = 1;
     mixed_config.server.simulated_service_time = simulated_service;
@@ -840,7 +835,6 @@ int main() {
         config.cost_aware_scheduling = cost_aware;
         config.server.batcher.policy = serve::BatchingPolicy::task_grouped;
         config.server.batcher.max_batch_size = 8;
-        config.server.batcher.max_wait = std::chrono::microseconds(2000);
         config.server.cache_capacity = 3;
         config.server.worker_threads = 1;
         config.server.simulated_service_time = simulated_service;
@@ -971,7 +965,6 @@ int main() {
     scale_config.autoscaler.shrink_patience = 3;
     scale_config.server.batcher.policy = serve::BatchingPolicy::task_grouped;
     scale_config.server.batcher.max_batch_size = 8;
-    scale_config.server.batcher.max_wait = std::chrono::microseconds(2000);
     scale_config.server.cache_capacity = 3;
     scale_config.server.worker_threads = 1;
     scale_config.server.simulated_service_time = simulated_service;

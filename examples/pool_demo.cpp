@@ -57,7 +57,6 @@ int main() {
     pool_config.max_pending = 16;
     pool_config.server.cache_capacity = 3;
     pool_config.server.worker_threads = 1;
-    pool_config.server.batcher.max_wait = std::chrono::microseconds(500);
     serve::ServerPool pool(network, store.task_loader(), pool_config);
     // The clients only ever see the unified interface; a lone
     // InferenceServer would serve them with the same code.

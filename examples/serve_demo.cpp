@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
     serve::ServerConfig server_config;
     server_config.batcher.policy = serve::BatchingPolicy::task_grouped;
     server_config.batcher.max_batch_size = 4;
-    server_config.batcher.max_wait = std::chrono::microseconds(1000);
     server_config.cache_capacity = 2;  // one task will thrash: watch
                                        // the eviction counter
     serve::InferenceServer server(network, store.task_loader(),

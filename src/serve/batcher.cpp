@@ -1,6 +1,7 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "common/check.h"
@@ -35,39 +36,14 @@ Clock::time_point after_us(Clock::time_point now, double us) {
 }  // namespace
 
 TaskBatcher::TaskBatcher(BatcherConfig config) : config_(std::move(config)) {
-    MIME_REQUIRE(config.max_batch_size > 0,
+    MIME_REQUIRE(config_.max_batch_size > 0,
                  "max_batch_size must be positive");
-    MIME_REQUIRE(config.max_wait.count() >= 0,
-                 "max_wait must be non-negative");
 }
 
 void TaskBatcher::add(InferenceRequest request) {
     Lane& lane =
         request.priority == Priority::interactive ? interactive_ : batch_;
     lane.push_back(std::move(request));
-}
-
-std::optional<Clock::time_point> TaskBatcher::next_deadline() const {
-    if (empty()) {
-        return std::nullopt;
-    }
-    std::optional<Clock::time_point> earliest;
-    const auto consider = [&earliest](Clock::time_point candidate) {
-        if (!earliest || candidate < *earliest) {
-            earliest = candidate;
-        }
-    };
-    for (const Lane* lane : {&interactive_, &batch_}) {
-        if (!lane->empty()) {
-            consider(lane->front().enqueue_time + config_.max_wait);
-        }
-        for (const InferenceRequest& request : *lane) {
-            if (request.deadline != Clock::time_point::max()) {
-                consider(request.deadline);
-            }
-        }
-    }
-    return earliest;
 }
 
 void TaskBatcher::reap_lane(Lane& lane, Clock::time_point now,
@@ -113,8 +89,7 @@ void TaskBatcher::reap_lane(Lane& lane, Clock::time_point now,
 }
 
 std::optional<std::vector<InferenceRequest>> TaskBatcher::form_from(
-    Lane& lane, Clock::time_point now, bool flush,
-    std::vector<ReapedRequest>& reaped) {
+    Lane& lane, Clock::time_point now, std::vector<ReapedRequest>& reaped) {
     if (lane.empty()) {
         return std::nullopt;
     }
@@ -161,12 +136,6 @@ std::optional<std::vector<InferenceRequest>> TaskBatcher::form_from(
         }
     }
 
-    const bool full = member_indices.size() == max_batch;
-    const bool expired = now >= lane.front().enqueue_time + config_.max_wait;
-    if (!full && !expired && !flush) {
-        return std::nullopt;
-    }
-
     std::vector<InferenceRequest> batch;
     batch.reserve(member_indices.size());
     // Single stable compaction pass: members move into the batch, the
@@ -204,16 +173,16 @@ std::optional<std::vector<InferenceRequest>> TaskBatcher::form_from(
     return batch;
 }
 
-BatchResult TaskBatcher::next_batch(Clock::time_point now, bool flush) {
+BatchResult TaskBatcher::next_batch(Clock::time_point now) {
     BatchResult result;
     reap_lane(interactive_, now, result.reaped);
     reap_lane(batch_, now, result.reaped);
 
     // Interactive requests get batch-forming precedence: the batch lane
-    // is only consulted when no interactive batch is ready.
-    result.batch = form_from(interactive_, now, flush, result.reaped);
+    // is only consulted when the interactive lane yields no batch.
+    result.batch = form_from(interactive_, now, result.reaped);
     if (!result.batch) {
-        result.batch = form_from(batch_, now, flush, result.reaped);
+        result.batch = form_from(batch_, now, result.reaped);
     }
     return result;
 }

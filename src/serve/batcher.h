@@ -4,11 +4,14 @@
 // costs a pass over every site's threshold tensors, so the server wants
 // to run consecutive same-task requests as one forward batch. The
 // batcher holds pending requests in two priority lanes — `interactive`
-// ahead of `batch` — and decides, given "now", whether a batch is ready:
-// either a full batch of one task exists, or the oldest pending request
-// in the chosen lane has waited max_wait and must go out (tail latency
-// bound). Batch formation always tries the interactive lane first; batch
-// traffic absorbs the queueing when interactive load saturates.
+// ahead of `batch` — and, when asked, forms the next batch from whatever
+// is pending: the oldest request picks the task and pending same-task
+// requests join as the policy allows, up to max_batch_size. It never
+// holds a partial batch back; the dispatch loop asks whenever its
+// replica is idle, so batches fill only from requests that arrived
+// during earlier forwards. Batch formation always tries the interactive
+// lane first; batch traffic absorbs the queueing when interactive load
+// saturates.
 //
 // Deadlines and cancellation are enforced here, at batch-forming time:
 // every next_batch() call first reaps pending requests whose absolute
@@ -21,7 +24,6 @@
 // the policy logic deterministic and directly unit-testable.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -52,10 +54,6 @@ struct BatcherConfig {
     BatchingPolicy policy = BatchingPolicy::task_grouped;
     /// Largest forward batch the server will form.
     std::int64_t max_batch_size = 8;
-    /// Longest a request may sit pending before its batch is dispatched
-    /// even if not full (per lane; a saturated interactive lane may
-    /// still delay batch-lane traffic beyond this bound).
-    std::chrono::microseconds max_wait{2000};
     /// Optional cost hook: predicted wall time (us) to execute a batch
     /// of the given size for the task (see serve/cost_model.h). When
     /// set, batch forming turns deadline enforcement predictive: a
@@ -81,8 +79,8 @@ struct ReapedRequest {
 
 /// One batch-forming decision.
 struct BatchResult {
-    /// Claimed, same-task, same-lane requests ready for one forward;
-    /// nullopt when nothing is ready.
+    /// Claimed, same-task, same-lane requests for one forward; nullopt
+    /// when nothing is left to run.
     std::optional<std::vector<InferenceRequest>> batch;
     /// Requests reaped by deadline expiry / cancellation this call.
     std::vector<ReapedRequest> reaped;
@@ -104,17 +102,11 @@ public:
         return interactive_.size() + batch_.size();
     }
 
-    /// When non-empty: the next instant the batcher needs attention —
-    /// the earliest max_wait expiry of a lane front, or the earliest
-    /// request deadline (so expired requests are reaped promptly). The
-    /// dispatch loop sleeps until then.
-    std::optional<Clock::time_point> next_deadline() const;
-
-    /// Reaps expired/cancelled requests, then forms the next batch if
-    /// one is ready at `now`: the candidate group is full, the chosen
-    /// lane's oldest request has expired its max_wait, or `flush` forces
-    /// whatever exists out. The interactive lane is always tried first.
-    BatchResult next_batch(Clock::time_point now, bool flush = false);
+    /// Reaps expired/cancelled requests, then forms a batch at `now`
+    /// from what is pending, full or not: the interactive lane first,
+    /// else the batch lane. A batch is missing only when reaping left
+    /// both lanes empty or every chosen member's cancel won.
+    BatchResult next_batch(Clock::time_point now);
 
 private:
     using Lane = std::deque<InferenceRequest>;
@@ -122,7 +114,7 @@ private:
     void reap_lane(Lane& lane, Clock::time_point now,
                    std::vector<ReapedRequest>& reaped);
     std::optional<std::vector<InferenceRequest>> form_from(
-        Lane& lane, Clock::time_point now, bool flush,
+        Lane& lane, Clock::time_point now,
         std::vector<ReapedRequest>& reaped);
 
     BatcherConfig config_;

@@ -254,9 +254,13 @@ void InferenceServer::stop() {
 void InferenceServer::dispatch_loop() {
     constexpr auto kIdleTick = std::chrono::milliseconds(50);
     for (;;) {
-        const auto deadline =
-            batcher_.next_deadline().value_or(Clock::now() + kIdleTick);
-        std::vector<InferenceRequest> arrived = queue_.drain_until(deadline);
+        // Work-conserving: block for arrivals only while nothing is
+        // pending, so a lone request on an idle replica leaves at once
+        // and a backlog fills batches from what arrived during the
+        // previous forward.
+        std::vector<InferenceRequest> arrived =
+            batcher_.empty() ? queue_.drain_until(Clock::now() + kIdleTick)
+                             : queue_.drain_now();
         for (InferenceRequest& request : arrived) {
             if (request.trace != nullptr) {
                 const Clock::time_point drained = Clock::now();
@@ -266,33 +270,27 @@ void InferenceServer::dispatch_loop() {
             }
             batcher_.add(std::move(request));
         }
-        // Once the queue is closed no more requests can arrive; flush
-        // partial batches instead of waiting out max_wait.
-        const bool closing = queue_.closed();
-        for (;;) {
-            BatchResult decision = batcher_.next_batch(Clock::now(), closing);
-            for (ReapedRequest& reaped : decision.reaped) {
-                const char* why = "cancelled before dispatch";
-                if (reaped.status == ServeStatus::deadline_exceeded) {
-                    why = reaped.predicted_infeasible
-                              ? "predicted service time cannot meet the "
-                                "deadline; shed at batch formation"
-                              : "deadline expired before batch formation";
-                }
-                if (reaped.predicted_infeasible) {
-                    cost_infeasible_shed_.add();
-                }
-                fail_request(std::move(reaped.request), reaped.status, why);
+        // A non-empty lane always yields a batch or a reap: no spinning.
+        BatchResult decision = batcher_.next_batch(Clock::now());
+        for (ReapedRequest& reaped : decision.reaped) {
+            const char* why = "cancelled before dispatch";
+            if (reaped.status == ServeStatus::deadline_exceeded) {
+                why = reaped.predicted_infeasible
+                          ? "predicted service time cannot meet the "
+                            "deadline; shed at batch formation"
+                          : "deadline expired before batch formation";
             }
-            if (decision.batch.has_value()) {
-                run_batch(std::move(*decision.batch));
-            } else if (decision.reaped.empty()) {
-                break;  // no batch, nothing reaped: the lanes are settled
+            if (reaped.predicted_infeasible) {
+                cost_infeasible_shed_.add();
             }
-            // A reap-only round made progress (shed work may have
-            // unblocked a feasible batch); form again before sleeping.
+            fail_request(std::move(reaped.request), reaped.status, why);
         }
-        if (closing && batcher_.empty() && queue_.size() == 0) {
+        if (decision.batch.has_value()) {
+            run_batch(std::move(*decision.batch));
+        }
+        // Closed first: once it reads true no push can land, so an
+        // empty batcher and queue mean nothing is left to serve.
+        if (queue_.closed() && batcher_.empty() && queue_.size() == 0) {
             return;
         }
     }

@@ -126,7 +126,6 @@ TEST(TaskBatcher, CompactionPreservesArrivalOrderOfSurvivors) {
     BatcherConfig config;
     config.policy = BatchingPolicy::task_grouped;
     config.max_batch_size = 8;
-    config.max_wait = std::chrono::microseconds(0);  // always ready
     TaskBatcher batcher(config);
 
     const auto t0 = Clock::now();
@@ -477,7 +476,6 @@ BatcherConfig costed_batcher(double per_member_us) {
     BatcherConfig config;
     config.policy = BatchingPolicy::task_grouped;
     config.max_batch_size = 8;
-    config.max_wait = std::chrono::microseconds(0);
     config.predict_batch_us = [per_member_us](const std::string&,
                                               std::int64_t batch) {
         return per_member_us * static_cast<double>(batch);

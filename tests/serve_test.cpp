@@ -4,12 +4,14 @@
 // be safe).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <thread>
 
 #include "common/check.h"
 #include "core/adaptation_store.h"
+#include "obs/trace.h"
 #include "serve/batcher.h"
 #include "serve/inference_server.h"
 #include "serve/latency_stats.h"
@@ -58,7 +60,6 @@ TEST(TaskBatcher, GroupsByTaskAcrossInterleavedArrivals) {
     BatcherConfig config;
     config.policy = BatchingPolicy::task_grouped;
     config.max_batch_size = 4;
-    config.max_wait = std::chrono::microseconds(0);  // always ready
     TaskBatcher batcher(config);
 
     const auto t0 = Clock::now();
@@ -82,7 +83,6 @@ TEST(TaskBatcher, RespectsMaxBatchSize) {
     BatcherConfig config;
     config.policy = BatchingPolicy::task_grouped;
     config.max_batch_size = 2;
-    config.max_wait = std::chrono::microseconds(0);
     TaskBatcher batcher(config);
 
     const auto t0 = Clock::now();
@@ -100,7 +100,6 @@ TEST(TaskBatcher, FifoNeverReordersAcrossTaskChange) {
     BatcherConfig config;
     config.policy = BatchingPolicy::fifo;
     config.max_batch_size = 4;
-    config.max_wait = std::chrono::microseconds(0);
     TaskBatcher batcher(config);
 
     const auto t0 = Clock::now();
@@ -116,35 +115,24 @@ TEST(TaskBatcher, FifoNeverReordersAcrossTaskChange) {
     EXPECT_EQ(batch_tasks(*second), (std::vector<std::string>{"b"}));
 }
 
-TEST(TaskBatcher, WaitsForFullBatchUntilMaxWait) {
-    BatcherConfig config;
-    config.policy = BatchingPolicy::task_grouped;
-    config.max_batch_size = 4;
-    config.max_wait = std::chrono::microseconds(1000000);  // 1 s
-    TaskBatcher batcher(config);
+TEST(TaskBatcher, PartialBatchIsReadyAtOnce) {
+    TaskBatcher batcher{BatcherConfig{}};
 
+    // One request, far short of max_batch_size, asked for at the very
+    // instant it arrived: it goes out alone rather than waiting for
+    // peers that may never come.
     const auto t0 = Clock::now();
     batcher.add(make_request(0, "a", t0));
-    batcher.add(make_request(1, "a", t0));
-
-    // Not full and not expired: nothing is ready.
-    EXPECT_FALSE(batcher.next_batch(t0).batch.has_value());
-    // Past the deadline the partial batch goes out.
-    auto late = batcher.next_batch(t0 + std::chrono::seconds(2)).batch;
-    ASSERT_TRUE(late.has_value());
-    EXPECT_EQ(late->size(), 2u);
-    // Flush forces pending requests out regardless of age.
-    batcher.add(make_request(2, "a", t0));
-    auto flushed = batcher.next_batch(t0, /*flush=*/true).batch;
-    ASSERT_TRUE(flushed.has_value());
-    EXPECT_EQ(flushed->size(), 1u);
+    auto batch = batcher.next_batch(t0).batch;
+    ASSERT_TRUE(batch.has_value());
+    EXPECT_EQ(batch->size(), 1u);
+    EXPECT_TRUE(batcher.empty());
 }
 
 TEST(TaskBatcher, InteractiveLaneHasBatchFormingPrecedence) {
     BatcherConfig config;
     config.policy = BatchingPolicy::task_grouped;
     config.max_batch_size = 4;
-    config.max_wait = std::chrono::microseconds(0);  // always ready
     TaskBatcher batcher(config);
 
     const auto t0 = Clock::now();
@@ -167,7 +155,6 @@ TEST(TaskBatcher, InteractiveLaneHasBatchFormingPrecedence) {
 TEST(TaskBatcher, ReapsExpiredDeadlinesBeforeFormingBatches) {
     BatcherConfig config;
     config.max_batch_size = 4;
-    config.max_wait = std::chrono::microseconds(0);
     TaskBatcher batcher(config);
 
     const auto t0 = Clock::now();
@@ -175,11 +162,6 @@ TEST(TaskBatcher, ReapsExpiredDeadlinesBeforeFormingBatches) {
     doomed.deadline = t0 + std::chrono::microseconds(10);
     batcher.add(std::move(doomed));
     batcher.add(make_request(1, "a", t0));
-
-    // next_deadline must surface the request deadline so the dispatch
-    // loop wakes to expire it promptly.
-    ASSERT_TRUE(batcher.next_deadline().has_value());
-    EXPECT_LE(*batcher.next_deadline(), t0 + std::chrono::microseconds(10));
 
     BatchResult decision =
         batcher.next_batch(t0 + std::chrono::milliseconds(1));
@@ -194,7 +176,6 @@ TEST(TaskBatcher, ReapsExpiredDeadlinesBeforeFormingBatches) {
 TEST(TaskBatcher, ReapsCancelledRequestsWithoutDispatching) {
     BatcherConfig config;
     config.max_batch_size = 4;
-    config.max_wait = std::chrono::microseconds(0);
     TaskBatcher batcher(config);
 
     const auto t0 = Clock::now();
@@ -653,7 +634,6 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
         ServerConfig config;
         config.batcher.policy = BatchingPolicy::task_grouped;
         config.batcher.max_batch_size = 4;
-        config.batcher.max_wait = std::chrono::microseconds(2000);
         config.cache_capacity = 3;
         config.worker_threads = 1;
         InferenceServer server(fixture.network, fixture.loader(), config);
@@ -701,7 +681,6 @@ TEST(InferenceServer, QuantizedExecutionServesAndReportsCounters) {
     ServeFixture fixture;
     ServerConfig config;
     config.batcher.max_batch_size = 4;
-    config.batcher.max_wait = std::chrono::microseconds(2000);
     config.worker_threads = 1;
     config.quantized_execution = true;
     InferenceServer server(fixture.network, fixture.loader(), config);
@@ -753,7 +732,6 @@ TEST(InferenceServer, ConcurrentSubmitsAreSafe) {
     ServeFixture fixture;
     ServerConfig config;
     config.batcher.max_batch_size = 8;
-    config.batcher.max_wait = std::chrono::microseconds(500);
     config.cache_capacity = 2;  // force evictions among 3 tasks
     config.worker_threads = 1;
     config.queue_capacity = 16;  // exercise backpressure
@@ -793,6 +771,33 @@ TEST(InferenceServer, ConcurrentSubmitsAreSafe) {
             EXPECT_GT(result.latency_us, 0.0);
         }
     }
+}
+
+TEST(InferenceServer, IdleReplicaServesLoneRequestWithoutWaiting) {
+    ServeFixture fixture;
+    InferenceServer server(fixture.network, fixture.loader(), ServerConfig{});
+
+    // One request in flight at a time, so every batch is partial: an
+    // idle replica must run each at once, not hold it back for peers.
+    const Tensor image({3, 32, 32}, 0.1f);
+    std::vector<double> batch_form_us;
+    for (int i = 0; i < 16; ++i) {
+        SubmitOptions options;
+        options.trace = true;
+        RequestTicket ticket =
+            server.submit("alpha", image.clone(), std::move(options));
+        ASSERT_TRUE(ticket.wait().ok()) << "request " << i;
+        const obs::Trace* trace = ticket.trace();
+        ASSERT_NE(trace, nullptr) << "request " << i;
+        const obs::Span* span = trace->find(obs::SpanKind::batch_form);
+        ASSERT_NE(span, nullptr) << "request " << i;
+        batch_form_us.push_back(span->duration_us());
+    }
+    const auto median = batch_form_us.begin() +
+                        static_cast<std::ptrdiff_t>(batch_form_us.size() / 2);
+    std::nth_element(batch_form_us.begin(), median, batch_form_us.end());
+    EXPECT_LT(*median, 500.0) << "median batch_form span (us)";
+    server.stop();
 }
 
 TEST(InferenceServer, RejectsWrongImageShapeAtSubmit) {
@@ -844,7 +849,6 @@ TEST(InferenceServer, ReportsWorkspaceBytesWithPlannedExecutor) {
     ServeFixture fixture;
     ServerConfig config;
     config.batcher.max_batch_size = 4;
-    config.batcher.max_wait = std::chrono::microseconds(500);
     config.worker_threads = 1;
     InferenceServer server(fixture.network, fixture.loader(), config);
 
@@ -866,7 +870,6 @@ TEST(InferenceServer, SteadyStateBatchesAllocateNoTensorStorage) {
     ServeFixture fixture;
     ServerConfig config;
     config.batcher.max_batch_size = 1;  // fixed batch size -> one plan
-    config.batcher.max_wait = std::chrono::microseconds(0);
     config.worker_threads = 1;
     InferenceServer server(fixture.network, fixture.loader(), config);
 

@@ -261,7 +261,6 @@ TEST(ServerPool, PooledResultsBitMatchDirectForward) {
         config.routing = RoutingPolicy::round_robin;  // mix tasks over
                                                       // every replica
         config.server.batcher.max_batch_size = 4;
-        config.server.batcher.max_wait = std::chrono::microseconds(1000);
         config.server.cache_capacity = 3;
         config.server.worker_threads = 1;
         ServerPool pool(fixture.network, fixture.loader(), config);
@@ -344,7 +343,6 @@ TEST(ServerPool, TaskAffinityHydratesEachTaskOncePoolWide) {
         PoolConfig config;
         config.replica_count = kReplicas;
         config.routing = routing;
-        config.server.batcher.max_wait = std::chrono::microseconds(200);
         config.server.cache_capacity = kTasks;
         config.server.worker_threads = 1;
         ServerPool pool(fixture.network, fixture.loader(), config);
@@ -393,7 +391,6 @@ TEST(ServerPool, ShedModeRefusesDeterministically) {
     config.replica_count = 1;
     config.admission = AdmissionMode::shed;
     config.max_pending = 2;
-    config.server.batcher.max_wait = std::chrono::microseconds(0);
     config.server.worker_threads = 1;
     ServerPool pool(fixture.network, gated_loader, config);
 
@@ -424,7 +421,6 @@ TEST(ServerPool, BlockModeNeverExceedsMaxPending) {
     config.replica_count = 2;
     config.admission = AdmissionMode::block;
     config.max_pending = 3;
-    config.server.batcher.max_wait = std::chrono::microseconds(100);
     config.server.worker_threads = 1;
     ServerPool pool(fixture.network, fixture.loader(), config);
 
@@ -464,7 +460,6 @@ TEST(ServerPool, ConcurrentClientsOnAllPolicies) {
         PoolConfig config;
         config.replica_count = 2;
         config.routing = routing;
-        config.server.batcher.max_wait = std::chrono::microseconds(300);
         config.server.cache_capacity = 3;
         config.server.worker_threads = 1;
         ServerPool pool(fixture.network, fixture.loader(), config);
@@ -516,7 +511,6 @@ TEST(ServerPool, StatsMergeUsesPooledReservoirs) {
     PoolConfig config;
     config.replica_count = 2;
     config.routing = RoutingPolicy::task_affinity;
-    config.server.batcher.max_wait = std::chrono::microseconds(100);
     config.server.worker_threads = 1;
     ServerPool pool(fixture.network, fixture.loader(), config);
     for (int i = 0; i < 10; ++i) {
@@ -543,7 +537,6 @@ TEST(ServerPool, CostAwareSchedulingCalibratesAndRetiresLoad) {
     PoolConfig config;
     config.replica_count = 2;
     config.routing = RoutingPolicy::least_loaded;
-    config.server.batcher.max_wait = std::chrono::microseconds(200);
     config.server.worker_threads = 1;
     ServerPool pool(fixture.network, fixture.loader(), config);
     ASSERT_NE(pool.cost_model(), nullptr);
@@ -582,7 +575,6 @@ TEST(ServerPool, CostAwareSchedulingDecidesPredictiveShedding) {
         config.replica_count = 1;
         config.cost_aware_scheduling = cost_aware;
         config.cost_model = std::make_shared<CostModel>(cost_config);
-        config.server.batcher.max_wait = std::chrono::microseconds(0);
         config.server.worker_threads = 1;
         ServerPool pool(fixture.network, fixture.loader(), config);
 
@@ -689,7 +681,6 @@ TEST(ServerPool, AutoscalerGrowsUnderLoadAndShrinksBackToMin) {
     config.autoscaler.grow_patience = 1;
     config.autoscaler.shrink_patience = 2;
     config.server.batcher.max_batch_size = 4;
-    config.server.batcher.max_wait = std::chrono::microseconds(200);
     // Model an attached accelerator so the burst stays queued long
     // enough for the scaler to react on any host.
     config.server.simulated_service_time = std::chrono::milliseconds(3);
@@ -760,7 +751,6 @@ TEST(ServerPool, ActiveCountStaysBoundedWhileAutoscalerRacesSubmits) {
     config.autoscaler.grow_patience = 1;
     config.autoscaler.shrink_patience = 1;
     config.server.batcher.max_batch_size = 4;
-    config.server.batcher.max_wait = std::chrono::microseconds(200);
     config.server.simulated_service_time = std::chrono::milliseconds(1);
     config.server.worker_threads = 1;
 
@@ -825,7 +815,6 @@ TEST(ServerPool, StatsSnapshotStaysCoherentUnderConcurrentTraffic) {
     config.replica_count = 2;
     config.routing = RoutingPolicy::least_loaded;
     config.server.batcher.max_batch_size = 4;
-    config.server.batcher.max_wait = std::chrono::microseconds(200);
     config.server.worker_threads = 1;
     ServerPool pool(fixture.network, fixture.loader(), config);
 

@@ -92,14 +92,12 @@ struct BackendSpec {
     BackendKind kind;
 };
 
-/// Both backends behind the one interface the suite drives. max_wait 0
-/// keeps batch formation immediate and deterministic.
+/// Both backends behind the one interface the suite drives.
 std::unique_ptr<InferenceService> make_backend(
     BackendKind kind, ServiceFixture& fixture,
     ThresholdCache::Loader loader) {
     ServerConfig server_config;
     server_config.batcher.max_batch_size = 4;
-    server_config.batcher.max_wait = std::chrono::microseconds(0);
     server_config.cache_capacity = 4;
     server_config.worker_threads = 1;
     if (kind == BackendKind::server) {
@@ -460,7 +458,6 @@ TEST_P(ServiceApiTest, SampleRateOneTracesEveryRequest) {
     ServiceFixture fixture;
     ServerConfig server_config;
     server_config.batcher.max_batch_size = 4;
-    server_config.batcher.max_wait = std::chrono::microseconds(0);
     server_config.worker_threads = 1;
     server_config.trace_sample_rate = 1.0;
     std::unique_ptr<InferenceService> service;
@@ -506,7 +503,6 @@ TEST(ServiceApiPool, OverloadShedDeliversOverloadedOutcome) {
     config.replica_count = 1;
     config.admission = AdmissionMode::shed;
     config.max_pending = 2;
-    config.server.batcher.max_wait = std::chrono::microseconds(0);
     config.server.worker_threads = 1;
     ServerPool pool(fixture.network, gate.wrap(fixture.loader()), config);
     InferenceService& service = pool;
@@ -532,6 +528,45 @@ TEST(ServiceApiPool, OverloadShedDeliversOverloadedOutcome) {
     EXPECT_EQ(stats.completed, 2);
     EXPECT_EQ(stats.shed, 1);
     service.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Work-conserving dispatch under backlog
+// ---------------------------------------------------------------------------
+
+TEST(ServiceApiServer, BacklogStillFormsFullTaskGroupedBatches) {
+    // Partial batches leave as soon as the replica is idle, but a
+    // backlog that piled up during a forward must still batch fully:
+    // the loop must not degrade to one request per forward.
+    ServiceFixture fixture;
+    LoaderGate gate;
+    ServerConfig config;
+    config.batcher.max_batch_size = 4;
+    config.worker_threads = 1;
+    InferenceServer server(fixture.network, gate.wrap(fixture.loader()),
+                           config);
+
+    RequestTicket wedge =
+        server.submit("task0", Tensor({3, 32, 32}, 0.1f), {});
+    gate.entered.wait();  // the dispatch thread is mid-hydration
+    std::vector<RequestTicket> tickets;
+    for (int i = 0; i < 8; ++i) {
+        tickets.push_back(server.submit("task" + std::to_string(i % 2),
+                                        Tensor({3, 32, 32}, 0.01f * i), {}));
+    }
+    gate.open_promise.set_value();
+    server.drain();
+
+    EXPECT_TRUE(wedge.wait().ok());
+    for (RequestTicket& ticket : tickets) {
+        EXPECT_TRUE(ticket.wait().ok());
+    }
+    // The wedged batch of one, then one full batch per task.
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.batches_run, 3);
+    EXPECT_EQ(stats.per_task.at("task0").batches, 2);
+    EXPECT_EQ(stats.per_task.at("task1").batches, 1);
+    server.stop();
 }
 
 // ---------------------------------------------------------------------------
