@@ -92,6 +92,8 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
                 upstream_site->mask().activation_shape().dim(0) ==
                     conv->in_channels()) {
                 step.input_site = upstream_site;
+                step.live_scratch.reserve(
+                    static_cast<std::size_t>(conv->in_channels()));
             }
             step.buffer = Tensor({batch_size, conv->out_channels(),
                                   g.out_height(), g.out_width()});
@@ -244,11 +246,32 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                 const nn::ActiveIndexView* viewp = nullptr;
                 if (sparse_enabled && step.input_site != nullptr &&
                     step.input_site->mode() == ActivationMode::threshold) {
+                    // Of the structurally live channels, keep those
+                    // nonzero in at least one sample. A channel the
+                    // thresholds zeroed across the whole batch lowers to
+                    // all-zero im2col rows, which skip exactly as a
+                    // pruned channel's do. Live planes usually exit the
+                    // scan at their first elements.
                     const ActiveSet& as =
                         step.input_site->mask().active_set();
-                    view = {as.live_channels.data(),
+                    const std::int64_t plane =
+                        cur->shape().dim(2) * cur->shape().dim(3);
+                    step.live_scratch.clear();
+                    for (const std::int64_t c : as.live_channels) {
+                        for (std::int64_t n = 0; n < batch_size_; ++n) {
+                            const float* p =
+                                cur->data() + (n * as.channels + c) * plane;
+                            if (std::any_of(p, p + plane, [](float v) {
+                                    return v != 0.0f;
+                                })) {
+                                step.live_scratch.push_back(c);
+                                break;
+                            }
+                        }
+                    }
+                    view = {step.live_scratch.data(),
                             static_cast<std::int64_t>(
-                                as.live_channels.size()),
+                                step.live_scratch.size()),
                             as.channels};
                     viewp = &view;
                 }

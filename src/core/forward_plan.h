@@ -27,9 +27,14 @@
 // granularity and flatten at neuron granularity, and dies at any
 // conv/bn/linear in between. At run time, when the network's sparse
 // policy is on and the site runs in threshold mode, the step hands the
-// mask's structural ActiveSet to the layer, which skips the dead rows'
-// MACs via row-compacted GEMM (bit-identical outputs — the skipped terms
-// are exact zeros). Hit and skipped-MAC counters accumulate across runs.
+// layer a live list, which skips the other rows' MACs via row-compacted
+// GEMM (bit-identical outputs — the skipped terms are exact zeros). A
+// linear step takes the mask's structural ActiveSet as is. A conv step
+// narrows the structurally live channels at run time to those nonzero
+// in at least one sample of the batch, found by an early-exit scan of
+// its input: thresholds that zero a live channel across the batch skip
+// its MACs as pruning does. Hit and skipped-MAC counters accumulate
+// across runs.
 //
 // Quantized execution: when the network's QuantizedExecution policy is
 // on at build time, conv/linear steps snapshot their weights as int8
@@ -163,8 +168,11 @@ private:
         bool input_neuron_level = false;
         /// Linear, channel-level only: input features per mask channel.
         std::int64_t input_channel_extent = 0;
-        /// Linear, channel-level only: live-feature expansion scratch
-        /// (capacity reserved at build, so runs never allocate).
+        /// The live list handed to the layer when it is built per run:
+        /// for a conv, the structurally live input channels nonzero in
+        /// some sample of the batch; for a channel-level linear, the
+        /// live channels expanded to their features. Capacity is
+        /// reserved at build, so runs never allocate.
         std::vector<std::int64_t> live_scratch;
         /// MACs per unit of contraction depth (batch * Cout * spatial
         /// for conv, batch * out_features for linear) and the dense

@@ -31,8 +31,9 @@ enum class ActivationMode {
 };
 
 /// Policy for the sparse planned executor: whether conv/linear steps may
-/// take the row-compacted path for structurally pruned masks, and the
-/// density above which they fall back to dense.
+/// take the row-compacted path for structurally pruned masks (and, for
+/// convs, input channels zero across the batch), and the density above
+/// which they fall back to dense.
 struct SparseExecution {
     bool enabled = true;
     double density_cutoff = nn::kDefaultSparseDensityCutoff;

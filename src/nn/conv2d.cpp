@@ -387,14 +387,32 @@ bool Conv2d::forward_into_quantized(const Tensor& input,
     const float* w_scales = qweight.scales.data();
     const std::int8_t* w_data = qweight.data.data();
 
+    // A sparse lowering reads only the listed channels' planes, and every
+    // other plane is zero: quantizing just those keeps the absmax, hence
+    // the scale and every byte the GEMM reads, while the per-channel cost
+    // shrinks with the list. Dense quantizes the sample as one range.
+    const std::int64_t plane = g.in_height * g.in_width;
+    const std::int64_t ranges = sparse ? live_in_channels->count : 1;
+    const std::int64_t range_len = sparse ? plane : in_stride;
+    auto range_offset = [&](std::int64_t i) {
+        return sparse ? live_in_channels->indices[i] * plane : 0;
+    };
+
     auto run_sample = [&](std::int64_t n, std::int8_t* cols,
                           std::int32_t* acc, ThreadPool* gemm_pool) {
         const float* x = input.data() + n * in_stride;
         std::int8_t* xq = qinput + n * in_stride;
-        const float absmax = nn::activation_absmax(x, in_stride);
+        float absmax = 0.0f;
+        for (std::int64_t i = 0; i < ranges; ++i) {
+            absmax = std::max(absmax, nn::activation_absmax(
+                                          x + range_offset(i), range_len));
+        }
         x_scales[n] = absmax == 0.0f ? 0.0f : absmax / 127.0f;
-        nn::quantize_with_scale(x, in_stride,
-                                absmax == 0.0f ? 0.0f : 127.0f / absmax, xq);
+        const float inv_scale = absmax == 0.0f ? 0.0f : 127.0f / absmax;
+        for (std::int64_t i = 0; i < ranges; ++i) {
+            nn::quantize_with_scale(x + range_offset(i), range_len,
+                                    inv_scale, xq + range_offset(i));
+        }
         if (sparse) {
             im2col(g, xq, cols, live_in_channels->indices,
                    live_in_channels->count);

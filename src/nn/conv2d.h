@@ -40,11 +40,13 @@ public:
     /// row's FMA chain is the same either way.
     ///
     /// `live_in_channels`, when given, lists the input channels that can
-    /// be nonzero (the rest were structurally pruned by an upstream
-    /// threshold mask); if its density is at or below the cutoff, im2col
-    /// lowers only the live channels and the GEMM contracts over their
-    /// rows only — bit-identical to dense because the skipped rows
-    /// contribute exact zeros. Returns whether that compacted path ran.
+    /// be nonzero; every other channel must be zero in every sample
+    /// (structurally pruned by an upstream threshold mask, or zeroed
+    /// across the batch at run time). If its density is at or below the
+    /// cutoff, im2col lowers only the listed channels and the GEMM
+    /// contracts over their rows only — bit-identical to dense because
+    /// the skipped rows contribute exact zeros. Returns whether that
+    /// compacted path ran.
     bool forward_into(const Tensor& input, Workspace& workspace,
                       Tensor& output,
                       const ActiveIndexView* live_in_channels = nullptr);
@@ -61,8 +63,11 @@ public:
     /// column matrix times transposed weights), so the int8 kernel's
     /// 16-wide tiles span output channels rather than a scalar tail.
     /// Same live-channel compaction and return semantics as
-    /// forward_into; scratch comes from `workspace`
-    /// (quantized_workspace_bytes), so steady state allocates nothing.
+    /// forward_into; a compacted call also computes each sample's scale
+    /// from, and quantizes, only the listed channels' planes (the rest
+    /// are zero, so the scale and the bytes the GEMM reads are the same).
+    /// Scratch comes from `workspace` (quantized_workspace_bytes), so
+    /// steady state allocates nothing.
     bool forward_into_quantized(const Tensor& input, Workspace& workspace,
                                 Tensor& output,
                                 const nn::QuantizedTensor& qweight,

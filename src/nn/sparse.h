@@ -15,9 +15,12 @@ namespace mime::nn {
 inline constexpr double kDefaultSparseDensityCutoff = 0.85;
 
 /// Non-owning view of the live indices of one axis (input channels for
-/// Conv2d, input features for Linear). Indices must be strictly
-/// ascending within [0, total). The pointee must outlive the forward
-/// call it is passed to.
+/// Conv2d, input features for Linear): the indices that may be nonzero.
+/// Every index left out must be zero in every sample of the batch,
+/// whether a threshold pruned it structurally or the planned executor
+/// found it zero at run time. Indices must be strictly ascending within
+/// [0, total). The pointee must outlive the forward call it is passed
+/// to.
 struct ActiveIndexView {
     const std::int64_t* indices = nullptr;
     std::int64_t count = 0;

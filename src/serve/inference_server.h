@@ -67,11 +67,13 @@ struct ServerConfig {
     /// failures, and batch errors. Runs on the dispatch thread; a
     /// ServerPool uses it for admission-slot release and load tracking.
     std::function<void(std::size_t)> on_requests_complete;
-    /// Let planned conv/linear steps skip structurally pruned rows via
+    /// Let planned conv/linear steps skip structurally pruned rows, and
+    /// conv input channels that are zero in every sample of a batch, via
     /// row-compacted GEMM (bit-identical outputs; only effective for
     /// tasks whose installed thresholds prune neurons with
-    /// core::kPrunedThreshold). Off forces dense — kept so benches can
-    /// A/B sparse against dense planned execution.
+    /// core::kPrunedThreshold or zero whole channels at run time). Off
+    /// forces dense — kept so benches can A/B sparse against dense
+    /// planned execution.
     bool sparse_execution = true;
     /// Execute planned conv/linear steps through the int8 quantized
     /// kernels (per-output-channel weight scales snapshotted at plan

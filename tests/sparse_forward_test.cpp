@@ -1,7 +1,8 @@
 // Sparse planned executor tests: the row-compacted path must bit-match
 // dense planned execution across architectures, batch sizes, batchnorm
-// variants, mid-stream threshold swaps, and the all-dead / all-live
-// edge cases — and stay allocation-free after warm-up.
+// variants, mid-stream threshold swaps, channels zeroed at run time, and
+// the all-dead / all-live edge cases — and stay allocation-free after
+// warm-up.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -63,6 +64,46 @@ void prune_channels(core::MimeNetwork& net, std::int64_t keep_mod,
         }
         mask.mark_thresholds_dirty();
     }
+}
+
+/// Zeroes channels at run time without pruning any: channel c of every
+/// site gets threshold 1e30 (no activation this network produces reaches
+/// it) when c % 4 == 0, and -1e30 (every such activation passes
+/// unmasked) otherwise. Every channel stays structurally live, so only the
+/// executor's run-time scan can find the zero ones.
+void zero_channels_at_run_time(core::MimeNetwork& net) {
+    for (std::int64_t s = 0; s < net.site_count(); ++s) {
+        core::ThresholdMask& mask = net.site(s).mask();
+        Tensor& t = mask.thresholds().value;
+        const std::int64_t extent =
+            t.numel() / mask.activation_shape().dim(0);
+        for (std::int64_t i = 0; i < t.numel(); ++i) {
+            t.data()[i] = (i / extent) % 4 == 0 ? 1e30f : -1e30f;
+        }
+        mask.mark_thresholds_dirty();
+    }
+}
+
+/// MACs a planned forward of `batch` samples skips when exactly the
+/// zero_channels_at_run_time() zeros are skipped: every conv after the
+/// first drops the K*K column rows of each input channel c % 4 == 0.
+std::uint64_t run_time_zero_skipped_macs(const core::MimeNetwork& net,
+                                         std::int64_t batch) {
+    std::uint64_t macs = 0;
+    bool first = true;
+    for (const arch::LayerSpec& spec : net.layer_specs()) {
+        if (spec.kind != arch::LayerKind::conv) {
+            continue;
+        }
+        if (!first) {
+            const std::int64_t zero_channels = (spec.in_channels + 3) / 4;
+            macs += static_cast<std::uint64_t>(
+                batch * spec.out_channels * spec.out_height() *
+                spec.out_width() * spec.kernel * spec.kernel * zero_channels);
+        }
+        first = false;
+    }
+    return macs;
 }
 
 std::vector<float> tensor_copy(const Tensor& t) {
@@ -253,6 +294,64 @@ TEST(SparseForward, BandedPoolBitMatchesSingleThread) {
     net.set_pool(nullptr);
 }
 
+TEST(SparseForward, RunTimeZeroChannelsSkipBitExactly) {
+    // A structurally live channel that is zero in every sample of the
+    // batch is skipped like a pruned one, on the float and int8 paths,
+    // without changing an output bit. A channel nonzero in even one
+    // sample still runs.
+    for (const bool quantized : {false, true}) {
+        for (const int batch : {1, 8}) {
+            SCOPED_TRACE(std::string(quantized ? "int8" : "float") +
+                         " batch " + std::to_string(batch));
+            core::MimeNetwork net(vgg_config(false));
+            net.set_training(false);
+            net.set_eval_mode(true);
+            net.set_mode(core::ActivationMode::threshold);
+            zero_channels_at_run_time(net);
+            net.set_quantized_execution({quantized});
+
+            Rng rng(71);
+            const Tensor random = Tensor::randn({batch, 3, 32, 32}, rng);
+            // Every sample zero but the last: with zero biases and no
+            // batchnorm, each pass-through channel is then zero in every
+            // sample but one.
+            Tensor one_live({batch, 3, 32, 32}, 0.0f);
+            const std::int64_t per_sample = random.numel() / batch;
+            std::memcpy(one_live.data() + (batch - 1) * per_sample,
+                        random.data() + (batch - 1) * per_sample,
+                        per_sample * sizeof(float));
+            const std::uint64_t expected =
+                run_time_zero_skipped_macs(net, batch);
+            ASSERT_GT(expected, 0u);
+
+            const std::pair<const char*, const Tensor*> inputs[] = {
+                {"random batch", &random}, {"one nonzero sample", &one_live}};
+            for (const auto& [name, x] : inputs) {
+                SCOPED_TRACE(name);
+                Workspace workspace;
+                net.set_sparse_execution({false, 0.85});
+                const std::vector<float> dense =
+                    tensor_copy(net.forward_planned(*x, workspace));
+
+                net.set_sparse_execution({true, 0.85});
+                const std::uint64_t skipped0 = net.planned_skipped_macs();
+                const Tensor& sparse = net.forward_planned(*x, workspace);
+                EXPECT_TRUE(bit_equal(dense, sparse))
+                    << "sparse planned logits diverge from dense";
+                EXPECT_EQ(net.planned_skipped_macs() - skipped0, expected);
+                const std::vector<float> single = tensor_copy(sparse);
+
+                ThreadPool pool(4);
+                net.set_pool(&pool);
+                EXPECT_TRUE(
+                    bit_equal(single, net.forward_planned(*x, workspace)))
+                    << "banded pool diverges from single-threaded";
+                net.set_pool(nullptr);
+            }
+        }
+    }
+}
+
 TEST(SparseForward, ZeroAllocationsAfterWarmUp) {
     core::MimeNetwork net(vgg_config(false));
     net.set_training(false);
@@ -262,6 +361,9 @@ TEST(SparseForward, ZeroAllocationsAfterWarmUp) {
     const core::ThresholdSet task_a = net.snapshot_thresholds("a");
     prune_channels(net, 4, 1);
     const core::ThresholdSet task_b = net.snapshot_thresholds("b");
+    zero_channels_at_run_time(net);
+    const core::ThresholdSet task_c = net.snapshot_thresholds("c");
+    const core::ThresholdSet* tasks[] = {&task_a, &task_b, &task_c};
     net.set_sparse_execution({true, 0.85});
 
     Rng rng(43);
@@ -269,15 +371,15 @@ TEST(SparseForward, ZeroAllocationsAfterWarmUp) {
     Workspace workspace;
 
     // Warm-up: plan build, workspace reserve, first sparse pass for
-    // both tasks (active-set vectors size themselves here).
-    net.load_thresholds(task_a);
-    net.forward_planned(x, workspace);
-    net.load_thresholds(task_b);
-    net.forward_planned(x, workspace);
+    // every task (active-set vectors size themselves here).
+    for (const core::ThresholdSet* task : tasks) {
+        net.load_thresholds(*task);
+        net.forward_planned(x, workspace);
+    }
 
     const std::int64_t alloc0 = Tensor::storage_allocation_count();
-    for (int i = 0; i < 4; ++i) {
-        net.load_thresholds(i % 2 == 0 ? task_a : task_b);
+    for (int i = 0; i < 6; ++i) {
+        net.load_thresholds(*tasks[i % 3]);
         net.forward_planned(x, workspace);
     }
     EXPECT_EQ(Tensor::storage_allocation_count() - alloc0, 0)
@@ -524,6 +626,9 @@ TEST(QuantizedForward, ZeroAllocationsAfterWarmUp) {
     const core::ThresholdSet task_a = net.snapshot_thresholds("a");
     prune_channels(net, 4, 1);
     const core::ThresholdSet task_b = net.snapshot_thresholds("b");
+    zero_channels_at_run_time(net);
+    const core::ThresholdSet task_c = net.snapshot_thresholds("c");
+    const core::ThresholdSet* tasks[] = {&task_a, &task_b, &task_c};
     net.set_quantized_execution({true});
     net.set_sparse_execution({true, 0.85});
 
@@ -531,14 +636,14 @@ TEST(QuantizedForward, ZeroAllocationsAfterWarmUp) {
     const Tensor x = Tensor::randn({8, 3, 32, 32}, rng);
     Workspace workspace;
 
-    net.load_thresholds(task_a);
-    net.forward_planned(x, workspace);
-    net.load_thresholds(task_b);
-    net.forward_planned(x, workspace);
+    for (const core::ThresholdSet* task : tasks) {
+        net.load_thresholds(*task);
+        net.forward_planned(x, workspace);
+    }
 
     const std::int64_t alloc0 = Tensor::storage_allocation_count();
-    for (int i = 0; i < 4; ++i) {
-        net.load_thresholds(i % 2 == 0 ? task_a : task_b);
+    for (int i = 0; i < 6; ++i) {
+        net.load_thresholds(*tasks[i % 3]);
         net.forward_planned(x, workspace);
     }
     EXPECT_EQ(Tensor::storage_allocation_count() - alloc0, 0)
