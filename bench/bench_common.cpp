@@ -24,7 +24,8 @@ void print_claim(const std::string& metric, const std::string& paper,
                 paper.c_str(), measured.c_str());
 }
 
-void write_text_file(const std::string& filename, const std::string& body) {
+void write_json_file(const std::string& filename, const Json& json) {
+    const std::string body = json.to_string() + "\n";
     const char* env = std::getenv("MIME_BENCH_JSON_DIR");
     const std::filesystem::path dir = env != nullptr ? env : ".";
     std::error_code ec;
@@ -38,10 +39,6 @@ void write_text_file(const std::string& filename, const std::string& body) {
     std::fwrite(body.data(), 1, body.size(), f);
     std::fclose(f);
     std::printf("  wrote %s\n", path.string().c_str());
-}
-
-void write_json_file(const std::string& filename, const Json& json) {
-    write_text_file(filename, json.to_string() + "\n");
 }
 
 namespace {

@@ -31,7 +31,7 @@ void print_claim(const std::string& metric, const std::string& paper,
                  const std::string& measured);
 
 /// Ordered JSON tree for machine-readable bench artifacts
-/// (BENCH_kernels.json, BENCH_serve.json). The implementation moved to
+/// (BENCH_kernels.json). The implementation moved to
 /// src/common/json.h so the src/obs/ exporters can share it; the alias
 /// keeps every bench spelling `bench::Json` unchanged.
 using Json = ::mime::Json;
@@ -39,10 +39,6 @@ using Json = ::mime::Json;
 /// Writes `json` to MIME_BENCH_JSON_DIR/filename (dir defaults to the
 /// current working directory) and logs the path.
 void write_json_file(const std::string& filename, const Json& json);
-
-/// Writes an arbitrary text body (e.g. a Prometheus metrics dump) to
-/// MIME_BENCH_JSON_DIR/filename and logs the path.
-void write_text_file(const std::string& filename, const std::string& body);
 
 /// The trainable mini setup (width-scaled VGG16 + synthetic task suite);
 /// scale is controlled by MIME_BENCH_SCALE (0 = quick smoke, 1 = default

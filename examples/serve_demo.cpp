@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
                 store_dir.c_str());
 
     serve::ServerConfig server_config;
-    server_config.batcher.policy = serve::BatchingPolicy::task_grouped;
     server_config.batcher.max_batch_size = 4;
     server_config.cache_capacity = 2;  // one task will thrash: watch
                                        // the eviction counter

@@ -1,10 +1,10 @@
 // Minimal ordered JSON writer.
 //
-// Grew up as bench_common's artifact writer (BENCH_kernels.json,
-// BENCH_serve.json) and moved here so runtime subsystems — notably the
-// src/obs/ metric exporters — can emit the same format without linking
-// the bench layer. Insertion order is preserved so emitted files diff
-// cleanly run-to-run.
+// Grew up as bench_common's artifact writer (BENCH_kernels.json) and
+// moved here so runtime subsystems — notably the src/obs/ metric
+// exporters — can emit the same format without linking the bench
+// layer. Insertion order is preserved so emitted files diff cleanly
+// run-to-run.
 #pragma once
 
 #include <cstdint>

@@ -8,29 +8,23 @@
 
 namespace mime::serve {
 
-const char* to_string(BatchingPolicy policy) {
-    switch (policy) {
-        case BatchingPolicy::fifo:
-            return "fifo";
-        case BatchingPolicy::task_grouped:
-            return "task_grouped";
-    }
-    return "unknown";
-}
-
 namespace {
 
-/// now + predicted microseconds, saturating at the clock's maximum.
+/// now + predicted microseconds, saturating at the clock's maximum. The
+/// range check runs in double, before the conversion to clock ticks,
+/// which would overflow for a prediction past the clock's range (or
+/// +inf); such a prediction never meets a deadline. A NaN or
+/// non-positive prediction adds nothing.
 Clock::time_point after_us(Clock::time_point now, double us) {
-    if (us <= 0.0) {
+    if (!(us > 0.0)) {
         return now;
     }
-    const auto predicted = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::micro>(us));
-    if (predicted > Clock::time_point::max() - now) {
+    const std::chrono::duration<double, Clock::period> predicted =
+        std::chrono::duration<double, std::micro>(us);
+    if (predicted >= Clock::time_point::max() - now) {
         return Clock::time_point::max();
     }
-    return now + predicted;
+    return now + std::chrono::duration_cast<Clock::duration>(predicted);
 }
 
 }  // namespace
@@ -95,7 +89,7 @@ std::optional<std::vector<InferenceRequest>> TaskBatcher::form_from(
     }
 
     // The oldest pending request picks the batch's task; this bounds
-    // per-request delay under both policies.
+    // per-request delay.
     const std::string& task = lane.front().task;
     const auto max_batch = static_cast<std::size_t>(config_.max_batch_size);
 
@@ -106,9 +100,6 @@ std::optional<std::vector<InferenceRequest>> TaskBatcher::form_from(
     Clock::time_point min_deadline = Clock::time_point::max();
     for (std::size_t i = 0; i < lane.size(); ++i) {
         if (lane[i].task != task) {
-            if (config_.policy == BatchingPolicy::fifo) {
-                break;  // fifo never reaches past a task change
-            }
             continue;
         }
         // Cost-aware join check (the front always seeds the batch; its

@@ -5,13 +5,14 @@
 // to run consecutive same-task requests as one forward batch. The
 // batcher holds pending requests in two priority lanes — `interactive`
 // ahead of `batch` — and, when asked, forms the next batch from whatever
-// is pending: the oldest request picks the task and pending same-task
-// requests join as the policy allows, up to max_batch_size. It never
-// holds a partial batch back; the dispatch loop asks whenever its
-// replica is idle, so batches fill only from requests that arrived
-// during earlier forwards. Batch formation always tries the interactive
-// lane first; batch traffic absorbs the queueing when interactive load
-// saturates.
+// is pending: the oldest request picks the task and every pending
+// same-task request of its lane joins, regardless of position, up to
+// max_batch_size. Grouping amortizes threshold swaps under interleaved
+// traffic at the cost of bounded reordering. It never holds a partial
+// batch back; the dispatch loop asks whenever its replica is idle, so
+// batches fill only from requests that arrived during earlier forwards.
+// Batch formation always tries the interactive lane first; batch
+// traffic absorbs the queueing when interactive load saturates.
 //
 // Deadlines and cancellation are enforced here, at batch-forming time:
 // every next_batch() call first reaps pending requests whose absolute
@@ -35,23 +36,7 @@
 
 namespace mime::serve {
 
-/// How pending requests are grouped into batches (within one lane).
-enum class BatchingPolicy {
-    /// Strict arrival order: a batch is the longest same-task *prefix*
-    /// of the lane. Never reorders requests; a task change in the
-    /// stream always cuts the batch (models a naive server).
-    fifo,
-    /// Task-grouped: the oldest request picks the task, then *all*
-    /// pending requests of that task join (up to max_batch_size),
-    /// regardless of position. Amortizes threshold swaps under
-    /// interleaved traffic at the cost of bounded reordering.
-    task_grouped
-};
-
-const char* to_string(BatchingPolicy policy);
-
 struct BatcherConfig {
-    BatchingPolicy policy = BatchingPolicy::task_grouped;
     /// Largest forward batch the server will form.
     std::int64_t max_batch_size = 8;
     /// Optional cost hook: predicted wall time (us) to execute a batch
@@ -60,7 +45,9 @@ struct BatcherConfig {
     /// request whose deadline cannot be met even served alone right now
     /// is shed at reap time (ReapedRequest::predicted_infeasible), and
     /// a candidate only joins a forming batch if the predicted cost of
-    /// the grown batch still meets every member's deadline.
+    /// the grown batch still meets every member's deadline. A prediction
+    /// too large for the clock (or +inf) counts as never finishing, so
+    /// the request is shed; a NaN prediction never sheds.
     std::function<double(const std::string&, std::int64_t)>
         predict_batch_us;
 };

@@ -6,25 +6,23 @@
 // size) -> predicted wall microseconds, consumed by
 //   * TaskBatcher        — deadline-feasibility at batch-forming time,
 //   * Router/ServerPool  — predicted-microseconds-outstanding loads for
-//                          least_loaded routing,
-//   * the pool autoscaler — predicted per-replica backlog drives
-//                          grow/shrink decisions.
+//                          least_loaded routing.
 //
 // The base price is linear in the work a batch executes:
 //   overhead + batch_size * per_sample_us * live_fraction(task)
 // where live_fraction is the task's executed MACs / dense MACs on its
 // last batch (the serving path reports it after every forward; unknown
 // tasks price as dense). The base is blended against reality online:
-// observed batch service times (install + forward + any simulated
-// accelerator time) drive a global EWMA calibration scale — the base
-// prices the relative cost of tasks and batch sizes, while the absolute
-// speed of a real replica (CPU, SIMD, int8 or float, thread pool) is
-// learned — plus a per-(task, batch-size) observed EWMA that dominates
-// once enough samples of that exact shape exist.
+// observed batch service times (install + forward) drive a global EWMA
+// calibration scale — the base prices the relative cost of tasks and
+// batch sizes, while the absolute speed of a real replica (CPU, SIMD,
+// int8 or float, thread pool) is learned — plus a per-(task,
+// batch-size) observed EWMA that dominates once enough samples of that
+// exact shape exist.
 //
 // Thread-safe: one instance is shared by every replica's dispatch
-// thread, the pool's submit path and the autoscaler. All methods lock a
-// single internal mutex; the model never calls out while holding it.
+// thread and the pool's submit path. All methods lock a single internal
+// mutex; the model never calls out while holding it.
 #pragma once
 
 #include <cstdint>

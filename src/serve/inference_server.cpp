@@ -149,7 +149,7 @@ InferenceServer::InferenceServer(core::MimeNetwork& network,
     network_->set_eval_mode(true);  // required by forward_planned
     network_->set_mode(core::ActivationMode::threshold);
     network_->set_pool(&pool_);
-    network_->set_sparse_execution({config.sparse_execution});
+    network_->set_sparse_execution(core::SparseExecution{});
     network_->set_quantized_execution({config.quantized_execution});
     dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
@@ -190,7 +190,12 @@ RequestTicket InferenceServer::submit_impl(
     request.priority = options.priority;
     request.control = std::make_shared<RequestControl>();
     request.enqueue_time = Clock::now();
-    if (options.deadline.count() > 0) {
+    // Saturate: a deadline past the clock's range is no deadline, not
+    // an overflow that wraps into the past.
+    const auto range_left =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            Clock::time_point::max() - request.enqueue_time);
+    if (options.deadline.count() > 0 && options.deadline < range_left) {
         request.deadline = request.enqueue_time + options.deadline;
     }
     std::future<Outcome<InferenceResult>> future;
@@ -377,9 +382,6 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
         const std::uint64_t dense_before = plan.dense_macs();
         const std::uint64_t skipped_before = plan.skipped_macs();
         const Tensor& logits = network_->forward_planned(slab, workspace_);
-        if (config_.simulated_service_time.count() > 0) {
-            std::this_thread::sleep_for(config_.simulated_service_time);
-        }
 
         const std::int64_t head_width = logits.shape().dim(1);
         const std::int64_t classes = active_classes_;
@@ -403,8 +405,7 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
         if (config_.cost_model) {
             // Feed reality back: the MACs this batch executed reprice
             // the task, and the measured service time (install +
-            // forward + simulated accelerator) calibrates the absolute
-            // scale.
+            // forward) calibrates the absolute scale.
             const std::uint64_t dense = plan.dense_macs() - dense_before;
             const std::uint64_t skipped =
                 plan.skipped_macs() - skipped_before;

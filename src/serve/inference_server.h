@@ -7,8 +7,11 @@
 // batch, expired deadlines and won cancels reaped before any forward),
 // installs the task's threshold set + head from the ThresholdCache (a
 // swap touches only T_child bytes — never W_parent), and runs one
-// forward per batch. Kernel-level parallelism inside the forward is
-// driven by a common/thread_pool the server owns.
+// planned forward per batch. The forward always runs sparse: conv and
+// linear steps skip structurally pruned rows, and conv input channels
+// that are zero in every sample of the batch, with bit-identical
+// outputs. Kernel-level parallelism inside the forward is driven by a
+// common/thread_pool the server owns.
 //
 // submit() returns a cancellable RequestTicket; outcomes arrive as
 // Outcome<InferenceResult> through the ticket's future or a
@@ -17,7 +20,6 @@
 // collected continuously and printable as a common/table.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -56,31 +58,18 @@ struct ServerConfig {
     std::size_t worker_threads = 0;
     /// Bounded request queue depth (backpressure under overload).
     std::size_t queue_capacity = 4096;
-    /// Models an attached accelerator with a fixed per-batch service
-    /// time: each batch blocks this long after the (functional) CPU
-    /// forward. Lets pool benches and tests expose dispatch-level
-    /// parallelism on hosts whose cores the tiny forward would
-    /// otherwise saturate. Zero (the default) disables it.
-    std::chrono::microseconds simulated_service_time{0};
     /// Invoked after each accepted request reaches a terminal outcome —
     /// batch completions (with the batch size), reaped deadline/cancel
     /// failures, and batch errors. Runs on the dispatch thread; a
     /// ServerPool uses it for admission-slot release and load tracking.
     std::function<void(std::size_t)> on_requests_complete;
-    /// Let planned conv/linear steps skip structurally pruned rows, and
-    /// conv input channels that are zero in every sample of a batch, via
-    /// row-compacted GEMM (bit-identical outputs; only effective for
-    /// tasks whose installed thresholds prune neurons with
-    /// core::kPrunedThreshold or zero whole channels at run time). Off
-    /// forces dense — kept so benches can A/B sparse against dense
-    /// planned execution.
-    bool sparse_execution = true;
     /// Execute planned conv/linear steps through the int8 quantized
     /// kernels (per-output-channel weight scales snapshotted at plan
     /// build; per-sample dynamic activation scales; float masters and
-    /// threshold machinery untouched). Composes with sparse_execution —
-    /// the same live sets drive the row-compacted int8 GEMM. Off (the
-    /// default) keeps full-precision execution; benches A/B the two.
+    /// threshold machinery untouched). Composes with sparse execution,
+    /// which every server runs: the same live sets drive the
+    /// row-compacted int8 GEMM. Off (the default) keeps full-precision
+    /// execution.
     bool quantized_execution = false;
     /// Fraction of requests that get a span Trace (0 = only requests
     /// with SubmitOptions::trace set, 1 = all). Deterministic rate
@@ -93,7 +82,7 @@ struct ServerConfig {
     /// reprices the task; the serve.cost_* metrics go live. A pool
     /// hands the same instance to every replica. Deadline-feasibility
     /// shedding is the batcher's predict_batch_us hook, which a
-    /// cost-aware ServerPool installs from this model.
+    /// ServerPool installs from this model.
     std::shared_ptr<CostModel> cost_model;
 };
 

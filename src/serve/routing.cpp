@@ -30,12 +30,6 @@ Router::Router(RoutingPolicy policy, std::size_t replica_count)
     MIME_REQUIRE(replica_count >= 1, "router needs at least one replica");
 }
 
-void Router::set_replica_count(std::size_t replica_count) {
-    MIME_REQUIRE(replica_count >= 1, "router needs at least one replica");
-    replica_count_ = replica_count;
-    next_ %= replica_count_;
-}
-
 std::size_t Router::route(const std::string& task,
                           const std::vector<double>& loads) {
     MIME_REQUIRE(loads.size() == replica_count_,

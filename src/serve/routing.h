@@ -9,8 +9,7 @@
 //                     hits (the pool-level analogue of task-grouped
 //                     batching),
 //   * least_loaded  — pick the replica with the least outstanding work
-//                     (in-flight request count, or predicted cost in
-//                     microseconds when the pool runs cost-aware); best
+//                     (the pool's predicted cost in microseconds); best
 //                     tail latency under skew, task-blind.
 // Pure single-threaded logic — the pool drives it under its own mutex —
 // so every policy is deterministic and directly unit-testable.
@@ -38,15 +37,8 @@ public:
     RoutingPolicy policy() const noexcept { return policy_; }
     std::size_t replica_count() const noexcept { return replica_count_; }
 
-    /// Retargets the router to a new (active) replica count — the pool's
-    /// autoscaler grows/shrinks the routable set. round_robin keeps its
-    /// cursor (modulo the new count); task_affinity remaps tasks, which
-    /// trades a one-time cache re-hydration for balanced placement.
-    void set_replica_count(std::size_t replica_count);
-
     /// Picks the replica for `task`. `loads` holds per-replica
-    /// outstanding work — in-flight request counts, or predicted
-    /// microseconds when the pool runs cost-aware scheduling (only
+    /// outstanding work — the pool passes predicted microseconds (only
     /// least_loaded reads it) — and must have replica_count entries.
     /// Exact ties rotate round-robin among the minima so an idle pool
     /// (or equal predicted costs) never hot-spots replica 0.

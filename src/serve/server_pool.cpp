@@ -1,10 +1,8 @@
 #include "serve/server_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
-#include "common/check.h"
 #include "common/table.h"
 #include "serve/latency_stats.h"
 
@@ -34,9 +32,7 @@ void PoolStats::accumulate(const ServerStats& server) {
 
 std::string PoolStats::to_table_string() const {
     Table aggregate({"metric", "value"});
-    aggregate.add_row({"replicas (active/provisioned)",
-                       std::to_string(active_replicas) + "/" +
-                           std::to_string(replicas.size())});
+    aggregate.add_row({"replicas", std::to_string(replicas.size())});
     aggregate.add_row({"submitted", std::to_string(requests_submitted)});
     aggregate.add_row({"completed", std::to_string(requests_completed)});
     aggregate.add_row({"served ok", std::to_string(requests_served)});
@@ -69,10 +65,6 @@ std::string PoolStats::to_table_string() const {
         {"cost prediction error", Table::num(cost_prediction_error, 4)});
     aggregate.add_row(
         {"cost calibration scale", Table::num(cost_calibration_scale, 3)});
-    aggregate.add_row({"autoscale grow/shrink/blocked",
-                       std::to_string(autoscale_grows) + "/" +
-                           std::to_string(autoscale_shrinks) + "/" +
-                           std::to_string(autoscale_budget_blocked)});
     aggregate.add_row({"predicted outstanding (us)",
                        Table::num(predicted_outstanding_us, 1)});
     aggregate.add_row({"throughput (req/s)", Table::num(throughput_rps, 1)});
@@ -108,53 +100,29 @@ ServerPool::ServerPool(core::MimeNetwork& prototype,
                        ThresholdCache::Loader loader, PoolConfig config)
     : config_(config),
       prototype_(&prototype),
+      input_shape_(InferenceServer::serving_input_shape(prototype)),
+      // One shared cost model feeds batcher feasibility and routing
+      // loads; every replica calibrates it.
+      cost_model_(config.cost_model ? config.cost_model
+                                    : std::make_shared<CostModel>()),
       admission_(config.admission, config.max_pending),
       sampler_(config.server.trace_sample_rate),
-      router_(config.routing, 1) {
-    MIME_REQUIRE(config.replica_count >= 1,
-                 "pool needs at least one replica");
-    input_shape_ = InferenceServer::serving_input_shape(prototype);
-
-    const AutoscalerConfig& scaler = config_.autoscaler;
-    std::size_t provisioned = config.replica_count;
-    active_ = config.replica_count;
-    if (scaler.enabled) {
-        MIME_REQUIRE(scaler.max_replicas >= scaler.min_replicas &&
-                         scaler.min_replicas >= 1,
-                     "autoscaler bounds must satisfy 1 <= min <= max");
-        MIME_REQUIRE(config.cost_aware_scheduling,
-                     "the autoscaler reads predicted-microsecond backlog, "
-                     "which needs cost_aware_scheduling");
-        provisioned = std::max(provisioned, scaler.max_replicas);
-        active_ = std::clamp(active_, scaler.min_replicas,
-                             scaler.max_replicas);
-    }
-    router_.set_replica_count(active_);
-
-    // One shared cost model feeds batcher feasibility, routing loads
-    // and the autoscaler; every replica calibrates it.
-    cost_model_ = config_.cost_model;
-    if (!cost_model_ && config_.cost_aware_scheduling) {
-        cost_model_ = std::make_shared<CostModel>();
-    }
-
-    loads_.assign(provisioned, 0.0);
-    inflight_.assign(provisioned, 0);
-    routed_.assign(provisioned, 0);
-    route_scratch_.reserve(provisioned);
+      // Rejects a pool of zero replicas.
+      router_(config.routing, config.replica_count) {
+    const std::size_t replicas = config.replica_count;
+    loads_.assign(replicas, 0.0);
+    inflight_.assign(replicas, 0);
+    routed_.assign(replicas, 0);
 
     // Replica 0 serves on the prototype itself; the rest on
-    // shared-backbone clones. Every replica — including autoscaler
-    // standbys — is cloned here, before traffic, because cloning later
-    // would race replica 0's threshold installs on the prototype.
-    clones_.reserve(provisioned - 1);
-    for (std::size_t i = 1; i < provisioned; ++i) {
+    // shared-backbone clones.
+    clones_.reserve(replicas - 1);
+    for (std::size_t i = 1; i < replicas; ++i) {
         clones_.push_back(prototype.clone_with_shared_backbone());
     }
     ServerConfig server_config = config.server;
     server_config.cost_model = cost_model_;
-    if (config_.cost_aware_scheduling &&
-        !server_config.batcher.predict_batch_us) {
+    if (!server_config.batcher.predict_batch_us) {
         // Shed predicted-infeasible work at batch forming; a caller's
         // own hook wins.
         server_config.batcher.predict_batch_us =
@@ -163,8 +131,8 @@ ServerPool::ServerPool(core::MimeNetwork& prototype,
                 return model->predict_batch_us(task, batch_size);
             };
     }
-    servers_.reserve(provisioned);
-    for (std::size_t i = 0; i < provisioned; ++i) {
+    servers_.reserve(replicas);
+    for (std::size_t i = 0; i < replicas; ++i) {
         server_config.on_requests_complete = [this, i](std::size_t count) {
             on_requests_complete(i, count);
         };
@@ -173,87 +141,16 @@ ServerPool::ServerPool(core::MimeNetwork& prototype,
         servers_.push_back(std::make_unique<InferenceServer>(
             network, loader, server_config));
     }
-
-    if (scaler.enabled) {
-        autoscaler_ = std::thread([this] { autoscaler_loop(); });
-    }
 }
 
 ServerPool::~ServerPool() { stop(); }
 
-std::size_t ServerPool::active_replicas() const {
-    MutexLock lock(mutex_);
-    return active_;
-}
-
 double ServerPool::request_cost_us(const std::string& task) const {
-    if (!config_.cost_aware_scheduling) {
-        return 1.0;  // plain request count
-    }
     // Price the request at its share of a typical (half-full) batch:
     // per-request cost under batching is what routing should balance.
     const std::int64_t expected_batch =
         std::max<std::int64_t>(1, config_.server.batcher.max_batch_size / 2);
     return cost_model_->predict_request_us(task, expected_batch);
-}
-
-void ServerPool::autoscaler_loop() {
-    ReplicaAutoscaler policy(config_.autoscaler);
-    std::int64_t last_shed = admission_.shed_count();
-    for (;;) {
-        // Price a replica from the live footprint of the busiest
-        // provisioned replica (plan buffers + workspace peak); 0 until
-        // the first batch has planned. Read from the two gauges, not
-        // stats(), which sorts latency reservoirs under the lock the
-        // dispatch thread takes after every batch; outside mutex_ so
-        // the scan never stalls submits.
-        std::int64_t replica_cost_bytes = 0;
-        for (const auto& server : servers_) {
-            replica_cost_bytes = std::max(
-                replica_cost_bytes,
-                static_cast<std::int64_t>(
-                    server->plan_buffers_gauge_.value() +
-                    server->workspace_peak_gauge_.value()));
-        }
-        const std::int64_t shed = admission_.shed_count();
-        const std::int64_t shed_delta = shed - last_shed;
-        last_shed = shed;
-
-        MutexLock lock(mutex_);
-        // Explicit wait loop (not the predicate overload): the analysis
-        // cannot see mutex_ held inside a predicate lambda, and the
-        // loop needs guarded reads of autoscale_stop_.
-        const auto deadline = Clock::now() + config_.autoscaler.interval;
-        while (!autoscale_stop_) {
-            if (autoscale_cv_.wait_until(lock, deadline) ==
-                std::cv_status::timeout) {
-                break;
-            }
-        }
-        if (autoscale_stop_) {
-            return;
-        }
-        double outstanding_us = 0.0;
-        for (std::size_t i = 0; i < active_; ++i) {
-            outstanding_us += loads_[i];
-        }
-        const int delta = policy.step(
-            outstanding_us / static_cast<double>(active_), shed_delta,
-            active_, replica_cost_bytes);
-        autoscale_budget_blocked_ = policy.budget_blocked();
-        if (delta > 0) {
-            ++active_;
-            ++autoscale_grows_;
-            router_.set_replica_count(active_);
-        } else if (delta < 0) {
-            // Deactivation only stops *new* routes; in-flight work on
-            // the retired replica drains normally and its completions
-            // still decrement loads_ through the stable index.
-            --active_;
-            ++autoscale_shrinks_;
-            router_.set_replica_count(active_);
-        }
-    }
 }
 
 RequestTicket ServerPool::submit(const std::string& task, Tensor image,
@@ -286,12 +183,7 @@ RequestTicket ServerPool::submit(const std::string& task, Tensor image,
     InferenceServer* server = nullptr;
     {
         MutexLock lock(mutex_);
-        // Route among the active replicas only (the autoscaler may have
-        // retired the tail of the provisioned set).
-        route_scratch_.assign(loads_.begin(),
-                              loads_.begin() +
-                                  static_cast<std::ptrdiff_t>(active_));
-        replica = router_.route(task, route_scratch_);
+        replica = router_.route(task, loads_);
         loads_[replica] += cost_us;
         ++inflight_[replica];
         ++routed_[replica];
@@ -368,16 +260,6 @@ void ServerPool::drain() { state_.drain(); }
 void ServerPool::stop() {
     if (!state_.begin_stop()) {
         return;
-    }
-    // Stop the autoscaler before the replicas so active_ stops moving
-    // while they drain.
-    {
-        MutexLock lock(mutex_);
-        autoscale_stop_ = true;
-    }
-    autoscale_cv_.notify_all();
-    if (autoscaler_.joinable()) {
-        autoscaler_.join();
     }
     // Unblock admission waiters first so no submitter can deadlock
     // against a stopping pool, then stop replicas (each drains its own
@@ -456,20 +338,11 @@ PoolStats ServerPool::stats() const {
     stats.requests_submitted = state_.submitted();
     stats.requests_completed = state_.completed();
     stats.throughput_rps = state_.throughput_rps();
-    if (cost_model_) {
-        stats.cost_prediction_error =
-            cost_model_->mean_abs_relative_error();
-        stats.cost_calibration_scale = cost_model_->calibration_scale();
-    }
+    stats.cost_prediction_error = cost_model_->mean_abs_relative_error();
+    stats.cost_calibration_scale = cost_model_->calibration_scale();
     MutexLock lock(mutex_);
-    stats.active_replicas = active_;
-    stats.autoscale_grows = autoscale_grows_;
-    stats.autoscale_shrinks = autoscale_shrinks_;
-    stats.autoscale_budget_blocked = autoscale_budget_blocked_;
     for (std::size_t i = 0; i < routed_.size(); ++i) {
         stats.replicas[i].routed = routed_[i];
-    }
-    for (std::size_t i = 0; i < active_; ++i) {
         stats.predicted_outstanding_us += loads_[i];
     }
     return stats;

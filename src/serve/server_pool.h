@@ -24,28 +24,20 @@
 // *merged* latency reservoirs (LatencyRecorder::merge), never by
 // averaging per-replica percentiles.
 //
-// Cost-aware scheduling (default on) replaces the heuristic signals
-// with the shared CostModel's predictions: least_loaded loads become
-// predicted-microseconds-outstanding, and the pool installs the model as
-// each replica's batcher feasibility hook so predicted-infeasible work
-// is shed at batch-forming time. An optional
-// autoscaler (PoolConfig::autoscaler) grows/shrinks the *active*
-// replica set between min/max from admission pressure and predicted
-// per-replica backlog; all max_replicas are provisioned up front (see
-// the member comment for why) and a grow is priced against the memory
-// budget using the live per-replica plan + workspace bytes.
+// Scheduling runs on one shared CostModel: least_loaded loads are
+// predicted microseconds outstanding, and the pool installs the model
+// as each replica's batcher feasibility hook so predicted-infeasible
+// work is shed at batch-forming time. Every replica calibrates it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/sync.h"
 #include "core/mime_network.h"
 #include "serve/admission.h"
-#include "serve/autoscaler.h"
 #include "serve/cost_model.h"
 #include "serve/inference_server.h"
 #include "serve/routing.h"
@@ -57,9 +49,6 @@ namespace mime::serve {
 
 struct PoolConfig {
     /// Replica servers (each with its own dispatch thread and cache).
-    /// With the autoscaler enabled this is the *starting* active count
-    /// (clamped into its [min, max]); max_replicas are provisioned up
-    /// front and activation toggles which receive traffic.
     std::size_t replica_count = 2;
     RoutingPolicy routing = RoutingPolicy::task_affinity;
     AdmissionMode admission = AdmissionMode::block;
@@ -68,23 +57,12 @@ struct PoolConfig {
     std::size_t max_pending = 0;
     /// Per-replica server configuration (batcher, cache, workers...).
     ServerConfig server{};
-    /// Cost-model-driven scheduling: per-replica loads become predicted
-    /// microseconds outstanding (instead of request counts) and every
-    /// replica's batcher enforces predicted deadline feasibility (the
-    /// pool installs server.batcher.predict_batch_us from the model
-    /// unless the caller set one). Off keeps routing and batching
-    /// heuristic; the model calibrates online either way once it
-    /// exists.
-    bool cost_aware_scheduling = true;
-    /// Shared predictor; a default CostModel is built when null and
-    /// cost_aware_scheduling is on.
+    /// Shared predictor; a default CostModel is built when null. Per-
+    /// replica loads are its predicted microseconds outstanding, and
+    /// every replica's batcher enforces predicted deadline feasibility
+    /// (the pool installs server.batcher.predict_batch_us from the
+    /// model unless the caller set one).
     std::shared_ptr<CostModel> cost_model;
-    /// Replica autoscaling between min/max from admission pressure and
-    /// predicted per-replica backlog (see serve/autoscaler.h). Enabling
-    /// it requires cost_aware_scheduling (the constructor rejects the
-    /// combination otherwise): heuristic loads are request counts, not
-    /// the microseconds the grow/shrink thresholds are set in.
-    AutoscalerConfig autoscaler{};
 };
 
 /// One replica's contribution to the pool.
@@ -112,8 +90,7 @@ struct PoolStats {
     /// hits / (hits + misses); 0 when the pool served nothing.
     double cache_hit_rate = 0.0;
     /// Sum of every replica's steady-state workspace high-water mark —
-    /// the pool's total scratch footprint (memory scaling is tracked
-    /// alongside throughput in the pool sweep).
+    /// the pool's total scratch footprint.
     std::int64_t workspace_peak_bytes = 0;
     /// Sum of every replica's plan-owned activation buffer bytes.
     std::int64_t plan_buffer_bytes = 0;
@@ -130,18 +107,11 @@ struct PoolStats {
     double quantized_weight_max_rel_error = 0.0;
     /// Sum of the replicas' cost-infeasible batch-forming sheds.
     std::int64_t cost_infeasible_shed = 0;
-    /// Shared cost model state at snapshot time (0 without a model).
+    /// Shared cost model state at snapshot time.
     double cost_prediction_error = 0.0;
     double cost_calibration_scale = 0.0;
-    /// Replicas currently receiving traffic (== replicas.size() unless
-    /// the autoscaler is enabled).
-    std::size_t active_replicas = 0;
-    std::int64_t autoscale_grows = 0;
-    std::int64_t autoscale_shrinks = 0;
-    /// Grows the autoscaler skipped for the memory budget.
-    std::int64_t autoscale_budget_blocked = 0;
-    /// Predicted outstanding microseconds summed over active replicas
-    /// at snapshot time (request counts when not cost-aware).
+    /// Predicted outstanding microseconds summed over the replicas at
+    /// snapshot time.
     double predicted_outstanding_us = 0.0;
     /// Merged-reservoir percentiles over every replica's stream.
     double p50_latency_us = 0.0;
@@ -184,12 +154,8 @@ public:
     ServerPool& operator=(const ServerPool&) = delete;
 
     const PoolConfig& config() const noexcept { return config_; }
-    /// Provisioned replicas (autoscaler max when enabled).
     std::size_t replica_count() const noexcept { return servers_.size(); }
-    /// Replicas currently receiving traffic.
-    std::size_t active_replicas() const MIME_EXCLUDES(mutex_);
-    /// The shared cost model (null when scheduling is heuristic and the
-    /// caller passed none).
+    /// The shared cost model (never null).
     const std::shared_ptr<CostModel>& cost_model() const noexcept {
         return cost_model_;
     }
@@ -214,27 +180,24 @@ public:
 private:
     void on_requests_complete(std::size_t replica, std::size_t count)
         MIME_EXCLUDES(mutex_);
-    /// Predicted cost one request of `task` adds to a replica's load
-    /// (1.0 — a request count — when not cost-aware). EXCLUDES(mutex_)
-    /// is the machine-checked lock-order contract: this calls into the
-    /// shared CostModel, whose mutex the dispatch threads hold while
-    /// calibrating — taking it under the router mutex would couple every
-    /// submit to every replica's calibration (and invert the only
-    /// sanctioned order: cost-model mutex after, never inside, mutex_).
+    /// Predicted cost one request of `task` adds to a replica's load.
+    /// EXCLUDES(mutex_) is the machine-checked lock-order contract: this
+    /// calls into the shared CostModel, whose mutex the dispatch threads
+    /// hold while calibrating — taking it under the router mutex would
+    /// couple every submit to every replica's calibration (and invert
+    /// the only sanctioned order: cost-model mutex after, never inside,
+    /// mutex_).
     double request_cost_us(const std::string& task) const
         MIME_EXCLUDES(mutex_);
-    void autoscaler_loop() MIME_EXCLUDES(mutex_);
 
     PoolConfig config_;
     core::MimeNetwork* prototype_;
     Shape input_shape_;  ///< per-sample [C, H, W] the prototype accepts
-    std::shared_ptr<CostModel> cost_model_;  ///< may be null
-    /// Every replica is provisioned in the constructor — the autoscaler
-    /// only toggles how many are routable. Cloning or destroying a
-    /// replica mid-traffic would race replica 0's threshold installs on
-    /// the prototype (clone_with_shared_backbone snapshots T_child), so
-    /// standby replicas idle instead: an idle dispatch thread costs a
-    /// 50 ms wakeup, and plans/workspaces are lazy until first traffic.
+    std::shared_ptr<CostModel> cost_model_;
+    /// Shared-backbone clones serving replicas 1..N-1, all made in the
+    /// constructor: cloning mid-traffic would race replica 0's threshold
+    /// installs on the prototype (clone_with_shared_backbone snapshots
+    /// T_child).
     std::vector<std::unique_ptr<core::MimeNetwork>> clones_;
     std::vector<std::unique_ptr<InferenceServer>> servers_;
     AdmissionController admission_;
@@ -248,12 +211,10 @@ private:
     ServiceState state_;
 
     mutable Mutex mutex_;
-    /// Sized to the active count; routing state mutates on every
-    /// route(), so reads need the lock as much as writes do.
+    /// Routing state mutates on every route(), so reads need the lock
+    /// as much as writes do.
     Router router_ MIME_GUARDED_BY(mutex_);
-    std::size_t active_ MIME_GUARDED_BY(mutex_) = 0;  ///< receiving traffic
-    /// Outstanding work per replica: predicted microseconds when
-    /// cost-aware, else the in-flight request count. Completions
+    /// Predicted microseconds outstanding per replica. Completions
     /// retire a proportional share (the pool does not track which
     /// request carried which cost).
     std::vector<double> loads_ MIME_GUARDED_BY(mutex_);
@@ -261,15 +222,6 @@ private:
     std::vector<std::int64_t> inflight_ MIME_GUARDED_BY(mutex_);
     /// Total assigned per replica.
     std::vector<std::int64_t> routed_ MIME_GUARDED_BY(mutex_);
-    /// Active-prefix loads view.
-    std::vector<double> route_scratch_ MIME_GUARDED_BY(mutex_);
-    std::int64_t autoscale_grows_ MIME_GUARDED_BY(mutex_) = 0;
-    std::int64_t autoscale_shrinks_ MIME_GUARDED_BY(mutex_) = 0;
-    std::int64_t autoscale_budget_blocked_ MIME_GUARDED_BY(mutex_) = 0;
-
-    CondVar autoscale_cv_;
-    bool autoscale_stop_ MIME_GUARDED_BY(mutex_) = false;
-    std::thread autoscaler_;
 };
 
 }  // namespace mime::serve

@@ -30,8 +30,9 @@ namespace mime::serve {
 
 /// Per-request submission envelope.
 struct SubmitOptions {
-    /// Relative deadline from submission; zero = none. Enforced at
-    /// batch-forming time: an expired request completes with
+    /// Relative deadline from submission; zero = none, and so is one
+    /// that ends past the clock's range. Enforced at batch-forming
+    /// time: an expired request completes with
     /// ServeStatus::deadline_exceeded and never occupies a forward.
     std::chrono::microseconds deadline{0};
     /// interactive requests get batch-forming precedence over batch.

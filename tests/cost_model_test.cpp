@@ -1,100 +1,28 @@
 // Tests for cost-model-driven scheduling: the work-proportional cost
-// predictor (live-fraction pricing, online calibration), the pure
-// autoscaler policy, predictive deadline feasibility in the batcher,
-// plus regressions for this PR's bugfix sweep (zipf CDF sampling stays
-// seed-stable, batch compaction preserves arrival order, the cache
-// eviction guard drains overshoot after a capacity shrink).
+// predictor (live-fraction pricing, online calibration), predictive
+// deadline feasibility in the batcher (including predictions too large
+// for the clock), plus regressions for batch compaction order and the
+// cache eviction guard draining overshoot after a capacity shrink.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
-#include "common/rng.h"
-#include "serve/autoscaler.h"
 #include "serve/batcher.h"
 #include "serve/cost_model.h"
-#include "serve/load_gen.h"
 #include "serve/threshold_cache.h"
 
 namespace mime::serve {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Load generator: zipf CDF sampling (satellite bugfix 1)
-// ---------------------------------------------------------------------------
-
-/// The pre-CDF per-event linear scan, reproduced verbatim: rebuild the
-/// partial sums, draw u against the total, stop at the first partial
-/// sum >= u. The production path must stay bit-identical to this for
-/// every existing seed.
-std::int64_t zipf_linear_reference(Rng& rng, std::int64_t task_count,
-                                   double s) {
-    double total = 0.0;
-    for (std::int64_t k = 1; k <= task_count; ++k) {
-        total += 1.0 / std::pow(static_cast<double>(k), s);
-    }
-    const double u = rng.uniform() * total;
-    double cumulative = 0.0;
-    for (std::int64_t k = 1; k <= task_count; ++k) {
-        cumulative += 1.0 / std::pow(static_cast<double>(k), s);
-        if (cumulative >= u) {
-            return k - 1;
-        }
-    }
-    return task_count - 1;
-}
-
-TEST(LoadGen, ZipfCdfSamplingBitMatchesLinearScanReference) {
-    LoadSpec spec;
-    spec.pattern = ArrivalPattern::skewed;
-    spec.task_count = 17;
-    spec.request_count = 2000;
-    spec.zipf_s = 1.3;
-    spec.seed = 42;
-
-    const std::vector<ArrivalEvent> events = generate_arrivals(spec);
-    ASSERT_EQ(events.size(), 2000u);
-
-    // Replay the rng consumption of generate_arrivals: one uniform for
-    // the zipf draw, one for the exponential interarrival gap.
-    Rng rng(spec.seed);
-    for (const ArrivalEvent& event : events) {
-        EXPECT_EQ(event.task,
-                  zipf_linear_reference(rng, spec.task_count, spec.zipf_s));
-        rng.uniform();  // burn the interarrival draw
-    }
-}
-
-TEST(LoadGen, ZipfStreamIsSkewedAndOrdered) {
-    LoadSpec spec;
-    spec.pattern = ArrivalPattern::skewed;
-    spec.task_count = 8;
-    spec.request_count = 4000;
-    spec.zipf_s = 1.1;
-    spec.seed = 7;
-
-    const std::vector<ArrivalEvent> events = generate_arrivals(spec);
-    for (std::size_t i = 1; i < events.size(); ++i) {
-        EXPECT_GE(events[i].offset_us, events[i - 1].offset_us);
-    }
-    const std::vector<std::int64_t> histogram =
-        task_histogram(events, spec.task_count);
-    // Zipf rank 0 dominates the tail by construction.
-    EXPECT_GT(histogram[0], histogram[7] * 2);
-    std::int64_t total = 0;
-    for (const std::int64_t count : histogram) {
-        total += count;
-    }
-    EXPECT_EQ(total, spec.request_count);
-}
-
-// ---------------------------------------------------------------------------
-// Batcher compaction order (satellite bugfix 2)
+// Batcher compaction order
 // ---------------------------------------------------------------------------
 
 InferenceRequest make_request(
@@ -120,11 +48,10 @@ std::vector<std::int64_t> batch_ids(
 }
 
 TEST(TaskBatcher, CompactionPreservesArrivalOrderOfSurvivors) {
-    // task_grouped pulls members from scattered positions; the requests
+    // Task grouping pulls members from scattered positions; the requests
     // left behind must keep strict arrival order (the compaction is one
     // stable left-slide, not a reversed back-to-front erase).
     BatcherConfig config;
-    config.policy = BatchingPolicy::task_grouped;
     config.max_batch_size = 8;
     TaskBatcher batcher(config);
 
@@ -153,7 +80,7 @@ TEST(TaskBatcher, CompactionPreservesArrivalOrderOfSurvivors) {
 }
 
 // ---------------------------------------------------------------------------
-// ThresholdCache eviction guard (satellite bugfix 4)
+// ThresholdCache eviction guard
 // ---------------------------------------------------------------------------
 
 core::TaskAdaptation synthetic_adaptation(const std::string& name) {
@@ -381,100 +308,11 @@ TEST(CostModel, ConcurrentCalibrateAndPredictStayCoherent) {
 }
 
 // ---------------------------------------------------------------------------
-// ReplicaAutoscaler policy
-// ---------------------------------------------------------------------------
-
-AutoscalerConfig scaler_config() {
-    AutoscalerConfig config;
-    config.enabled = true;
-    config.min_replicas = 1;
-    config.max_replicas = 4;
-    config.grow_backlog_us = 1000.0;
-    config.shrink_backlog_us = 100.0;
-    config.grow_patience = 2;
-    config.shrink_patience = 3;
-    return config;
-}
-
-TEST(ReplicaAutoscaler, GrowNeedsPatienceAndRespectsMax) {
-    ReplicaAutoscaler scaler(scaler_config());
-    EXPECT_EQ(scaler.step(5000.0, 0, 1), 0);  // streak 1 of 2
-    EXPECT_EQ(scaler.step(5000.0, 0, 1), 1);  // streak 2 -> grow
-    // Saturated at max_replicas: pressure can no longer grow.
-    EXPECT_EQ(scaler.step(5000.0, 0, 4), 0);
-    EXPECT_EQ(scaler.step(5000.0, 0, 4), 0);
-}
-
-TEST(ReplicaAutoscaler, AdmissionShedsCountAsPressure) {
-    ReplicaAutoscaler scaler(scaler_config());
-    // Backlog is calm but admission shed work since the last tick: the
-    // pool is refusing requests, which is the strongest grow signal.
-    EXPECT_EQ(scaler.step(0.0, 3, 1), 0);
-    EXPECT_EQ(scaler.step(0.0, 2, 1), 1);
-}
-
-TEST(ReplicaAutoscaler, ShrinkNeedsPatienceAndRespectsMin) {
-    ReplicaAutoscaler scaler(scaler_config());
-    EXPECT_EQ(scaler.step(0.0, 0, 3), 0);
-    EXPECT_EQ(scaler.step(0.0, 0, 3), 0);
-    EXPECT_EQ(scaler.step(0.0, 0, 3), -1);  // third calm tick -> shrink
-    // At the floor an idle pool holds.
-    EXPECT_EQ(scaler.step(0.0, 0, 1), 0);
-    EXPECT_EQ(scaler.step(0.0, 0, 1), 0);
-    EXPECT_EQ(scaler.step(0.0, 0, 1), 0);
-    EXPECT_EQ(scaler.step(0.0, 0, 1), 0);
-}
-
-TEST(ReplicaAutoscaler, HysteresisBandResetsShrinkStreak) {
-    ReplicaAutoscaler scaler(scaler_config());
-    EXPECT_EQ(scaler.step(0.0, 0, 2), 0);
-    EXPECT_EQ(scaler.step(0.0, 0, 2), 0);
-    // Mid-band tick (between shrink and grow thresholds): no decision,
-    // and the shrink streak starts over — the pool must not flap on a
-    // backlog hovering at the shrink line.
-    EXPECT_EQ(scaler.step(500.0, 0, 2), 0);
-    EXPECT_EQ(scaler.step(0.0, 0, 2), 0);
-    EXPECT_EQ(scaler.step(0.0, 0, 2), 0);
-    EXPECT_EQ(scaler.step(0.0, 0, 2), -1);
-}
-
-TEST(ReplicaAutoscaler, MemoryBudgetBlocksGrowsAndCounts) {
-    AutoscalerConfig config = scaler_config();
-    config.grow_patience = 1;
-    config.memory_budget_bytes = 1000;
-    ReplicaAutoscaler scaler(config);
-
-    // Activating a second 600-byte replica would cost 1200 > 1000.
-    EXPECT_EQ(scaler.step(5000.0, 0, 1, 600), 0);
-    EXPECT_EQ(scaler.budget_blocked(), 1);
-    // A 400-byte replica fits: 2 * 400 <= 1000.
-    EXPECT_EQ(scaler.step(5000.0, 0, 1, 400), 1);
-    EXPECT_EQ(scaler.budget_blocked(), 1);
-    // Unknown replica cost (0) is never budget-blocked.
-    EXPECT_EQ(scaler.step(5000.0, 0, 2, 0), 1);
-}
-
-TEST(ReplicaAutoscaler, RejectsDegenerateConfigs) {
-    AutoscalerConfig zero_min = scaler_config();
-    zero_min.min_replicas = 0;
-    EXPECT_THROW(ReplicaAutoscaler{zero_min}, check_error);
-
-    AutoscalerConfig inverted = scaler_config();
-    inverted.max_replicas = 0;
-    EXPECT_THROW(ReplicaAutoscaler{inverted}, check_error);
-
-    AutoscalerConfig no_band = scaler_config();
-    no_band.shrink_backlog_us = no_band.grow_backlog_us;
-    EXPECT_THROW(ReplicaAutoscaler{no_band}, check_error);
-}
-
-// ---------------------------------------------------------------------------
-// Predictive deadline feasibility in the batcher (tentpole wiring)
+// Predictive deadline feasibility in the batcher
 // ---------------------------------------------------------------------------
 
 BatcherConfig costed_batcher(double per_member_us) {
     BatcherConfig config;
-    config.policy = BatchingPolicy::task_grouped;
     config.max_batch_size = 8;
     config.predict_batch_us = [per_member_us](const std::string&,
                                               std::int64_t batch) {
@@ -538,6 +376,66 @@ TEST(TaskBatcher, JoinRefusalKeepsBatchFeasibleForItsMembers) {
     ASSERT_TRUE(third.batch.has_value());
     EXPECT_EQ(batch_ids(*third.batch), (std::vector<std::int64_t>{2}));
     EXPECT_TRUE(batcher.empty());
+}
+
+TEST(TaskBatcher, PredictionsPastTheClockShedAndNaNNeverSheds) {
+    // Hooks that price a batch of one sanely but any larger batch at
+    // `huge`; `solo` sets the price of a batch of one. A prediction too
+    // large for the clock's range (1e16 us is about 317 years) or +inf
+    // never finishes, so it must shed like any infeasible one; NaN is no
+    // prediction and must never shed.
+    const auto hook = [](double solo, double huge) {
+        BatcherConfig config;
+        config.max_batch_size = 8;
+        config.predict_batch_us = [solo, huge](const std::string&,
+                                               std::int64_t batch) {
+            return batch == 1 ? solo : huge;
+        };
+        return config;
+    };
+    const double kHuge[] = {1e16, std::numeric_limits<double>::infinity()};
+    const double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+    for (const double huge : kHuge) {
+        // Reap time: a deadline request whose solo price overruns the
+        // clock is shed; a request without a deadline still runs.
+        TaskBatcher solo(hook(huge, huge));
+        const auto now = Clock::now();
+        solo.add(make_request(0, "a", now, now + std::chrono::hours(1)));
+        solo.add(make_request(1, "a", now));
+        const BatchResult reaped = solo.next_batch(now);
+        ASSERT_EQ(reaped.reaped.size(), 1u) << huge;
+        EXPECT_EQ(reaped.reaped[0].request.id, 0) << huge;
+        EXPECT_EQ(reaped.reaped[0].status, ServeStatus::deadline_exceeded);
+        EXPECT_TRUE(reaped.reaped[0].predicted_infeasible);
+        ASSERT_TRUE(reaped.batch.has_value());
+        EXPECT_EQ(batch_ids(*reaped.batch), (std::vector<std::int64_t>{1}));
+
+        // Join check: each member fits alone, but the grown batch's
+        // price overruns the clock, so the second member must wait.
+        TaskBatcher join(hook(100.0, huge));
+        const auto deadline = now + std::chrono::hours(1);
+        join.add(make_request(0, "a", now, deadline));
+        join.add(make_request(1, "a", now, deadline));
+        const BatchResult first = join.next_batch(now);
+        EXPECT_TRUE(first.reaped.empty()) << huge;
+        ASSERT_TRUE(first.batch.has_value());
+        EXPECT_EQ(batch_ids(*first.batch), (std::vector<std::int64_t>{0}))
+            << huge;
+        EXPECT_EQ(join.pending_count(), 1u);
+    }
+
+    // NaN at reap time and at the join check: nothing is shed and both
+    // requests ride one batch.
+    TaskBatcher nan(hook(kNaN, kNaN));
+    const auto now = Clock::now();
+    const auto deadline = now + std::chrono::milliseconds(1);
+    nan.add(make_request(0, "a", now, deadline));
+    nan.add(make_request(1, "a", now, deadline));
+    const BatchResult result = nan.next_batch(now);
+    EXPECT_TRUE(result.reaped.empty());
+    ASSERT_TRUE(result.batch.has_value());
+    EXPECT_EQ(batch_ids(*result.batch), (std::vector<std::int64_t>{0, 1}));
 }
 
 TEST(TaskBatcher, LooseDeadlinesStillBatchTogether) {

@@ -1,7 +1,6 @@
 // Tests for the serving runtime: task batching, the LRU threshold cache,
-// the load generator, and the InferenceServer end to end (served outputs
-// must bit-match direct per-task forward passes; concurrent submits must
-// be safe).
+// and the InferenceServer end to end (served outputs must bit-match
+// direct per-task forward passes; concurrent submits must be safe).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include "serve/batcher.h"
 #include "serve/inference_server.h"
 #include "serve/latency_stats.h"
-#include "serve/load_gen.h"
 #include "serve/request_queue.h"
 #include "serve/threshold_cache.h"
 #include "tensor/tensor_ops.h"
@@ -58,7 +56,6 @@ std::vector<std::string> batch_tasks(
 
 TEST(TaskBatcher, GroupsByTaskAcrossInterleavedArrivals) {
     BatcherConfig config;
-    config.policy = BatchingPolicy::task_grouped;
     config.max_batch_size = 4;
     TaskBatcher batcher(config);
 
@@ -81,7 +78,6 @@ TEST(TaskBatcher, GroupsByTaskAcrossInterleavedArrivals) {
 
 TEST(TaskBatcher, RespectsMaxBatchSize) {
     BatcherConfig config;
-    config.policy = BatchingPolicy::task_grouped;
     config.max_batch_size = 2;
     TaskBatcher batcher(config);
 
@@ -94,25 +90,6 @@ TEST(TaskBatcher, RespectsMaxBatchSize) {
         sizes.push_back(batch->size());
     }
     EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 2, 1}));
-}
-
-TEST(TaskBatcher, FifoNeverReordersAcrossTaskChange) {
-    BatcherConfig config;
-    config.policy = BatchingPolicy::fifo;
-    config.max_batch_size = 4;
-    TaskBatcher batcher(config);
-
-    const auto t0 = Clock::now();
-    batcher.add(make_request(0, "a", t0));
-    batcher.add(make_request(1, "b", t0));
-    batcher.add(make_request(2, "a", t0));
-
-    auto first = batcher.next_batch(Clock::now()).batch;
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(batch_tasks(*first), (std::vector<std::string>{"a"}));
-    auto second = batcher.next_batch(Clock::now()).batch;
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(batch_tasks(*second), (std::vector<std::string>{"b"}));
 }
 
 TEST(TaskBatcher, PartialBatchIsReadyAtOnce) {
@@ -131,13 +108,12 @@ TEST(TaskBatcher, PartialBatchIsReadyAtOnce) {
 
 TEST(TaskBatcher, InteractiveLaneHasBatchFormingPrecedence) {
     BatcherConfig config;
-    config.policy = BatchingPolicy::task_grouped;
     config.max_batch_size = 4;
     TaskBatcher batcher(config);
 
     const auto t0 = Clock::now();
     // Batch-priority traffic arrives first, interactive later: the
-    // interactive lane must still dispatch first under both policies.
+    // interactive lane must still dispatch first.
     InferenceRequest background = make_request(0, "bg", t0);
     background.priority = Priority::batch;
     batcher.add(std::move(background));
@@ -310,103 +286,6 @@ TEST(ThresholdCache, ReportsResidentBytes) {
     cache.get("a");
     // 4 thresholds + 10x4 head weights + 10 biases, 4 bytes each.
     EXPECT_EQ(cache.resident_bytes(), (4 + 40 + 10) * 4);
-}
-
-// ---------------------------------------------------------------------------
-// Load generator
-// ---------------------------------------------------------------------------
-
-TEST(LoadGen, GeneratesRequestedCountWithMonotoneOffsets) {
-    for (const ArrivalPattern pattern :
-         {ArrivalPattern::uniform, ArrivalPattern::skewed,
-          ArrivalPattern::bursty}) {
-        LoadSpec spec;
-        spec.pattern = pattern;
-        spec.task_count = 4;
-        spec.request_count = 300;
-        spec.seed = 9;
-        const auto events = generate_arrivals(spec);
-        ASSERT_EQ(events.size(), 300u) << to_string(pattern);
-        for (std::size_t i = 1; i < events.size(); ++i) {
-            EXPECT_GE(events[i].offset_us, events[i - 1].offset_us);
-        }
-        const auto histogram = task_histogram(events, spec.task_count);
-        std::int64_t total = 0;
-        for (const std::int64_t count : histogram) {
-            total += count;
-        }
-        EXPECT_EQ(total, 300);
-    }
-}
-
-TEST(LoadGen, SkewedTrafficFavorsTaskZero) {
-    LoadSpec spec;
-    spec.pattern = ArrivalPattern::skewed;
-    spec.task_count = 4;
-    spec.request_count = 1000;
-    spec.zipf_s = 1.5;
-    spec.seed = 5;
-    const auto histogram =
-        task_histogram(generate_arrivals(spec), spec.task_count);
-    EXPECT_GT(histogram[0], histogram[3] * 2);
-}
-
-TEST(LoadGen, BurstyTrafficFormsSameTaskRuns) {
-    LoadSpec spec;
-    spec.pattern = ArrivalPattern::bursty;
-    spec.task_count = 4;
-    spec.request_count = 400;
-    spec.mean_burst_length = 10.0;
-    spec.seed = 11;
-    const auto events = generate_arrivals(spec);
-    std::int64_t switches = 0;
-    for (std::size_t i = 1; i < events.size(); ++i) {
-        if (events[i].task != events[i - 1].task) {
-            ++switches;
-        }
-    }
-    // Task-coherent bursts mean far fewer switches than uniform traffic
-    // (which would switch ~3/4 of the time).
-    EXPECT_LT(switches, 150);
-}
-
-TEST(LoadGen, SameSeedReproducesIdenticalStreams) {
-    // Bench reproducibility rests on this: a LoadSpec is a complete,
-    // deterministic description of its arrival stream.
-    for (const ArrivalPattern pattern :
-         {ArrivalPattern::uniform, ArrivalPattern::skewed,
-          ArrivalPattern::bursty}) {
-        LoadSpec spec;
-        spec.pattern = pattern;
-        spec.task_count = 5;
-        spec.request_count = 500;
-        spec.seed = 77;
-        const auto first = generate_arrivals(spec);
-        const auto second = generate_arrivals(spec);
-        ASSERT_EQ(first.size(), second.size()) << to_string(pattern);
-        for (std::size_t i = 0; i < first.size(); ++i) {
-            // Bitwise-equal offsets, not approximately equal: the same
-            // seed must replay the exact same stream.
-            ASSERT_EQ(first[i].offset_us, second[i].offset_us)
-                << to_string(pattern) << " event " << i;
-            ASSERT_EQ(first[i].task, second[i].task)
-                << to_string(pattern) << " event " << i;
-        }
-
-        LoadSpec reseeded = spec;
-        reseeded.seed = 78;
-        const auto different = generate_arrivals(reseeded);
-        bool any_difference = false;
-        for (std::size_t i = 0; i < first.size(); ++i) {
-            if (first[i].offset_us != different[i].offset_us ||
-                first[i].task != different[i].task) {
-                any_difference = true;
-                break;
-            }
-        }
-        EXPECT_TRUE(any_difference)
-            << to_string(pattern) << ": changing the seed changed nothing";
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -632,7 +511,6 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
     std::vector<RequestTicket> tickets;
     {
         ServerConfig config;
-        config.batcher.policy = BatchingPolicy::task_grouped;
         config.batcher.max_batch_size = 4;
         config.cache_capacity = 3;
         config.worker_threads = 1;
@@ -814,13 +692,6 @@ TEST(InferenceServer, RejectsWrongImageShapeAtSubmit) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result.value().task, "alpha");
     server.stop();
-}
-
-TEST(LoadGen, RejectsDegenerateBurstGapFraction) {
-    LoadSpec spec;
-    spec.pattern = ArrivalPattern::bursty;
-    spec.burst_gap_fraction = 1.5;  // would make the idle gap negative
-    EXPECT_THROW(generate_arrivals(spec), check_error);
 }
 
 TEST(InferenceServer, HydratesFromAdaptationStoreOnDisk) {

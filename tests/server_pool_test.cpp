@@ -4,7 +4,6 @@
 // direct single-network forwards.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -530,9 +529,8 @@ TEST(ServerPool, StatsMergeUsesPooledReservoirs) {
 }
 
 TEST(ServerPool, CostAwareSchedulingCalibratesAndRetiresLoad) {
-    // Default pool: cost-aware scheduling builds its own model, prices
-    // every routed request, and retires the predicted load as
-    // completions arrive.
+    // Default pool: it builds its own cost model, prices every routed
+    // request, and retires the predicted load as completions arrive.
     PoolFixture fixture(2);
     PoolConfig config;
     config.replica_count = 2;
@@ -557,44 +555,32 @@ TEST(ServerPool, CostAwareSchedulingCalibratesAndRetiresLoad) {
     EXPECT_GT(stats.cost_calibration_scale, 0.0);
     // All work completed -> the predicted-outstanding ledger is empty.
     EXPECT_EQ(stats.predicted_outstanding_us, 0.0);
-    EXPECT_EQ(stats.active_replicas, 2u);
 }
 
 TEST(ServerPool, CostAwareSchedulingDecidesPredictiveShedding) {
-    // The pool owns cost admission: cost-aware, it installs the model as
-    // every replica's batcher feasibility hook, so a request priced far
-    // past its deadline is shed at batch forming. Heuristic, the same
-    // request is served, and the model still calibrates on it.
-    for (const bool cost_aware : {true, false}) {
-        SCOPED_TRACE(cost_aware ? "cost-aware" : "heuristic");
-        PoolFixture fixture(1);
-        CostModelConfig cost_config;
-        cost_config.default_per_sample_us = 1e8;  // 100 s per sample
+    // The pool owns cost admission: it installs the model as every
+    // replica's batcher feasibility hook, so a request priced far past
+    // its deadline is shed at batch forming.
+    PoolFixture fixture(1);
+    CostModelConfig cost_config;
+    cost_config.default_per_sample_us = 1e8;  // 100 s per sample
 
-        PoolConfig config;
-        config.replica_count = 1;
-        config.cost_aware_scheduling = cost_aware;
-        config.cost_model = std::make_shared<CostModel>(cost_config);
-        config.server.worker_threads = 1;
-        ServerPool pool(fixture.network, fixture.loader(), config);
+    PoolConfig config;
+    config.replica_count = 1;
+    config.cost_model = std::make_shared<CostModel>(cost_config);
+    config.server.worker_threads = 1;
+    ServerPool pool(fixture.network, fixture.loader(), config);
 
-        SubmitOptions options;
-        options.deadline = std::chrono::seconds(2);
-        const Outcome<InferenceResult> outcome =
-            pool.run("task0", Tensor({3, 32, 32}, 0.1f), options);
-        pool.drain();
-        const PoolStats stats = pool.stats();
-        pool.stop();
+    SubmitOptions options;
+    options.deadline = std::chrono::seconds(2);
+    const Outcome<InferenceResult> outcome =
+        pool.run("task0", Tensor({3, 32, 32}, 0.1f), options);
+    pool.drain();
+    const PoolStats stats = pool.stats();
+    pool.stop();
 
-        if (cost_aware) {
-            EXPECT_EQ(outcome.status(), ServeStatus::deadline_exceeded);
-            EXPECT_EQ(stats.cost_infeasible_shed, 1);
-        } else {
-            EXPECT_TRUE(outcome.ok()) << outcome.message();
-            EXPECT_EQ(stats.cost_infeasible_shed, 0);
-            EXPECT_GE(pool.cost_model()->observation_count(), 1);
-        }
-    }
+    EXPECT_EQ(outcome.status(), ServeStatus::deadline_exceeded);
+    EXPECT_EQ(stats.cost_infeasible_shed, 1);
 }
 
 TEST(ServerPool, CostModelPricesTasksByExecutedMacs) {
@@ -644,165 +630,6 @@ TEST(ServerPool, CostModelPricesTasksByExecutedMacs) {
               model.predict_batch_us("pruned", 5));
     EXPECT_LT(model.predict_batch_us("pruned", 5),
               model.predict_batch_us("dense", 5));
-}
-
-TEST(ServerPool, AutoscalerRequiresCostAwareScheduling) {
-    // Heuristic loads are request counts, while the autoscaler's grow
-    // and shrink thresholds are predicted microseconds: the pool must
-    // refuse the combination rather than scale on mismatched units.
-    PoolFixture fixture(1);
-    PoolConfig config;
-    config.cost_aware_scheduling = false;
-    config.autoscaler.enabled = true;
-    config.autoscaler.min_replicas = 1;
-    config.autoscaler.max_replicas = 2;
-    EXPECT_THROW(ServerPool(fixture.network, fixture.loader(), config),
-                 check_error);
-}
-
-TEST(ServerPool, AutoscalerGrowsUnderLoadAndShrinksBackToMin) {
-    PoolFixture fixture(2);
-
-    // Deterministic linear pricing so the predicted backlog is exact:
-    // a 48-request burst on one active replica is tens of thousands of
-    // predicted microseconds, far past grow_backlog_us.
-    CostModelConfig cost_config;
-    cost_config.default_per_sample_us = 2000.0;
-
-    PoolConfig config;
-    config.replica_count = 1;  // start at min
-    config.routing = RoutingPolicy::least_loaded;
-    config.cost_model = std::make_shared<CostModel>(cost_config);
-    config.autoscaler.enabled = true;
-    config.autoscaler.min_replicas = 1;
-    config.autoscaler.max_replicas = 3;
-    config.autoscaler.interval = std::chrono::milliseconds(2);
-    config.autoscaler.grow_backlog_us = 1000.0;
-    config.autoscaler.shrink_backlog_us = 200.0;
-    config.autoscaler.grow_patience = 1;
-    config.autoscaler.shrink_patience = 2;
-    config.server.batcher.max_batch_size = 4;
-    // Model an attached accelerator so the burst stays queued long
-    // enough for the scaler to react on any host.
-    config.server.simulated_service_time = std::chrono::milliseconds(3);
-    config.server.worker_threads = 1;
-
-    ServerPool pool(fixture.network, fixture.loader(), config);
-    EXPECT_EQ(pool.replica_count(), 3u);  // provisioned to max up front
-    EXPECT_EQ(pool.active_replicas(), 1u);
-
-    std::vector<RequestTicket> tickets;
-    for (int i = 0; i < 48; ++i) {
-        tickets.push_back(pool.submit("task" + std::to_string(i % 2),
-                                      Tensor({3, 32, 32}, 0.1f), {}));
-    }
-    // The scaler must activate extra replicas while the queue drains.
-    std::size_t peak_active = pool.active_replicas();
-    for (int spin = 0; spin < 2000 && peak_active < 2; ++spin) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        peak_active = std::max(peak_active, pool.active_replicas());
-    }
-    EXPECT_GE(peak_active, 2u);
-    pool.drain();
-    for (RequestTicket& ticket : tickets) {
-        EXPECT_EQ(ticket.wait().value().logits.shape().dim(-1), 10);
-    }
-
-    // Idle backlog sits below shrink_backlog_us: the scaler must hand
-    // the extra replicas back until it rests at min_replicas.
-    std::size_t active = pool.active_replicas();
-    for (int spin = 0; spin < 5000 && active > 1; ++spin) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        active = pool.active_replicas();
-    }
-    EXPECT_EQ(active, 1u);
-
-    const PoolStats stats = pool.stats();
-    pool.stop();
-    EXPECT_GE(stats.autoscale_grows, 1);
-    EXPECT_GE(stats.autoscale_shrinks, 1);
-    EXPECT_EQ(stats.active_replicas, 1u);
-    EXPECT_EQ(stats.requests_completed, 48);
-    const std::string table = stats.to_table_string();
-    EXPECT_NE(table.find("replicas (active/provisioned)"),
-              std::string::npos);
-}
-
-// Regression for the capability-annotation audit: active_ and the
-// router size move only under mutex_, so a reader can never observe the
-// autoscaler mid-transition (an active count outside [min, max], or a
-// routed target past the provisioned set). Submitting threads race the
-// scaler while observers hammer the snapshot paths.
-TEST(ServerPool, ActiveCountStaysBoundedWhileAutoscalerRacesSubmits) {
-    PoolFixture fixture(2);
-
-    CostModelConfig cost_config;
-    cost_config.default_per_sample_us = 2000.0;
-
-    PoolConfig config;
-    config.replica_count = 1;
-    config.routing = RoutingPolicy::least_loaded;
-    config.cost_model = std::make_shared<CostModel>(cost_config);
-    config.autoscaler.enabled = true;
-    config.autoscaler.min_replicas = 1;
-    config.autoscaler.max_replicas = 3;
-    config.autoscaler.interval = std::chrono::milliseconds(1);
-    config.autoscaler.grow_backlog_us = 500.0;
-    config.autoscaler.shrink_backlog_us = 100.0;
-    config.autoscaler.grow_patience = 1;
-    config.autoscaler.shrink_patience = 1;
-    config.server.batcher.max_batch_size = 4;
-    config.server.simulated_service_time = std::chrono::milliseconds(1);
-    config.server.worker_threads = 1;
-
-    ServerPool pool(fixture.network, fixture.loader(), config);
-
-    std::atomic<bool> stop_observing{false};
-    std::atomic<bool> saw_out_of_bounds{false};
-    std::thread observer([&] {
-        while (!stop_observing.load()) {
-            const std::size_t active = pool.active_replicas();
-            if (active < 1 || active > 3) {
-                saw_out_of_bounds.store(true);
-            }
-            const PoolStats snapshot = pool.stats();
-            if (snapshot.active_replicas < 1 ||
-                snapshot.active_replicas > 3) {
-                saw_out_of_bounds.store(true);
-            }
-        }
-    });
-
-    constexpr int kClients = 4;
-    constexpr int kPerClient = 12;
-    std::vector<std::thread> clients;
-    clients.reserve(kClients);
-    for (int c = 0; c < kClients; ++c) {
-        clients.emplace_back([&pool, c] {
-            for (int i = 0; i < kPerClient; ++i) {
-                EXPECT_TRUE(pool.run("task" + std::to_string(c % 2),
-                                     Tensor({3, 32, 32}, 0.1f))
-                                .ok());
-            }
-        });
-    }
-    for (std::thread& client : clients) {
-        client.join();
-    }
-    pool.drain();
-    stop_observing.store(true);
-    observer.join();
-
-    const PoolStats stats = pool.stats();
-    pool.stop();
-    EXPECT_FALSE(saw_out_of_bounds.load());
-    EXPECT_EQ(stats.requests_completed, kClients * kPerClient);
-    // Every request routed to some replica, none lost mid-transition.
-    std::int64_t routed_total = 0;
-    for (const ReplicaStats& replica : stats.replicas) {
-        routed_total += replica.routed;
-    }
-    EXPECT_EQ(routed_total, kClients * kPerClient);
 }
 
 // Regression for the snapshot-read audit: stats() merges per-replica

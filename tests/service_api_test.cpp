@@ -242,6 +242,25 @@ TEST_P(ServiceApiTest, ExpiredDeadlineReapsBeforeLaterBatches) {
     service->stop();
 }
 
+TEST_P(ServiceApiTest, DeadlinePastTheClockMeansNoDeadline) {
+    // microseconds::max() (about 292,000 years) ends past the clock's
+    // range: it must saturate to "no deadline", not overflow the
+    // enqueue-time addition and wrap into the past.
+    ServiceFixture fixture;
+    auto service =
+        make_backend(GetParam().kind, fixture, fixture.loader());
+
+    SubmitOptions options;
+    options.deadline = std::chrono::microseconds::max();
+    const Outcome<InferenceResult> outcome =
+        service->run("task0", Tensor({3, 32, 32}, 0.1f), options);
+    EXPECT_TRUE(outcome.ok()) << to_string(outcome.status()) << ": "
+                              << outcome.message();
+    service->drain();
+    EXPECT_EQ(service->service_stats().deadline_expired, 0);
+    service->stop();
+}
+
 TEST_P(ServiceApiTest, CancelBeforeDispatchWinsAndDeliversCancelled) {
     ServiceFixture fixture;
     LoaderGate gate;
