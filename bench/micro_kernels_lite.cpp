@@ -22,13 +22,19 @@
 //     tiny-VGG shapes,
 //   * the int8+sparse planned forward beats the float32 sparse forward
 //     by >= 1.3x on the same pruned network.
-// MIME_KERNELS_ITERS scales the timing loops (default 30).
+// MIME_KERNELS_ITERS scales the timing loops (default 30). The JSON
+// also records the host (CPU model, logical CPU count), the repetition
+// count of every timing loop, and the spread of the two A/B-interleaved
+// gate ratios across their repetitions.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -52,11 +58,32 @@ int env_int(const char* name, int fallback) {
     return value > 0 ? value : fallback;
 }
 
-/// Median-of-three wall-clock seconds for `iters` repetitions of `fn`.
+/// The "model name" line of /proc/cpuinfo, or "unknown" where there is
+/// none.
+std::string cpu_model() {
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        if (line.rfind("model name", 0) == 0) {
+            const std::size_t colon = line.find(':');
+            if (colon != std::string::npos) {
+                const std::size_t start =
+                    line.find_first_not_of(' ', colon + 1);
+                return start == std::string::npos ? "" : line.substr(start);
+            }
+        }
+    }
+    return "unknown";
+}
+
+/// Repetitions of the time_seconds loops.
+constexpr int kTimeReps = 3;
+
+/// Best-of-three wall-clock seconds for `iters` repetitions of `fn`.
 template <typename Fn>
 double time_seconds(int iters, Fn&& fn) {
     double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < kTimeReps; ++rep) {
         const auto start = std::chrono::steady_clock::now();
         for (int i = 0; i < iters; ++i) {
             fn();
@@ -71,15 +98,50 @@ double time_seconds(int iters, Fn&& fn) {
     return best;
 }
 
+/// Per-repetition seconds of both sides of an A/B timing.
+struct AbTimes {
+    std::vector<double> a;
+    std::vector<double> b;
+
+    double best_a() const { return *std::min_element(a.begin(), a.end()); }
+    double best_b() const { return *std::min_element(b.begin(), b.end()); }
+};
+
+/// Min and max over repetitions of sum(a) / sum(b), the sums running
+/// over every A/B timing in `timings` (all with the same repetitions).
+std::pair<double, double> per_rep_ratio_range(
+    const std::vector<AbTimes>& timings) {
+    double lo = 0.0;
+    double hi = 0.0;
+    for (std::size_t rep = 0; rep < timings.front().a.size(); ++rep) {
+        double a = 0.0;
+        double b = 0.0;
+        for (const AbTimes& t : timings) {
+            a += t.a[rep];
+            b += t.b[rep];
+        }
+        const double ratio = a / b;
+        lo = rep == 0 ? ratio : std::min(lo, ratio);
+        hi = rep == 0 ? ratio : std::max(hi, ratio);
+    }
+    return {lo, hi};
+}
+
+Json ratio_range_json(const std::pair<double, double>& range) {
+    Json json;
+    json.set("min", range.first);
+    json.set("max", range.second);
+    return json;
+}
+
 /// Interleaved A/B timing: alternates the two candidates within each
-/// repetition and keeps each side's minimum. On a noisy machine this is
+/// repetition and records both sides' times; the gates use each side's
+/// minimum. On a noisy machine this is
 /// much fairer than timing A's block then B's block — a background
 /// burst lands on both sides instead of poisoning one.
 template <typename FnA, typename FnB>
-std::pair<double, double> ab_time_seconds(int iters, int reps, FnA&& a,
-                                          FnB&& b) {
-    double best_a = 0.0;
-    double best_b = 0.0;
+AbTimes ab_time_seconds(int iters, int reps, FnA&& a, FnB&& b) {
+    AbTimes times;
     for (int rep = 0; rep < reps; ++rep) {
         auto start = std::chrono::steady_clock::now();
         for (int i = 0; i < iters; ++i) {
@@ -97,14 +159,10 @@ std::pair<double, double> ab_time_seconds(int iters, int reps, FnA&& a,
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           start)
                 .count();
-        if (rep == 0 || sa < best_a) {
-            best_a = sa;
-        }
-        if (rep == 0 || sb < best_b) {
-            best_b = sb;
-        }
+        times.a.push_back(sa);
+        times.b.push_back(sb);
     }
-    return {best_a, best_b};
+    return times;
 }
 
 core::MimeNetworkConfig tiny_vgg_config() {
@@ -139,12 +197,34 @@ int run(bool check_mode) {
     print_banner(
         "micro_kernels_lite: GEMM / gemm_rows / mask-apply / sparse forward",
         "MIME row compaction converts structural sparsity into speedup");
-    std::printf("  kernel: %s, iters: %d\n\n", gemm_kernel_name(), iters);
+    const std::string host_cpu = cpu_model();
+    const auto host_cpus =
+        static_cast<std::int64_t>(std::thread::hardware_concurrency());
+    std::printf("  kernel: %s, iters: %d\n  host: %s, %lld logical CPUs\n\n",
+                gemm_kernel_name(), iters, host_cpu.c_str(),
+                static_cast<long long>(host_cpus));
+
+    // Repetitions of each timing loop below (each repetition runs
+    // `iters` calls; a loop reports its fastest repetition).
+    constexpr int kQgemmReps = 5;
+    constexpr int kNarrowReps = 5;
+    constexpr int kInt8ForwardReps = 7;
 
     Json json;
     json.set("bench", "micro_kernels_lite");
     json.set("kernel", gemm_kernel_name());
+    json.set("host_cpu_model", host_cpu);
+    json.set("host_logical_cpus", host_cpus);
     json.set("iters", iters);
+    Json reps;
+    reps.set("gemm", kTimeReps);
+    reps.set("gemm_rows_sweep", kTimeReps);
+    reps.set("mask_apply", kTimeReps);
+    reps.set("forward_dense_sparse", kTimeReps);
+    reps.set("qgemm_shapes", kQgemmReps);
+    reps.set("narrow_shapes", kNarrowReps);
+    reps.set("forward_int8", kInt8ForwardReps);
+    json.set("timing_reps", std::move(reps));
 
     // -- 1. dense GEMM ----------------------------------------------------
     const std::int64_t m = 192, n = 192, k = 192;
@@ -289,6 +369,7 @@ int run(bool check_mode) {
                 qgemm_kernel_name());
     double float_total_s = 0.0;
     double int8_total_s = 0.0;
+    std::vector<AbTimes> qgemm_timings;
     std::vector<Json> qgemm_rows_json;
     for (const QShape& shape : qshapes) {
         const Tensor fa = Tensor::randn({shape.m, shape.k}, rng);
@@ -308,8 +389,8 @@ int run(bool check_mode) {
         }
         std::vector<std::int32_t> qc(
             static_cast<std::size_t>(shape.m * shape.n));
-        const auto [float_s, int8_s] = ab_time_seconds(
-            iters, /*reps=*/5,
+        qgemm_timings.push_back(ab_time_seconds(
+            iters, kQgemmReps,
             [&] {
                 gemm(false, false, shape.m, shape.n, shape.k, 1.0f,
                      fa.data(), shape.k, fb.data(), shape.n, 0.0f, fc.data(),
@@ -318,7 +399,9 @@ int run(bool check_mode) {
             [&] {
                 qgemm(shape.m, shape.n, shape.k, qa.data(), shape.k,
                       qb.data(), shape.n, qc.data(), shape.n);
-            });
+            }));
+        const double float_s = qgemm_timings.back().best_a();
+        const double int8_s = qgemm_timings.back().best_b();
         float_total_s += float_s;
         int8_total_s += int8_s;
         std::printf("    %-7s %3lldx%4lldx%3lld: %6.2fx float time\n",
@@ -334,11 +417,15 @@ int run(bool check_mode) {
         qgemm_rows_json.push_back(std::move(row));
     }
     const double qgemm_speedup = float_total_s / int8_total_s;
+    const auto qgemm_range = per_rep_ratio_range(qgemm_timings);
     print_claim("int8 qgemm speedup (aggregate)", ">= 1.5x (gate)",
                 std::to_string(qgemm_speedup).substr(0, 5) + "x");
+    std::printf("    per repetition: %.3fx .. %.3fx\n", qgemm_range.first,
+                qgemm_range.second);
     json.set("qgemm_kernel", qgemm_kernel_name());
     json.set("qgemm_shapes", std::move(qgemm_rows_json));
     json.set("qgemm_int8_speedup", qgemm_speedup);
+    json.set("qgemm_int8_speedup_per_rep", ratio_range_json(qgemm_range));
 
     // Report-only (no gate): the 2x2-output conv11-13 shapes, n = 4, of
     // the tiny-VGG and of the width-0.25 VGG the serving benchmark's
@@ -365,8 +452,8 @@ int run(bool check_mode) {
         }
         std::vector<std::int32_t> qc(
             static_cast<std::size_t>(shape.n * shape.m));
-        const auto [float_s, int8_s] = ab_time_seconds(
-            iters, /*reps=*/5,
+        const AbTimes timing = ab_time_seconds(
+            iters, kNarrowReps,
             [&] {
                 gemm(false, false, shape.m, shape.n, shape.k, 1.0f,
                      fa.data(), shape.k, fb.data(), shape.n, 0.0f, fc.data(),
@@ -376,6 +463,8 @@ int run(bool check_mode) {
                 qgemm(shape.n, shape.m, shape.k, qa.data(), shape.k,
                       qb.data(), shape.m, qc.data(), shape.m);
             });
+        const double float_s = timing.best_a();
+        const double int8_s = timing.best_b();
         const double float_gflops = 2.0 *
                                     static_cast<double>(shape.m * shape.n *
                                                         shape.k) *
@@ -431,11 +520,14 @@ int run(bool check_mode) {
         }
         agree += best_f == best_q;
     }
-    const auto [float_fwd_s, int8_fwd_s] = ab_time_seconds(
-        iters, /*reps=*/7,
+    const AbTimes forward_timing = ab_time_seconds(
+        iters, kInt8ForwardReps,
         [&] { net.forward_planned(x, workspace); },
         [&] { qnet.forward_planned(x, qworkspace); });
+    const double float_fwd_s = forward_timing.best_a();
+    const double int8_fwd_s = forward_timing.best_b();
     const double int8_speedup = float_fwd_s / int8_fwd_s;
+    const auto forward_range = per_rep_ratio_range({forward_timing});
     std::printf("\n  quantized planned forward, same pruned tiny-VGG:\n");
     std::printf("    float32 sparse %8.3f ms/iter\n",
                 float_fwd_s / iters * 1e3);
@@ -443,6 +535,8 @@ int run(bool check_mode) {
                 int8_fwd_s / iters * 1e3);
     print_claim("int8 planned forward speedup", ">= 1.3x (gate)",
                 std::to_string(int8_speedup).substr(0, 5) + "x");
+    std::printf("    per repetition: %.3fx .. %.3fx\n", forward_range.first,
+                forward_range.second);
     std::printf("    top-1 agreement on bench batch: %lld/%lld, "
                 "weight max rel err %.4f\n",
                 static_cast<long long>(agree),
@@ -451,6 +545,7 @@ int run(bool check_mode) {
     json.set("forward_int8_ms", int8_fwd_s / iters * 1e3);
     json.set("forward_float_sparse_ms", float_fwd_s / iters * 1e3);
     json.set("forward_int8_speedup_vs_float_sparse", int8_speedup);
+    json.set("forward_int8_speedup_per_rep", ratio_range_json(forward_range));
     json.set("forward_int8_top1_agree", agree);
     json.set("forward_int8_top1_total", batch);
     json.set("quantized_weight_max_rel_error",

@@ -97,8 +97,9 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
             }
             step.buffer = Tensor({batch_size, conv->out_channels(),
                                   g.out_height(), g.out_width()});
-            step.mac_per_k = static_cast<std::uint64_t>(
-                batch_size * conv->out_channels() * g.col_cols());
+            step.mac_unit =
+                static_cast<std::uint64_t>(batch_size * g.col_cols());
+            step.out_total = static_cast<std::uint64_t>(conv->out_channels());
             step.k_total = static_cast<std::uint64_t>(g.col_rows());
             current = step.buffer.shape();
             upstream_site = nullptr;
@@ -118,6 +119,19 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
             profile.name = "act" + std::to_string(++act_ordinal);
             upstream_site = site;
             upstream_channel_only = false;
+            // The conv this site masks, directly or through a BN (which
+            // is per-channel, so a masked channel stays masked).
+            std::size_t producer = steps_.size() - 1;
+            if (steps_[producer].kind == Step::Kind::batchnorm &&
+                producer > 0) {
+                --producer;
+            }
+            Step& conv_step = steps_[producer];
+            if (conv_step.kind == Step::Kind::conv &&
+                site->mask().activation_shape().dim(0) ==
+                    conv_step.conv->out_channels()) {
+                conv_step.output_site = site;
+            }
         } else if (auto* pool = dynamic_cast<nn::MaxPool2d*>(&layer)) {
             step.kind = Step::Kind::pool;
             step.pool = pool;
@@ -184,8 +198,9 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
                 profile.workspace_bytes = scratch;
             }
             step.buffer = Tensor({batch_size, linear->out_features()});
-            step.mac_per_k = static_cast<std::uint64_t>(
-                batch_size * linear->out_features());
+            step.mac_unit = static_cast<std::uint64_t>(batch_size);
+            step.out_total =
+                static_cast<std::uint64_t>(linear->out_features());
             step.k_total = static_cast<std::uint64_t>(linear->in_features());
             current = step.buffer.shape();
             upstream_site = nullptr;
@@ -224,6 +239,7 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
     }
 
     const bool sparse_enabled = network_->sparse_execution().enabled;
+    const double density_cutoff = network_->sparse_execution().density_cutoff;
     // Hoisted once per run: profiling costs one branch per step when
     // off, two steady_clock reads per step when on.
     const bool profiling = network_->plan_profiling();
@@ -241,7 +257,7 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
         }
         switch (step.kind) {
             case Step::Kind::conv: {
-                dense_macs_ += step.mac_per_k * step.k_total;
+                dense_macs_ += step.mac_unit * step.out_total * step.k_total;
                 nn::ActiveIndexView view;
                 const nn::ActiveIndexView* viewp = nullptr;
                 if (sparse_enabled && step.input_site != nullptr &&
@@ -275,23 +291,47 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                             as.channels};
                     viewp = &view;
                 }
+                // Output channels the consuming mask zeroes whatever they
+                // hold are not computed at all.
+                nn::ActiveIndexView out_view;
+                const nn::ActiveIndexView* out_viewp = nullptr;
+                if (sparse_enabled && step.output_site != nullptr &&
+                    step.output_site->mode() == ActivationMode::threshold) {
+                    const ActiveSet& as =
+                        step.output_site->mask().active_set();
+                    out_view = {as.live_channels.data(),
+                                static_cast<std::int64_t>(
+                                    as.live_channels.size()),
+                                as.channels};
+                    if (!out_view.all_live() &&
+                        out_view.density() <= density_cutoff) {
+                        out_viewp = &out_view;
+                    }
+                }
                 bool compacted;
                 if (!step.qweight.empty()) {
                     compacted = step.conv->forward_into_quantized(
-                        *cur, workspace, step.buffer, step.qweight, viewp);
+                        *cur, workspace, step.buffer, step.qweight, viewp,
+                        out_viewp);
                     ++quantized_hits_;
                 } else {
-                    compacted = step.conv->forward_into(*cur, workspace,
-                                                        step.buffer, viewp);
+                    compacted = step.conv->forward_into(
+                        *cur, workspace, step.buffer, viewp, out_viewp);
                 }
-                if (compacted) {
+                if (compacted || out_viewp != nullptr) {
                     ++sparse_hits_;
                     const std::uint64_t kk = static_cast<std::uint64_t>(
                         step.conv->kernel() * step.conv->kernel());
+                    const std::uint64_t k_live =
+                        compacted ? static_cast<std::uint64_t>(view.count) * kk
+                                  : step.k_total;
+                    const std::uint64_t out_live =
+                        out_viewp != nullptr
+                            ? static_cast<std::uint64_t>(out_view.count)
+                            : step.out_total;
                     skipped_macs_ +=
-                        step.mac_per_k *
-                        (step.k_total -
-                         static_cast<std::uint64_t>(view.count) * kk);
+                        step.mac_unit * (step.out_total * step.k_total -
+                                         out_live * k_live);
                 }
                 cur = cur_mut = &step.buffer;
                 break;
@@ -311,7 +351,7 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                 cur = cur_mut = &step.buffer;
                 break;
             case Step::Kind::linear: {
-                dense_macs_ += step.mac_per_k * step.k_total;
+                dense_macs_ += step.mac_unit * step.out_total * step.k_total;
                 nn::ActiveIndexView view;
                 const nn::ActiveIndexView* viewp = nullptr;
                 if (sparse_enabled && step.input_site != nullptr &&
@@ -354,7 +394,7 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                 if (compacted) {
                     ++sparse_hits_;
                     skipped_macs_ +=
-                        step.mac_per_k *
+                        step.mac_unit * step.out_total *
                         (step.k_total - static_cast<std::uint64_t>(view.count));
                 }
                 cur = cur_mut = &step.buffer;

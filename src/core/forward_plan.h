@@ -33,8 +33,17 @@
 // narrows the structurally live channels at run time to those nonzero
 // in at least one sample of the batch, found by an early-exit scan of
 // its input: thresholds that zero a live channel across the batch skip
-// its MACs as pruning does. Hit and skipped-MAC counters accumulate
-// across runs.
+// its MACs as pruning does.
+//
+// The output side: each conv step also records the site that masks its
+// own output, directly or through a BatchNorm2d. When that site runs in
+// threshold mode and its live-channel density is at or below the
+// policy's cutoff, the conv computes only those output channels. The
+// mask's select zeroes a +inf- or NaN-threshold channel whatever the
+// conv (and BN) left there (inf - inf and NaN compare false), so the
+// skipped channels need no write and post-mask activations stay
+// bit-identical. A pruned task's conv then costs live-in x live-out
+// MACs. Hit and skipped-MAC counters accumulate across runs.
 //
 // Quantized execution: when the network's QuantizedExecution policy is
 // on at build time, conv/linear steps snapshot their weights as int8
@@ -43,10 +52,10 @@
 // scale per sample into workspace scratch, the contraction happens in
 // int32, and the dequantized float lands in the same output buffer, so
 // BN / activation / threshold-mask stages are unchanged. Deadness
-// propagation composes: the same live sets drive qgemm_rows. The
-// classifier is the exception: it is the per-task head a server copies
-// in at every task install, which a build-time snapshot would miss, so
-// it always runs float.
+// propagation composes: the same input and output live sets drive
+// qgemm_rows. The classifier is the exception: it is the per-task head
+// a server copies in at every task install, which a build-time snapshot
+// would miss, so it always runs float.
 //
 // Thresholds are read live from the sites at execution time: a task's
 // threshold install between batches needs no plan rebuild (the
@@ -122,9 +131,11 @@ public:
     }
 
     /// Cumulative count of conv/linear steps that ran the row-compacted
-    /// sparse path (across all run() calls on this plan).
+    /// sparse path, on the input side, the output side or both (across
+    /// all run() calls on this plan).
     std::uint64_t sparse_hits() const noexcept { return sparse_hits_; }
-    /// Cumulative MACs those sparse hits skipped versus dense execution.
+    /// Cumulative MACs those sparse hits skipped versus dense execution:
+    /// dense minus live-out x live-in, per step.
     std::uint64_t skipped_macs() const noexcept { return skipped_macs_; }
     /// Cumulative dense-equivalent MACs of every conv/linear step run
     /// (the denominator for a skipped-MAC fraction).
@@ -174,10 +185,17 @@ private:
         /// live channels expanded to their features. Capacity is
         /// reserved at build, so runs never allocate.
         std::vector<std::int64_t> live_scratch;
-        /// MACs per unit of contraction depth (batch * Cout * spatial
-        /// for conv, batch * out_features for linear) and the dense
-        /// contraction depth — the skipped-MAC accounting constants.
-        std::uint64_t mac_per_k = 0;
+        /// Conv only: the threshold site that masks this conv's output
+        /// (next step, or the one after a BatchNorm2d; null otherwise).
+        /// Its live channels are the only output channels computed.
+        ActivationSite* output_site = nullptr;
+        /// Skipped-MAC accounting constants: a step runs
+        /// mac_unit * out * k MACs over the output rows (conv output
+        /// channels, linear output features) and contraction rows it
+        /// computes; out_total and k_total are the dense extents, and
+        /// mac_unit is batch * spatial for conv, batch for linear.
+        std::uint64_t mac_unit = 0;
+        std::uint64_t out_total = 0;
         std::uint64_t k_total = 0;
 
         // -- quantized execution (conv / linear steps only) ----------------

@@ -32,8 +32,10 @@ enum class ActivationMode {
 
 /// Policy for the sparse planned executor: whether conv/linear steps may
 /// take the row-compacted path for structurally pruned masks (and, for
-/// convs, input channels zero across the batch), and the density above
-/// which they fall back to dense.
+/// convs, input channels zero across the batch, and output channels the
+/// consuming mask prunes), and the density above which a live list is
+/// ignored and its side runs dense. One cutoff gates the input and
+/// output lists alike.
 struct SparseExecution {
     bool enabled = true;
     double density_cutoff = nn::kDefaultSparseDensityCutoff;

@@ -146,30 +146,26 @@ std::int64_t Conv2d::workspace_floats(std::int64_t in_height,
                             g.col_rows() * g.col_cols()));
 }
 
-bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
-                          Tensor& output,
-                          const ActiveIndexView* live_in_channels) {
-    const ConvGeometry g = geometry_for(input);
-    const std::int64_t batch = input.shape().dim(0);
-    const std::int64_t ho = g.out_height();
-    const std::int64_t wo = g.out_width();
-    const std::int64_t spatial = ho * wo;
-    const std::int64_t ckk = g.col_rows();
-    MIME_REQUIRE(eval_mode(),
-                 "Conv2d::forward_into is inference-only; set_eval_mode "
-                 "first");
-    MIME_REQUIRE(output.shape() == Shape({batch, out_channels_, ho, wo}),
-                 "Conv2d::forward_into output must be preallocated to " +
-                     Shape({batch, out_channels_, ho, wo}).to_string() +
-                     ", got " + output.shape().to_string());
+namespace {
 
-    const bool sparse = live_in_channels != nullptr &&
-                        live_in_channels->indices != nullptr &&
-                        !live_in_channels->all_live() &&
-                        live_in_channels->density() <= sparse_density_cutoff_;
-    const std::int64_t* rows = nullptr;
-    std::int64_t row_count = ckk;
-    if (sparse) {
+/// Entry i of an index list, or i itself for the null identity list.
+inline std::int64_t listed(const std::int64_t* list, std::int64_t i) {
+    return list != nullptr ? list[i] : i;
+}
+
+}  // namespace
+
+Conv2d::GemmLists Conv2d::gemm_lists(const ActiveIndexView* live_in_channels,
+                                     const ActiveIndexView* live_out_channels,
+                                     std::int64_t ckk) {
+    GemmLists lists;
+    lists.row_count = ckk;
+    lists.out_count = out_channels_;
+    lists.compacted_in = live_in_channels != nullptr &&
+                         live_in_channels->indices != nullptr &&
+                         !live_in_channels->all_live() &&
+                         live_in_channels->density() <= sparse_density_cutoff_;
+    if (lists.compacted_in) {
         MIME_REQUIRE(live_in_channels->total == in_channels_,
                      "Conv2d live-channel view covers " +
                          std::to_string(live_in_channels->total) +
@@ -185,8 +181,51 @@ bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
                 live_rows_.push_back(base + t);
             }
         }
-        rows = live_rows_.data();
-        row_count = static_cast<std::int64_t>(live_rows_.size());
+        lists.rows = live_rows_.data();
+        lists.row_count = static_cast<std::int64_t>(live_rows_.size());
+    }
+    if (live_out_channels != nullptr && !live_out_channels->all_live()) {
+        MIME_REQUIRE(live_out_channels->total == out_channels_,
+                     "Conv2d live-output view covers " +
+                         std::to_string(live_out_channels->total) +
+                         " channels, layer has " +
+                         std::to_string(out_channels_));
+        MIME_REQUIRE(live_out_channels->indices != nullptr ||
+                         live_out_channels->count == 0,
+                     "Conv2d live-output view needs indices");
+        lists.out_rows = live_out_channels->indices;
+        lists.out_count = live_out_channels->count;
+    }
+    return lists;
+}
+
+bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
+                          Tensor& output,
+                          const ActiveIndexView* live_in_channels,
+                          const ActiveIndexView* live_out_channels) {
+    const ConvGeometry g = geometry_for(input);
+    const std::int64_t batch = input.shape().dim(0);
+    const std::int64_t ho = g.out_height();
+    const std::int64_t wo = g.out_width();
+    const std::int64_t spatial = ho * wo;
+    const std::int64_t ckk = g.col_rows();
+    MIME_REQUIRE(eval_mode(),
+                 "Conv2d::forward_into is inference-only; set_eval_mode "
+                 "first");
+    MIME_REQUIRE(output.shape() == Shape({batch, out_channels_, ho, wo}),
+                 "Conv2d::forward_into output must be preallocated to " +
+                     Shape({batch, out_channels_, ho, wo}).to_string() +
+                     ", got " + output.shape().to_string());
+
+    const GemmLists lists =
+        gemm_lists(live_in_channels, live_out_channels, ckk);
+    const bool sparse = lists.compacted_in;
+    const std::int64_t* rows = lists.rows;
+    const std::int64_t row_count = lists.row_count;
+    const std::int64_t* out_rows = lists.out_rows;
+    const std::int64_t out_count = lists.out_count;
+    if (out_count == 0) {
+        return sparse;  // no output channel to compute
     }
 
     const std::int64_t in_stride = in_channels_ * g.in_height * g.in_width;
@@ -200,9 +239,10 @@ bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
     float* packed = nullptr;
     if (spatial < kGemmNarrowN) {
         packed = workspace.alloc_floats(
-            gemm_narrow_pack_floats(out_channels_, row_count));
+            gemm_narrow_pack_floats(out_count, row_count));
         gemm_narrow_pack(false, out_channels_, ckk, rows, row_count, 1.0f,
-                         weight_.value.data(), ckk, packed);
+                         weight_.value.data(), ckk, packed, out_rows,
+                         out_count);
     }
 
     auto run_sample = [&](std::int64_t n, float* cols,
@@ -219,19 +259,17 @@ bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
         if (packed != nullptr) {
             gemm_narrow_packed(out_channels_, spatial, ckk, rows, row_count,
                                packed, cols, spatial, 0.0f, out, spatial,
-                               gemm_pool);
-        } else if (sparse) {
+                               gemm_pool, out_rows, out_count);
+        } else {
             gemm_rows(false, false, out_channels_, spatial, ckk, rows,
                       row_count, 1.0f, weight_.value.data(), ckk, cols,
-                      spatial, 0.0f, out, spatial, gemm_pool);
-        } else {
-            gemm(false, false, out_channels_, spatial, ckk, 1.0f,
-                 weight_.value.data(), ckk, cols, spatial, 0.0f, out,
-                 spatial, gemm_pool);
+                      spatial, 0.0f, out, spatial, gemm_pool, out_rows,
+                      out_count);
         }
         if (bias_) {
             const float* b = bias_->value.data();
-            for (std::int64_t c = 0; c < out_channels_; ++c) {
+            for (std::int64_t q = 0; q < out_count; ++q) {
+                const std::int64_t c = listed(out_rows, q);
                 float* row = out + c * spatial;
                 for (std::int64_t s = 0; s < spatial; ++s) {
                     row[s] += b[c];
@@ -283,11 +321,19 @@ std::size_t Conv2d::quantized_workspace_bytes(std::int64_t in_height,
         sizeof(std::int32_t);
     const auto slab = static_cast<std::size_t>(batch * in_channels_ *
                                                in_height * in_width);
-    // A narrow output also needs the column matrix transposed.
-    const std::size_t cols_copies = g.col_cols() < kGemmNarrowN ? 2 : 1;
+    // A narrow output also needs the column matrix transposed, and room
+    // for the gathered weight columns of an output-channel list (fewer
+    // than Cout of them, or the call uses the snapshot as is).
+    const bool narrow = g.col_cols() < kGemmNarrowN;
+    const std::size_t cols_copies = narrow ? 2 : 1;
+    const std::size_t gathered =
+        narrow ? Workspace::aligned_bytes(
+                     static_cast<std::size_t>(g.col_rows() * out_channels_))
+               : 0;
     return Workspace::aligned_bytes(slab) +
            Workspace::aligned_bytes(static_cast<std::size_t>(batch) *
                                     sizeof(float)) +
+           gathered +
            static_cast<std::size_t>(conv_bands(batch)) *
                (cols_copies * Workspace::aligned_bytes(cols) +
                 Workspace::aligned_bytes(acc));
@@ -305,7 +351,8 @@ nn::QuantizedTensor Conv2d::quantize_weights(std::int64_t in_height,
 bool Conv2d::forward_into_quantized(const Tensor& input,
                                     Workspace& workspace, Tensor& output,
                                     const nn::QuantizedTensor& qweight,
-                                    const ActiveIndexView* live_in_channels) {
+                                    const ActiveIndexView* live_in_channels,
+                                    const ActiveIndexView* live_out_channels) {
     const ConvGeometry g = geometry_for(input);
     const std::int64_t batch = input.shape().dim(0);
     const std::int64_t ho = g.out_height();
@@ -334,28 +381,15 @@ bool Conv2d::forward_into_quantized(const Tensor& input,
                      "], layer needs [" + std::to_string(w_rows) + ", " +
                      std::to_string(w_cols) + "] (see quantize_weights)");
 
-    const bool sparse = live_in_channels != nullptr &&
-                        live_in_channels->indices != nullptr &&
-                        !live_in_channels->all_live() &&
-                        live_in_channels->density() <= sparse_density_cutoff_;
-    const std::int64_t* rows = nullptr;
-    std::int64_t row_count = ckk;
-    if (sparse) {
-        MIME_REQUIRE(live_in_channels->total == in_channels_,
-                     "Conv2d live-channel view covers " +
-                         std::to_string(live_in_channels->total) +
-                         " channels, layer has " +
-                         std::to_string(in_channels_));
-        live_rows_.clear();
-        const std::int64_t kk = kernel_ * kernel_;
-        for (std::int64_t i = 0; i < live_in_channels->count; ++i) {
-            const std::int64_t base = live_in_channels->indices[i] * kk;
-            for (std::int64_t t = 0; t < kk; ++t) {
-                live_rows_.push_back(base + t);
-            }
-        }
-        rows = live_rows_.data();
-        row_count = static_cast<std::int64_t>(live_rows_.size());
+    const GemmLists lists =
+        gemm_lists(live_in_channels, live_out_channels, ckk);
+    const bool sparse = lists.compacted_in;
+    const std::int64_t* rows = lists.rows;
+    const std::int64_t row_count = lists.row_count;
+    const std::int64_t* out_rows = lists.out_rows;
+    const std::int64_t out_count = lists.out_count;
+    if (out_count == 0) {
+        return sparse;  // no output channel to compute
     }
 
     const std::int64_t in_stride = in_channels_ * g.in_height * g.in_width;
@@ -386,6 +420,33 @@ bool Conv2d::forward_into_quantized(const Tensor& input,
     const float* bias = bias_ ? bias_->value.data() : nullptr;
     const float* w_scales = qweight.scales.data();
     const std::int8_t* w_data = qweight.data.data();
+
+    // The swapped narrow GEMM has the output channels on its N side, so
+    // an output list gathers their weight columns (for the contraction
+    // rows it reads) into [C*K*K, w_cols], w_cols being the list rounded
+    // up to whole 16-wide kernel tiles, zero-padded. Once per call, not
+    // per sample. When the padding would reach Cout, the snapshot runs
+    // as is and only the dequant skips the unlisted channels.
+    std::int64_t w_ld = out_channels_;
+    bool gathered = false;
+    if (narrow && out_rows != nullptr) {
+        const std::int64_t padded = (out_count + 15) / 16 * 16;
+        if (padded < out_channels_) {
+            auto* w = workspace.alloc<std::int8_t>(ckk * padded);
+            for (std::int64_t p = 0; p < row_count; ++p) {
+                const std::int64_t r = listed(rows, p);
+                const std::int8_t* src = w_data + r * out_channels_;
+                std::int8_t* dst = w + r * padded;
+                for (std::int64_t q = 0; q < out_count; ++q) {
+                    dst[q] = src[out_rows[q]];
+                }
+                std::fill(dst + out_count, dst + padded, std::int8_t{0});
+            }
+            w_data = w;
+            w_ld = padded;
+            gathered = true;
+        }
+    }
 
     // A sparse lowering reads only the listed channels' planes, and every
     // other plane is zero: quantizing just those keeps the absmax, hence
@@ -425,39 +486,31 @@ bool Conv2d::forward_into_quantized(const Tensor& input,
             // sparse lowering are stale).
             std::int8_t* cols_t = cols + cols_bytes;
             for (std::int64_t p = 0; p < row_count; ++p) {
-                const std::int64_t r = rows != nullptr ? rows[p] : p;
+                const std::int64_t r = listed(rows, p);
                 for (std::int64_t s = 0; s < spatial; ++s) {
                     cols_t[s * ckk + r] = cols[r * spatial + s];
                 }
             }
-            if (sparse) {
-                qgemm_rows(spatial, out_channels_, ckk, rows, row_count,
-                           cols_t, ckk, w_data, out_channels_, acc,
-                           out_channels_, gemm_pool);
-            } else {
-                qgemm(spatial, out_channels_, ckk, cols_t, ckk, w_data,
-                      out_channels_, acc, out_channels_, gemm_pool);
-            }
-            for (std::int64_t c = 0; c < out_channels_; ++c) {
+            qgemm_rows(spatial, w_ld, ckk, rows, row_count, cols_t, ckk,
+                       w_data, w_ld, acc, w_ld, gemm_pool);
+            for (std::int64_t q = 0; q < out_count; ++q) {
+                const std::int64_t c = listed(out_rows, q);
+                const std::int64_t col = gathered ? q : c;
                 const float scale = w_scales[c] * x_scales[n];
                 const float add = bias != nullptr ? bias[c] : 0.0f;
                 for (std::int64_t s = 0; s < spatial; ++s) {
                     out[c * spatial + s] =
-                        static_cast<float>(acc[s * out_channels_ + c]) *
-                            scale +
+                        static_cast<float>(acc[s * w_ld + col]) * scale +
                         add;
                 }
             }
             return;
         }
-        if (sparse) {
-            qgemm_rows(out_channels_, spatial, ckk, rows, row_count, w_data,
-                       ckk, cols, spatial, acc, spatial, gemm_pool);
-        } else {
-            qgemm(out_channels_, spatial, ckk, w_data, ckk, cols, spatial,
-                  acc, spatial, gemm_pool);
-        }
-        for (std::int64_t c = 0; c < out_channels_; ++c) {
+        qgemm_rows(out_channels_, spatial, ckk, rows, row_count, w_data, ckk,
+                   cols, spatial, acc, spatial, gemm_pool, out_rows,
+                   out_count);
+        for (std::int64_t q = 0; q < out_count; ++q) {
+            const std::int64_t c = listed(out_rows, q);
             nn::dequantize_affine(acc + c * spatial, spatial,
                                   w_scales[c] * x_scales[n],
                                   bias != nullptr ? bias[c] : 0.0f,

@@ -47,9 +47,22 @@ public:
     /// contracts over their rows only — bit-identical to dense because
     /// the skipped rows contribute exact zeros. Returns whether that
     /// compacted path ran.
+    ///
+    /// `live_out_channels`, when given and not all-live, lists the only
+    /// output channels computed: the GEMM reads just those weight rows
+    /// and writes just those rows of each sample's output, with the bias
+    /// added to them only. Every other channel of `output` keeps whatever
+    /// it held, so the caller must zero it: the planned executor passes
+    /// the live channels of the threshold mask that consumes this output,
+    /// which zeroes a +inf/NaN-threshold channel whatever it holds. The
+    /// listed channels bit-match a dense forward (rows of the GEMM never
+    /// mix). The density cutoff is the caller's to apply here, and an
+    /// empty list computes nothing. Composes with `live_in_channels`: a
+    /// pruned task's conv costs live-in x live-out MACs.
     bool forward_into(const Tensor& input, Workspace& workspace,
                       Tensor& output,
-                      const ActiveIndexView* live_in_channels = nullptr);
+                      const ActiveIndexView* live_in_channels = nullptr,
+                      const ActiveIndexView* live_out_channels = nullptr);
 
     /// Int8 planned forward: quantizes each sample of the input (one
     /// dynamic scale per sample, so a hot outlier in one image never
@@ -62,16 +75,23 @@ public:
     /// spatial positions runs the GEMM with operands swapped (transposed
     /// column matrix times transposed weights), so the int8 kernel's
     /// 16-wide tiles span output channels rather than a scalar tail.
-    /// Same live-channel compaction and return semantics as
-    /// forward_into; a compacted call also computes each sample's scale
-    /// from, and quantizes, only the listed channels' planes (the rest
-    /// are zero, so the scale and the bytes the GEMM reads are the same).
-    /// Scratch comes from `workspace` (quantized_workspace_bytes), so
-    /// steady state allocates nothing.
+    /// Same live-channel compaction, output-channel list and return
+    /// semantics as forward_into; a compacted call also computes each
+    /// sample's scale from, and quantizes, only the listed channels'
+    /// planes (the rest are zero, so the scale and the bytes the GEMM
+    /// reads are the same), and the dequant runs over the listed output
+    /// channels only. On the swapped narrow GEMM the output channels are
+    /// its columns, which a row list cannot reach, so the listed
+    /// channels' weight columns are gathered once per call into
+    /// workspace, padded to whole 16-wide tiles. Scratch comes from
+    /// `workspace` (quantized_workspace_bytes), so steady state
+    /// allocates nothing.
     bool forward_into_quantized(const Tensor& input, Workspace& workspace,
                                 Tensor& output,
                                 const nn::QuantizedTensor& qweight,
                                 const ActiveIndexView* live_in_channels =
+                                    nullptr,
+                                const ActiveIndexView* live_out_channels =
                                     nullptr);
 
     /// The int8 weight snapshot forward_into_quantized expects for an
@@ -97,7 +117,8 @@ public:
     /// Workspace bytes forward_into_quantized() allocates at this input
     /// geometry and batch size (alignment-rounded): the int8 input
     /// slab plus, per band, an int8 column matrix (and its transpose
-    /// for a narrow output) and an int32 accumulator tile.
+    /// for a narrow output) and an int32 accumulator tile; a narrow
+    /// output adds room for the gathered output-channel weights.
     std::size_t quantized_workspace_bytes(std::int64_t in_height,
                                           std::int64_t in_width,
                                           std::int64_t batch = 1) const;
@@ -126,6 +147,20 @@ public:
     std::int64_t padding() const noexcept { return padding_; }
 
 private:
+    /// The GEMM index lists one planned forward runs with: contraction
+    /// rows expanded from the input channels (null rows = all C*K*K)
+    /// and the output channels to compute (null out_rows = all Cout).
+    struct GemmLists {
+        bool compacted_in = false;
+        const std::int64_t* rows = nullptr;
+        std::int64_t row_count = 0;
+        const std::int64_t* out_rows = nullptr;
+        std::int64_t out_count = 0;
+    };
+    GemmLists gemm_lists(const ActiveIndexView* live_in_channels,
+                         const ActiveIndexView* live_out_channels,
+                         std::int64_t ckk);
+
     ConvGeometry geometry_for(const Tensor& input) const;
 
     std::int64_t in_channels_;

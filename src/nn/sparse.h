@@ -14,13 +14,15 @@ namespace mime::nn {
 /// MimeNetwork::set_sparse_execution.
 inline constexpr double kDefaultSparseDensityCutoff = 0.85;
 
-/// Non-owning view of the live indices of one axis (input channels for
-/// Conv2d, input features for Linear): the indices that may be nonzero.
-/// Every index left out must be zero in every sample of the batch,
-/// whether a threshold pruned it structurally or the planned executor
-/// found it zero at run time. Indices must be strictly ascending within
-/// [0, total). The pointee must outlive the forward call it is passed
-/// to.
+/// Non-owning view of the live indices of one axis. On an input axis
+/// (Conv2d input channels, Linear input features) it lists the indices
+/// that may be nonzero: every index left out must be zero in every
+/// sample of the batch, whether a threshold pruned it structurally or
+/// the planned executor found it zero at run time. On Conv2d's output
+/// axis it lists the only channels to compute: every channel left out
+/// is one the consumer zeroes whatever it holds. Indices must be
+/// strictly ascending within [0, total). The pointee must outlive the
+/// forward call it is passed to.
 struct ActiveIndexView {
     const std::int64_t* indices = nullptr;
     std::int64_t count = 0;

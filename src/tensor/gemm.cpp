@@ -110,11 +110,14 @@ inline void micro_row(float* crow, const float* arow,
 #endif
 
 // C[m0:m1, 0:n) *= beta, with beta == 0 overwriting (so NaN garbage in
-// an uninitialized C never survives).
-void scale_rows(float beta, float* c, std::int64_t ldc, std::int64_t m0,
+// an uninitialized C never survives). m0 and m1 are positions in the
+// output-row list `out_rows` (identity when null), as in every band
+// function below.
+void scale_rows(float beta, float* c, std::int64_t ldc,
+                const std::int64_t* out_rows, std::int64_t m0,
                 std::int64_t m1, std::int64_t n) {
     for (std::int64_t i = m0; i < m1; ++i) {
-        float* crow = c + i * ldc;
+        float* crow = c + stored_index(out_rows, i) * ldc;
         if (beta == 0.0f) {
             std::fill(crow, crow + n, 0.0f);
         } else if (beta != 1.0f) {
@@ -127,13 +130,15 @@ void scale_rows(float beta, float* c, std::int64_t ldc, std::int64_t m0,
 
 // Computes one row-band [m0, m1) of C without any threading. `rows`
 // restricts the contraction to the listed stored indices (identity when
-// null, in which case the contraction length is `row_count` itself).
+// null, in which case the contraction length is `row_count` itself);
+// `out_rows` maps band positions to the rows of op(A) and C (identity
+// when null).
 void gemm_band(bool trans_a, bool trans_b, std::int64_t m0, std::int64_t m1,
                std::int64_t n, const std::int64_t* rows,
-               std::int64_t row_count, float alpha, const float* a,
-               std::int64_t lda, const float* b, std::int64_t ldb, float beta,
-               float* c, std::int64_t ldc) {
-    scale_rows(beta, c, ldc, m0, m1, n);
+               std::int64_t row_count, const std::int64_t* out_rows,
+               float alpha, const float* a, std::int64_t lda, const float* b,
+               std::int64_t ldb, float beta, float* c, std::int64_t ldc) {
+    scale_rows(beta, c, ldc, out_rows, m0, m1, n);
 
     std::vector<float>& a_pack = tl_a_pack;
     std::vector<float>& b_pack = tl_b_pack;
@@ -177,17 +182,18 @@ void gemm_band(bool trans_a, bool trans_b, std::int64_t m0, std::int64_t m1,
             // to do, so results are unchanged.
             a_pack.resize(static_cast<std::size_t>(pack_rows * pack_cols));
             for (std::int64_t i = 0; i < pack_rows; ++i) {
+                const std::int64_t row = stored_index(out_rows, ii + i);
                 for (std::int64_t p = 0; p < pack_cols; ++p) {
                     const std::int64_t col =
                         rows != nullptr ? rows[kk + p] : kk + p;
                     a_pack[static_cast<std::size_t>(i * pack_cols + p)] =
-                        alpha * load(a, lda, ii + i, col, trans_a);
+                        alpha * load(a, lda, row, col, trans_a);
                 }
             }
             for (std::int64_t jj = 0; jj < n; jj += kBlockN) {
                 const std::int64_t jend = std::min(jj + kBlockN, n);
                 for (std::int64_t i = 0; i < pack_rows; ++i) {
-                    micro_row(c + (ii + i) * ldc,
+                    micro_row(c + stored_index(out_rows, ii + i) * ldc,
                               a_pack.data() + i * pack_cols, brows, pack_cols,
                               jj, jend);
                 }
@@ -217,13 +223,14 @@ std::int64_t narrow_pack_floats(std::int64_t m, std::int64_t row_count) {
     return (m + kPanelRows - 1) / kPanelRows * kPanelRows * row_count;
 }
 
-// Packs rows [i0, i0 + m) of alpha * op(A), contracted over the
-// (possibly compacted) index list, into ceil(m / kPanelRows) panels.
-// Rows past m are zero so every tile runs full-width.
+// Packs the rows of alpha * op(A) at positions [i0, i0 + m) of the
+// output-row list (identity when null), contracted over the (possibly
+// compacted) index list, into ceil(m / kPanelRows) panels. Rows past m
+// are zero so every tile runs full-width.
 void pack_panels(bool trans_a, std::int64_t i0, std::int64_t m,
                  const std::int64_t* rows, std::int64_t row_count,
-                 float alpha, const float* a, std::int64_t lda,
-                 float* packed) {
+                 const std::int64_t* out_rows, float alpha, const float* a,
+                 std::int64_t lda, float* packed) {
     for (std::int64_t r0 = 0; r0 < m; r0 += kPanelRows) {
         float* dst = packed + r0 * row_count;
         const std::int64_t live = std::min(kPanelRows, m - r0);
@@ -231,16 +238,18 @@ void pack_panels(bool trans_a, std::int64_t i0, std::int64_t m,
             std::fill(dst, dst + kPanelRows * row_count, 0.0f);
         }
         if (trans_a) {
-            // op(A)'s column p is a contiguous run of the stored row.
+            // op(A)'s column p is a run of the stored row.
             for (std::int64_t p = 0; p < row_count; ++p) {
-                const float* src = a + stored_index(rows, p) * lda + i0 + r0;
+                const float* src = a + stored_index(rows, p) * lda;
                 for (std::int64_t r = 0; r < live; ++r) {
-                    dst[p * kPanelRows + r] = alpha * src[r];
+                    dst[p * kPanelRows + r] =
+                        alpha * src[stored_index(out_rows, i0 + r0 + r)];
                 }
             }
         } else {
             for (std::int64_t r = 0; r < live; ++r) {
-                const float* src = a + (i0 + r0 + r) * lda;
+                const float* src =
+                    a + stored_index(out_rows, i0 + r0 + r) * lda;
                 for (std::int64_t p = 0; p < row_count; ++p) {
                     dst[p * kPanelRows + r] =
                         alpha * src[stored_index(rows, p)];
@@ -254,21 +263,27 @@ void pack_panels(bool trans_a, std::int64_t i0, std::int64_t m,
 // NP panels (NP * 8 rows of C, `live_rows` of them real) by NC <= 4
 // columns, all held in registers across the whole contraction: two
 // panels by four columns is 8 accumulators fed by 2 panel loads and 4
-// broadcasts per term. `c` points at the tile's top-left element;
-// op(B)'s compacted row p is b + stored(p) * ldb.
+// broadcasts per term. `c` points at the tile's first column in row 0
+// of C, and the tile's row i is C row stored(out_rows, i0 + i); op(B)'s
+// compacted row p is b + stored(p) * ldb.
 template <int NP, int NC>
 inline void narrow_tile(const float* panels, std::int64_t row_count,
                         const float* b, std::int64_t ldb,
                         const std::int64_t* rows, float* c, std::int64_t ldc,
+                        const std::int64_t* out_rows, std::int64_t i0,
                         std::int64_t live_rows) {
     const std::int64_t panel_stride = kPanelRows * row_count;
     alignas(32) float lane[kPanelRows];
+    float* crows[NP * kPanelRows] = {};
+    for (std::int64_t i = 0; i < live_rows; ++i) {
+        crows[i] = c + stored_index(out_rows, i0 + i) * ldc;
+    }
     __m256 acc[NP][NC];
     for (int q = 0; q < NP; ++q) {
         for (int j = 0; j < NC; ++j) {
             for (std::int64_t r = 0; r < kPanelRows; ++r) {
                 const std::int64_t i = q * kPanelRows + r;
-                lane[r] = i < live_rows ? c[i * ldc + j] : 0.0f;
+                lane[r] = i < live_rows ? crows[i][j] : 0.0f;
             }
             acc[q][j] = _mm256_load_ps(lane);
         }
@@ -293,7 +308,7 @@ inline void narrow_tile(const float* panels, std::int64_t row_count,
             for (std::int64_t r = 0; r < kPanelRows; ++r) {
                 const std::int64_t i = q * kPanelRows + r;
                 if (i < live_rows) {
-                    c[i * ldc + j] = lane[r];
+                    crows[i][j] = lane[r];
                 }
             }
         }
@@ -304,61 +319,65 @@ template <int NP>
 void narrow_tile_cols(std::int64_t cols, const float* panels,
                       std::int64_t row_count, const float* b,
                       std::int64_t ldb, const std::int64_t* rows, float* c,
-                      std::int64_t ldc, std::int64_t live_rows) {
+                      std::int64_t ldc, const std::int64_t* out_rows,
+                      std::int64_t i0, std::int64_t live_rows) {
     switch (cols) {
         case 4:
             narrow_tile<NP, 4>(panels, row_count, b, ldb, rows, c, ldc,
-                               live_rows);
+                               out_rows, i0, live_rows);
             break;
         case 3:
             narrow_tile<NP, 3>(panels, row_count, b, ldb, rows, c, ldc,
-                               live_rows);
+                               out_rows, i0, live_rows);
             break;
         case 2:
             narrow_tile<NP, 2>(panels, row_count, b, ldb, rows, c, ldc,
-                               live_rows);
+                               out_rows, i0, live_rows);
             break;
         default:
             narrow_tile<NP, 1>(panels, row_count, b, ldb, rows, c, ldc,
-                               live_rows);
+                               out_rows, i0, live_rows);
             break;
     }
 }
 
-// C[0:m, 0:n) += packed panels * op(B), C already beta-scaled.
-void narrow_band(const float* packed, std::int64_t m, std::int64_t n,
-                 std::int64_t row_count, const float* b, std::int64_t ldb,
-                 const std::int64_t* rows, float* c, std::int64_t ldc) {
+// Rows at positions [i0, i0 + m) of C += packed panels * op(B), C
+// already beta-scaled; `packed` holds those positions' panels.
+void narrow_band(const float* packed, std::int64_t i0, std::int64_t m,
+                 std::int64_t n, std::int64_t row_count, const float* b,
+                 std::int64_t ldb, const std::int64_t* rows, float* c,
+                 std::int64_t ldc, const std::int64_t* out_rows) {
     for (std::int64_t i = 0; i < m; i += 2 * kPanelRows) {
         const std::int64_t live = std::min(2 * kPanelRows, m - i);
         const float* panels = packed + i * row_count;
         for (std::int64_t j = 0; j < n; j += 4) {
             const std::int64_t cols = std::min<std::int64_t>(4, n - j);
-            float* tile = c + i * ldc + j;
             if (live > kPanelRows) {
                 narrow_tile_cols<2>(cols, panels, row_count, b + j, ldb, rows,
-                                    tile, ldc, live);
+                                    c + j, ldc, out_rows, i0 + i, live);
             } else {
                 narrow_tile_cols<1>(cols, panels, row_count, b + j, ldb, rows,
-                                    tile, ldc, live);
+                                    c + j, ldc, out_rows, i0 + i, live);
             }
         }
     }
 }
 #else
-void narrow_band(const float* packed, std::int64_t m, std::int64_t n,
-                 std::int64_t row_count, const float* b, std::int64_t ldb,
-                 const std::int64_t* rows, float* c, std::int64_t ldc) {
+void narrow_band(const float* packed, std::int64_t i0, std::int64_t m,
+                 std::int64_t n, std::int64_t row_count, const float* b,
+                 std::int64_t ldb, const std::int64_t* rows, float* c,
+                 std::int64_t ldc, const std::int64_t* out_rows) {
     for (std::int64_t i = 0; i < m; ++i) {
         const float* arow =
             packed + (i - i % kPanelRows) * row_count + i % kPanelRows;
+        float* crow = c + stored_index(out_rows, i0 + i) * ldc;
         for (std::int64_t j = 0; j < n; ++j) {
-            float acc = c[i * ldc + j];
+            float acc = crow[j];
             for (std::int64_t p = 0; p < row_count; ++p) {
                 acc = std::fma(arow[p * kPanelRows],
                                b[stored_index(rows, p) * ldb + j], acc);
             }
-            c[i * ldc + j] = acc;
+            crow[j] = acc;
         }
     }
 }
@@ -371,10 +390,11 @@ void narrow_band(const float* packed, std::int64_t m, std::int64_t n,
 void narrow_gemm_band(bool trans_a, bool trans_b, std::int64_t m0,
                       std::int64_t m1, std::int64_t n,
                       const std::int64_t* rows, std::int64_t row_count,
-                      float alpha, const float* a, std::int64_t lda,
-                      const float* b, std::int64_t ldb, float beta, float* c,
+                      const std::int64_t* out_rows, float alpha,
+                      const float* a, std::int64_t lda, const float* b,
+                      std::int64_t ldb, float beta, float* c,
                       std::int64_t ldc) {
-    scale_rows(beta, c, ldc, m0, m1, n);
+    scale_rows(beta, c, ldc, out_rows, m0, m1, n);
 
     std::vector<float>& a_pack = tl_a_pack;
     std::vector<float>& b_pack = tl_b_pack;
@@ -405,10 +425,10 @@ void narrow_gemm_band(bool trans_a, bool trans_b, std::int64_t m0,
             const std::int64_t rows_here = std::min(kBlockM, m1 - ii);
             a_pack.resize(
                 static_cast<std::size_t>(narrow_pack_floats(rows_here, depth)));
-            pack_panels(trans_a, ii, rows_here, block_rows, depth, alpha,
-                        block_a, lda, a_pack.data());
-            narrow_band(a_pack.data(), rows_here, n, depth, block_b,
-                        block_ldb, b_rows, c + ii * ldc, ldc);
+            pack_panels(trans_a, ii, rows_here, block_rows, depth, out_rows,
+                        alpha, block_a, lda, a_pack.data());
+            narrow_band(a_pack.data(), ii, rows_here, n, depth, block_b,
+                        block_ldb, b_rows, c, ldc, out_rows);
         }
     }
 }
@@ -434,33 +454,32 @@ void for_each_band(std::int64_t m, ThreadPool* pool, const Fn& fn) {
     pool->wait_idle();
 }
 
+// `m` counts the computed rows: positions in `out_rows` when it is
+// non-null, else rows of C.
 void gemm_dispatch(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                    const std::int64_t* rows, std::int64_t row_count,
-                   float alpha, const float* a, std::int64_t lda,
-                   const float* b, std::int64_t ldb, float beta, float* c,
-                   std::int64_t ldc, ThreadPool* pool) {
+                   const std::int64_t* out_rows, float alpha, const float* a,
+                   std::int64_t lda, const float* b, std::int64_t ldb,
+                   float beta, float* c, std::int64_t ldc, ThreadPool* pool) {
     const auto band = n < kGemmNarrowN ? narrow_gemm_band : gemm_band;
     for_each_band(m, pool, [=](std::int64_t m0, std::int64_t m1) {
-        band(trans_a, trans_b, m0, m1, n, rows, row_count, alpha, a, lda, b,
-             ldb, beta, c, ldc);
+        band(trans_a, trans_b, m0, m1, n, rows, row_count, out_rows, alpha, a,
+             lda, b, ldb, beta, c, ldc);
     });
 }
 
-// Checks a compacted contraction list: `rows` strictly ascending within
-// [0, k). A null list is the empty contraction when row_count is 0 and,
-// where `null_means_all`, the dense one when row_count is k.
+// Checks a compacted index list: `rows` strictly ascending within
+// [0, k). A null list is the empty one when row_count is 0 and the
+// identity when row_count is k.
 void validate_rows(const char* fn, std::int64_t k, const std::int64_t* rows,
-                   std::int64_t row_count, bool null_means_all) {
+                   std::int64_t row_count) {
     // Messages are built only on failure: this runs once per conv sample.
     MIME_REQUIRE(row_count >= 0 && row_count <= k,
                  std::string(fn) + " row_count must be in [0, k]");
     if (rows == nullptr) {
-        MIME_REQUIRE(row_count == 0 || (null_means_all && row_count == k),
+        MIME_REQUIRE(row_count == 0 || row_count == k,
                      std::string(fn) +
-                         (null_means_all
-                              ? " without a row list contracts all k rows "
-                                "or none"
-                              : " needs a row list unless row_count is 0"));
+                         " without a row list contracts all k rows or none");
         return;
     }
     for (std::int64_t p = 0; p < row_count; ++p) {
@@ -470,6 +489,18 @@ void validate_rows(const char* fn, std::int64_t k, const std::int64_t* rows,
                          " row indices must be strictly ascending within "
                          "[0, k)");
     }
+}
+
+// Validates an output-row list against the m rows of C and returns how
+// many rows the call computes.
+std::int64_t computed_rows(const char* fn, std::int64_t m,
+                           const std::int64_t* out_rows,
+                           std::int64_t out_count) {
+    if (out_rows == nullptr) {
+        return m;
+    }
+    validate_rows(fn, m, out_rows, out_count);
+    return out_count;
 }
 
 }  // namespace
@@ -484,27 +515,31 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
     if (m == 0 || n == 0) {
         return;
     }
-    gemm_dispatch(trans_a, trans_b, m, n, /*rows=*/nullptr, k, alpha, a, lda,
-                  b, ldb, beta, c, ldc, pool);
+    gemm_dispatch(trans_a, trans_b, m, n, /*rows=*/nullptr, k,
+                  /*out_rows=*/nullptr, alpha, a, lda, b, ldb, beta, c, ldc,
+                  pool);
 }
 
 void gemm_rows(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, const std::int64_t* rows,
                std::int64_t row_count, float alpha, const float* a,
                std::int64_t lda, const float* b, std::int64_t ldb,
-               float beta, float* c, std::int64_t ldc, ThreadPool* pool) {
+               float beta, float* c, std::int64_t ldc, ThreadPool* pool,
+               const std::int64_t* out_rows, std::int64_t out_count) {
     MIME_REQUIRE(m >= 0 && n >= 0 && k >= 0,
                  "gemm_rows dimensions must be >= 0");
     MIME_REQUIRE(a != nullptr && b != nullptr && c != nullptr,
                  "gemm_rows operands must be non-null");
-    validate_rows("gemm_rows", k, rows, row_count, /*null_means_all=*/false);
-    if (m == 0 || n == 0) {
+    validate_rows("gemm_rows", k, rows, row_count);
+    const std::int64_t computed =
+        computed_rows("gemm_rows", m, out_rows, out_count);
+    if (computed == 0 || n == 0) {
         return;
     }
     // An empty live set still applies beta (C = beta * C), matching the
     // dense kernel contracted over an all-zero operand.
-    gemm_dispatch(trans_a, trans_b, m, n, rows, row_count, alpha, a, lda, b,
-                  ldb, beta, c, ldc, pool);
+    gemm_dispatch(trans_a, trans_b, computed, n, rows, row_count, out_rows,
+                  alpha, a, lda, b, ldb, beta, c, ldc, pool);
 }
 
 std::int64_t gemm_narrow_pack_floats(std::int64_t m, std::int64_t row_count) {
@@ -516,35 +551,40 @@ std::int64_t gemm_narrow_pack_floats(std::int64_t m, std::int64_t row_count) {
 void gemm_narrow_pack(bool trans_a, std::int64_t m, std::int64_t k,
                       const std::int64_t* rows, std::int64_t row_count,
                       float alpha, const float* a, std::int64_t lda,
-                      float* packed) {
+                      float* packed, const std::int64_t* out_rows,
+                      std::int64_t out_count) {
     MIME_REQUIRE(m >= 0 && k >= 0, "gemm_narrow_pack dimensions must be >= 0");
     MIME_REQUIRE(a != nullptr && packed != nullptr,
                  "gemm_narrow_pack operands must be non-null");
-    validate_rows("gemm_narrow_pack", k, rows, row_count,
-                  /*null_means_all=*/true);
-    pack_panels(trans_a, 0, m, rows, row_count, alpha, a, lda, packed);
+    validate_rows("gemm_narrow_pack", k, rows, row_count);
+    pack_panels(trans_a, 0,
+                computed_rows("gemm_narrow_pack", m, out_rows, out_count),
+                rows, row_count, out_rows, alpha, a, lda, packed);
 }
 
 void gemm_narrow_packed(std::int64_t m, std::int64_t n, std::int64_t k,
                         const std::int64_t* rows, std::int64_t row_count,
                         const float* packed, const float* b,
                         std::int64_t ldb, float beta, float* c,
-                        std::int64_t ldc, ThreadPool* pool) {
+                        std::int64_t ldc, ThreadPool* pool,
+                        const std::int64_t* out_rows,
+                        std::int64_t out_count) {
     MIME_REQUIRE(m >= 0 && n >= 0 && k >= 0,
                  "gemm_narrow_packed dimensions must be >= 0");
     MIME_REQUIRE(n < kGemmNarrowN,
                  "gemm_narrow_packed needs n < kGemmNarrowN");
     MIME_REQUIRE(packed != nullptr && b != nullptr && c != nullptr,
                  "gemm_narrow_packed operands must be non-null");
-    validate_rows("gemm_narrow_packed", k, rows, row_count,
-                  /*null_means_all=*/true);
-    if (m == 0 || n == 0) {
+    validate_rows("gemm_narrow_packed", k, rows, row_count);
+    const std::int64_t computed =
+        computed_rows("gemm_narrow_packed", m, out_rows, out_count);
+    if (computed == 0 || n == 0) {
         return;
     }
-    for_each_band(m, pool, [=](std::int64_t m0, std::int64_t m1) {
-        scale_rows(beta, c, ldc, m0, m1, n);
-        narrow_band(packed + m0 * row_count, m1 - m0, n, row_count, b, ldb,
-                    rows, c + m0 * ldc, ldc);
+    for_each_band(computed, pool, [=](std::int64_t m0, std::int64_t m1) {
+        scale_rows(beta, c, ldc, out_rows, m0, m1, n);
+        narrow_band(packed + m0 * row_count, m0, m1 - m0, n, row_count, b,
+                    ldb, rows, c, ldc, out_rows);
     });
 }
 

@@ -8,7 +8,9 @@
 // against. `gemm_rows` is the row-compacted entry point behind MIME's
 // sparse planned executor: it contracts over a caller-supplied live-row
 // index set only, skipping the multiply-accumulates of rows a threshold
-// mask provably zeroed.
+// mask provably zeroed, and can compute a caller-supplied subset of the
+// rows of C (the output channels a downstream mask keeps), reading only
+// those rows of op(A).
 //
 // Orientation: with n >= kGemmNarrowN output columns the kernel
 // vectorizes across the columns of C. A narrower C (a conv whose output
@@ -59,17 +61,27 @@ void gemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 /// `rows` must be strictly ascending indices into [0, k) where k is the
 /// full contraction extent of the dense problem (used for validation
 /// only — the skipped rows are never touched, so the dead rows of a
-/// caller's B buffer may hold garbage). With beta == 0 the result
-/// bit-matches the dense gemm() whenever every skipped row contributes
-/// exactly zero (op(B) row all zeros, or op(A) column all zeros): both
-/// kernels share the same microkernel tiling, each output element's FMA
-/// chain visits the surviving terms in the same order, and a zero term
-/// never perturbs an accumulator that started from +0.
+/// caller's B buffer may hold garbage). A null `rows` contracts all k
+/// rows when row_count is k, and none when it is 0. With beta == 0 the
+/// result bit-matches the dense gemm() whenever every skipped row
+/// contributes exactly zero (op(B) row all zeros, or op(A) column all
+/// zeros): both kernels share the same microkernel tiling, each output
+/// element's FMA chain visits the surviving terms in the same order, and
+/// a zero term never perturbs an accumulator that started from +0.
+///
+/// Output rows: when `out_rows` is non-null, only the `out_count` rows
+/// of C it lists (strictly ascending within [0, m)) are computed, each
+/// from the same row of op(A); the other rows of C, and of op(A), are
+/// never touched. Rows of C never mix, so every listed row bit-matches
+/// the same row of the full product. A null `out_rows` computes all m
+/// rows (out_count is then ignored).
 void gemm_rows(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                std::int64_t k, const std::int64_t* rows,
                std::int64_t row_count, float alpha, const float* a,
                std::int64_t lda, const float* b, std::int64_t ldb, float beta,
-               float* c, std::int64_t ldc, ThreadPool* pool = nullptr);
+               float* c, std::int64_t ldc, ThreadPool* pool = nullptr,
+               const std::int64_t* out_rows = nullptr,
+               std::int64_t out_count = 0);
 
 /// Narrow-N GEMM with op(A) packed once and reused across calls. A conv
 /// layer runs one GEMM per sample against the same weight matrix, so
@@ -77,28 +89,36 @@ void gemm_rows(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 /// packs the weights once per layer call instead of once per sample.
 ///
 /// Floats gemm_narrow_pack writes for an m-row op(A) contracted over
-/// `row_count` indices (m rounded up to whole 8-row panels).
+/// `row_count` indices (m rounded up to whole 8-row panels). With an
+/// output-row list, pass its count as m.
 std::int64_t gemm_narrow_pack_floats(std::int64_t m, std::int64_t row_count);
 
 /// Packs alpha * op(A) ([m, k] after the optional transpose) into
 /// `packed` (gemm_narrow_pack_floats(m, row_count) floats), contracted
 /// over `rows` as gemm_rows does. A null `rows` contracts all k rows
-/// when row_count is k, and none (like gemm_rows) when it is 0.
+/// when row_count is k, and none (like gemm_rows) when it is 0. A
+/// non-null `out_rows` packs only the `out_count` rows of op(A) it lists
+/// (gemm_narrow_pack_floats(out_count, row_count) floats).
 void gemm_narrow_pack(bool trans_a, std::int64_t m, std::int64_t k,
                       const std::int64_t* rows, std::int64_t row_count,
                       float alpha, const float* a, std::int64_t lda,
-                      float* packed);
+                      float* packed, const std::int64_t* out_rows = nullptr,
+                      std::int64_t out_count = 0);
 
 /// C[M,N] = packed * B[K,N] + beta * C for n < kGemmNarrowN, B stored
-/// row-major without transpose, `rows` / `row_count` as given to the
-/// pack. Bit-identical to gemm_rows (or gemm, for the dense null
-/// `rows`) on the same operands: both run this kernel, and its per-K-block
-/// accumulator round trips through C are exact.
+/// row-major without transpose, `rows` / `row_count` and `out_rows` /
+/// `out_count` as given to the pack (the listed rows of C are written,
+/// the rest left untouched, as in gemm_rows). Bit-identical to gemm_rows
+/// (or gemm, for the dense null lists) on the same operands: both run
+/// this kernel, and its per-K-block accumulator round trips through C
+/// are exact.
 void gemm_narrow_packed(std::int64_t m, std::int64_t n, std::int64_t k,
                         const std::int64_t* rows, std::int64_t row_count,
                         const float* packed, const float* b,
                         std::int64_t ldb, float beta, float* c,
-                        std::int64_t ldc, ThreadPool* pool = nullptr);
+                        std::int64_t ldc, ThreadPool* pool = nullptr,
+                        const std::int64_t* out_rows = nullptr,
+                        std::int64_t out_count = 0);
 
 /// The microkernel variant this build selected at compile time
 /// ("avx2+fma" or "scalar"); benches report it next to their numbers.

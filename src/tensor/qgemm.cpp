@@ -40,7 +40,8 @@ inline std::int32_t a_pair_combo(std::int8_t a0, std::int8_t a1) {
 }
 
 // One register tile: R rows (R in 1..4) by 16 columns of C, contracting
-// over the whole (possibly compacted) row list. B rows are widened to
+// over the whole (possibly compacted) row list. The tile's row r is row
+// stored_row(out_rows, i0 + r) of A and of C. B rows are widened to
 // i16 and interleaved per k-pair in registers — vpmaddwd then computes
 // a0*b[k0][j] + a1*b[k1][j] per i32 lane with no saturation (|operand|
 // <= 127, so each pair sum is at most 2*127^2, exact in i32). The
@@ -50,10 +51,13 @@ template <int R>
 inline void qtile16(const std::int8_t* a, std::int64_t lda,
                     const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
                     std::int64_t ldc, std::int64_t i0, std::int64_t j0,
-                    const std::int64_t* rows, std::int64_t row_count) {
+                    const std::int64_t* rows, std::int64_t row_count,
+                    const std::int64_t* out_rows) {
+    const std::int8_t* arows[R] = {};
     __m256i acc_lo[R];
     __m256i acc_hi[R];
     for (int r = 0; r < R; ++r) {
+        arows[r] = a + stored_row(out_rows, i0 + r) * lda;
         acc_lo[r] = _mm256_setzero_si256();
         acc_hi[r] = _mm256_setzero_si256();
     }
@@ -68,9 +72,8 @@ inline void qtile16(const std::int8_t* a, std::int64_t lda,
         const __m256i blo = _mm256_unpacklo_epi16(w0, w1);
         const __m256i bhi = _mm256_unpackhi_epi16(w0, w1);
         for (int r = 0; r < R; ++r) {
-            const std::int8_t* arow = a + (i0 + r) * lda;
             const __m256i av =
-                _mm256_set1_epi32(a_pair_combo(arow[k0], arow[k1]));
+                _mm256_set1_epi32(a_pair_combo(arows[r][k0], arows[r][k1]));
             acc_lo[r] =
                 _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(av, blo));
             acc_hi[r] =
@@ -87,8 +90,8 @@ inline void qtile16(const std::int8_t* a, std::int64_t lda,
         const __m256i blo = _mm256_unpacklo_epi16(w0, zero);
         const __m256i bhi = _mm256_unpackhi_epi16(w0, zero);
         for (int r = 0; r < R; ++r) {
-            const __m256i av = _mm256_set1_epi32(
-                a_pair_combo(a[(i0 + r) * lda + k0], 0));
+            const __m256i av =
+                _mm256_set1_epi32(a_pair_combo(arows[r][k0], 0));
             acc_lo[r] =
                 _mm256_add_epi32(acc_lo[r], _mm256_madd_epi16(av, blo));
             acc_hi[r] =
@@ -96,7 +99,7 @@ inline void qtile16(const std::int8_t* a, std::int64_t lda,
         }
     }
     for (int r = 0; r < R; ++r) {
-        std::int32_t* crow = c + (i0 + r) * ldc + j0;
+        std::int32_t* crow = c + stored_row(out_rows, i0 + r) * ldc + j0;
         _mm256_storeu_si256(
             reinterpret_cast<__m256i*>(crow),
             _mm256_permute2x128_si256(acc_lo[r], acc_hi[r], 0x20));
@@ -106,34 +109,42 @@ inline void qtile16(const std::int8_t* a, std::int64_t lda,
     }
 }
 
+// Rows at positions [m0, m1) of the output-row list `out_rows`
+// (identity when null), in both the AVX2 and the scalar kernel.
 void qgemm_band(std::int64_t m0, std::int64_t m1, std::int64_t n,
                 const std::int64_t* rows, std::int64_t row_count,
                 const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
-                std::int64_t ldb, std::int32_t* c, std::int64_t ldc) {
+                std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
+                const std::int64_t* out_rows) {
     const std::int64_t n16 = n - n % 16;
     for (std::int64_t i = m0; i < m1; i += 4) {
         const std::int64_t rows_n = std::min<std::int64_t>(4, m1 - i);
         for (std::int64_t j = 0; j < n16; j += 16) {
             switch (rows_n) {
                 case 4:
-                    qtile16<4>(a, lda, b, ldb, c, ldc, i, j, rows, row_count);
+                    qtile16<4>(a, lda, b, ldb, c, ldc, i, j, rows, row_count,
+                               out_rows);
                     break;
                 case 3:
-                    qtile16<3>(a, lda, b, ldb, c, ldc, i, j, rows, row_count);
+                    qtile16<3>(a, lda, b, ldb, c, ldc, i, j, rows, row_count,
+                               out_rows);
                     break;
                 case 2:
-                    qtile16<2>(a, lda, b, ldb, c, ldc, i, j, rows, row_count);
+                    qtile16<2>(a, lda, b, ldb, c, ldc, i, j, rows, row_count,
+                               out_rows);
                     break;
                 default:
-                    qtile16<1>(a, lda, b, ldb, c, ldc, i, j, rows, row_count);
+                    qtile16<1>(a, lda, b, ldb, c, ldc, i, j, rows, row_count,
+                               out_rows);
                     break;
             }
         }
         // Column tail: exact integer math makes any accumulation order
         // equivalent, so a plain scalar loop needs no order matching.
         for (std::int64_t r = 0; r < rows_n; ++r) {
-            const std::int8_t* arow = a + (i + r) * lda;
-            std::int32_t* crow = c + (i + r) * ldc;
+            const std::int64_t row = stored_row(out_rows, i + r);
+            const std::int8_t* arow = a + row * lda;
+            std::int32_t* crow = c + row * ldc;
             for (std::int64_t j = n16; j < n; ++j) {
                 std::int32_t acc = 0;
                 for (std::int64_t p = 0; p < row_count; ++p) {
@@ -152,11 +163,13 @@ void qgemm_band(std::int64_t m0, std::int64_t m1, std::int64_t n,
 void qgemm_band(std::int64_t m0, std::int64_t m1, std::int64_t n,
                 const std::int64_t* rows, std::int64_t row_count,
                 const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
-                std::int64_t ldb, std::int32_t* c, std::int64_t ldc) {
+                std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
+                const std::int64_t* out_rows) {
     for (std::int64_t i = m0; i < m1; ++i) {
-        std::int32_t* crow = c + i * ldc;
+        const std::int64_t row = stored_row(out_rows, i);
+        std::int32_t* crow = c + row * ldc;
         std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(*crow));
-        const std::int8_t* arow = a + i * lda;
+        const std::int8_t* arow = a + row * lda;
         for (std::int64_t p = 0; p < row_count; ++p) {
             const std::int64_t k = stored_row(rows, p);
             const auto av = static_cast<std::int32_t>(arow[k]);
@@ -173,12 +186,16 @@ void qgemm_band(std::int64_t m0, std::int64_t m1, std::int64_t n,
 
 #endif
 
+// `m` counts the computed rows: positions in `out_rows` when it is
+// non-null, else rows of C.
 void qgemm_dispatch(std::int64_t m, std::int64_t n, const std::int64_t* rows,
-                    std::int64_t row_count, const std::int8_t* a,
-                    std::int64_t lda, const std::int8_t* b, std::int64_t ldb,
-                    std::int32_t* c, std::int64_t ldc, ThreadPool* pool) {
+                    std::int64_t row_count, const std::int64_t* out_rows,
+                    const std::int8_t* a, std::int64_t lda,
+                    const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
+                    std::int64_t ldc, ThreadPool* pool) {
     if (pool == nullptr || pool->size() <= 1 || m < 2 * kQBlockM) {
-        qgemm_band(0, m, n, rows, row_count, a, lda, b, ldb, c, ldc);
+        qgemm_band(0, m, n, rows, row_count, a, lda, b, ldb, c, ldc,
+                   out_rows);
         return;
     }
     const std::int64_t bands =
@@ -188,7 +205,8 @@ void qgemm_dispatch(std::int64_t m, std::int64_t n, const std::int64_t* rows,
     for (std::int64_t b0 = 0; b0 < m; b0 += band_rows) {
         const std::int64_t b1 = std::min(b0 + band_rows, m);
         pool->submit([=] {
-            qgemm_band(b0, b1, n, rows, row_count, a, lda, b, ldb, c, ldc);
+            qgemm_band(b0, b1, n, rows, row_count, a, lda, b, ldb, c, ldc,
+                       out_rows);
         });
     }
     pool->wait_idle();
@@ -206,6 +224,24 @@ void validate_common(std::int64_t m, std::int64_t n, std::int64_t k,
                      std::to_string(kQgemmMaxK) + ")");
 }
 
+// Checks an index list: strictly ascending within [0, extent). A null
+// list is the empty one when count is 0 and the identity when count is
+// extent.
+void validate_list(const char* fn, std::int64_t extent,
+                   const std::int64_t* list, std::int64_t count) {
+    MIME_REQUIRE(count >= 0 && count <= extent,
+                 std::string(fn) + " count must be in [0, extent]");
+    MIME_REQUIRE(list != nullptr || count == 0 || count == extent,
+                 std::string(fn) + " without a list covers all or none");
+    for (std::int64_t p = 0; list != nullptr && p < count; ++p) {
+        MIME_REQUIRE(list[p] >= 0 && list[p] < extent &&
+                         (p == 0 || list[p] > list[p - 1]),
+                     std::string(fn) +
+                         " indices must be strictly ascending within "
+                         "[0, extent)");
+    }
+}
+
 }  // namespace
 
 void qgemm(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -216,31 +252,30 @@ void qgemm(std::int64_t m, std::int64_t n, std::int64_t k,
     if (m == 0 || n == 0) {
         return;
     }
-    qgemm_dispatch(m, n, /*rows=*/nullptr, k, a, lda, b, ldb, c, ldc, pool);
+    qgemm_dispatch(m, n, /*rows=*/nullptr, k, /*out_rows=*/nullptr, a, lda, b,
+                   ldb, c, ldc, pool);
 }
 
 void qgemm_rows(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int64_t* rows, std::int64_t row_count,
                 const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
                 std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
-                ThreadPool* pool) {
+                ThreadPool* pool, const std::int64_t* out_rows,
+                std::int64_t out_count) {
     validate_common(m, n, k, a, b, c);
-    MIME_REQUIRE(row_count >= 0 && row_count <= k,
-                 "qgemm_rows row_count must be in [0, k]");
-    MIME_REQUIRE(rows != nullptr || row_count == 0,
-                 "qgemm_rows needs a row list unless row_count is 0");
-    for (std::int64_t p = 0; p < row_count; ++p) {
-        MIME_REQUIRE(rows[p] >= 0 && rows[p] < k &&
-                         (p == 0 || rows[p] > rows[p - 1]),
-                     "qgemm_rows row indices must be strictly ascending "
-                     "within [0, k)");
+    validate_list("qgemm_rows", k, rows, row_count);
+    std::int64_t computed = m;
+    if (out_rows != nullptr) {
+        validate_list("qgemm_rows out_rows", m, out_rows, out_count);
+        computed = out_count;
     }
-    if (m == 0 || n == 0) {
+    if (computed == 0 || n == 0) {
         return;
     }
     // An empty live set writes C = 0 (the contraction over nothing),
     // matching the dense kernel against an all-zero operand.
-    qgemm_dispatch(m, n, rows, row_count, a, lda, b, ldb, c, ldc, pool);
+    qgemm_dispatch(computed, n, rows, row_count, out_rows, a, lda, b, ldb, c,
+                   ldc, pool);
 }
 
 const char* qgemm_kernel_name() {

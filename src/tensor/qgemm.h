@@ -21,10 +21,11 @@
 // bit-for-bit regardless of accumulation order or operand orientation —
 // the float kernels' FMA-chain invariant has no int8 counterpart to keep.
 //
-// `qgemm_rows` is the row-compacted variant composing with PR 6's
+// `qgemm_rows` is the row-compacted variant composing with the
 // ActiveSet live-row lists: it contracts over a caller-supplied strictly
 // ascending index set only, skipping rows a threshold mask provably
-// zeroed. Skipped rows of B may hold garbage.
+// zeroed, and can compute a listed subset of the rows of C. Skipped rows
+// of B may hold garbage.
 #pragma once
 
 #include <cstdint>
@@ -48,14 +49,20 @@ void qgemm(std::int64_t m, std::int64_t n, std::int64_t k,
 
 /// Row-compacted variant: C[i,j] = sum_p A[i, rows[p]] * B[rows[p], j]
 /// over the `row_count` indices in `rows` (strictly ascending within
-/// [0, k)). Skipped rows of B are never read. With int operands the
+/// [0, k); a null `rows` means all k when row_count is k, none when it
+/// is 0). Skipped rows of B are never read. With int operands the
 /// result equals the dense qgemm whenever every skipped row contributes
-/// zero — exactly, not just bit-compatibly.
+/// zero — exactly, not just bit-compatibly. A non-null `out_rows`
+/// computes only the `out_count` rows of C it lists (strictly ascending
+/// within [0, m)), reading only those rows of A; the other rows of C are
+/// left untouched. A null `out_rows` computes all m rows.
 void qgemm_rows(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int64_t* rows, std::int64_t row_count,
                 const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
                 std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
-                ThreadPool* pool = nullptr);
+                ThreadPool* pool = nullptr,
+                const std::int64_t* out_rows = nullptr,
+                std::int64_t out_count = 0);
 
 /// The microkernel variant this build selected at compile time
 /// ("avx2-int8" or "scalar"); benches report it next to their numbers.

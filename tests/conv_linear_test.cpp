@@ -3,6 +3,9 @@
 // (workspace-backed, eval-mode, allocation-free).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -240,6 +243,73 @@ TEST(Conv2d, QuantizedNarrowOutputSwapsOperandsExactly) {
     // The untransposed snapshot is the wrong orientation here.
     Tensor out({3, 24, 2, 2});
     EXPECT_THROW(conv.forward_into_quantized(x, ws, out, wide), check_error);
+}
+
+TEST(Conv2d, OutputChannelListComputesListedChannelsOnly) {
+    // Listed output channels bit-match a dense planned forward, on the
+    // float and int8 paths, wide (8x8) and narrow (2x2) outputs, with
+    // and without an input-channel list; unlisted channels keep what the
+    // output held. Five of 40 channels pad to one 16-wide tile, so the
+    // narrow int8 call gathers their weight columns; an empty list
+    // computes nothing.
+    Rng rng(18);
+    Conv2d conv(6, 40, 3, 1, 1, rng);
+    conv.bias().value = Tensor::randn({40}, rng);
+    conv.set_eval_mode(true);
+    const std::vector<std::int64_t> live_in{1, 4};
+    const std::vector<std::int64_t> live_out{0, 3, 4, 17, 39};
+    const ActiveIndexView in_view{live_in.data(), 2, 6};
+    const ActiveIndexView out_view{live_out.data(), 5, 40};
+    const ActiveIndexView no_out{live_out.data(), 0, 40};
+    constexpr float kSentinel = -7.0f;
+    for (const std::int64_t size : {8, 2}) {
+        Tensor x = Tensor::randn({3, 6, size, size}, rng);
+        for (std::int64_t i = 0; i < x.numel(); ++i) {
+            const std::int64_t ch = (i / (size * size)) % 6;
+            if (ch != 1 && ch != 4) {
+                x[i] = 0.0f;
+            }
+        }
+        const nn::QuantizedTensor q = conv.quantize_weights(size, size);
+        Workspace ws(std::max(
+            static_cast<std::size_t>(conv.workspace_floats(size, size, 3)) *
+                sizeof(float),
+            conv.quantized_workspace_bytes(size, size, 3)));
+        for (const bool int8 : {false, true}) {
+            auto run = [&](Tensor& out, const ActiveIndexView* in,
+                           const ActiveIndexView* outv) {
+                return int8 ? conv.forward_into_quantized(x, ws, out, q, in,
+                                                          outv)
+                            : conv.forward_into(x, ws, out, in, outv);
+            };
+            Tensor dense({3, 40, size, size});
+            run(dense, nullptr, nullptr);
+            for (const ActiveIndexView* in : {static_cast<const ActiveIndexView*>(
+                                                  nullptr),
+                                              &in_view}) {
+                SCOPED_TRACE(std::string(int8 ? "int8" : "float") + " size " +
+                             std::to_string(size) +
+                             (in != nullptr ? " live-in" : ""));
+                Tensor out({3, 40, size, size}, kSentinel);
+                EXPECT_EQ(run(out, in, &out_view), in != nullptr);
+                for (std::int64_t i = 0; i < out.numel(); ++i) {
+                    const std::int64_t ch = (i / (size * size)) % 40;
+                    const bool listed =
+                        std::find(live_out.begin(), live_out.end(), ch) !=
+                        live_out.end();
+                    const float want = listed ? dense[i] : kSentinel;
+                    ASSERT_EQ(0, std::memcmp(&want, &out[i], sizeof(float)))
+                        << "channel " << ch;
+                }
+                Tensor untouched({3, 40, size, size}, kSentinel);
+                run(untouched, in, &no_out);
+                for (std::int64_t i = 0; i < untouched.numel(); ++i) {
+                    ASSERT_EQ(untouched[i], kSentinel);
+                }
+            }
+        }
+        EXPECT_EQ(ws.used_bytes(), 0u);
+    }
 }
 
 TEST(Conv2d, ForwardIntoRequiresEvalModeAndExactOutputShape) {

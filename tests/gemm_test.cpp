@@ -229,6 +229,88 @@ TEST(GemmNarrow, EmptyLiveSetOnlyScalesC) {
     EXPECT_TRUE(bits_equal(want, got));
 }
 
+TEST(GemmRows, OutputRowListComputesListedRowsOnly) {
+    // An output-row list reads only the listed rows of op(A) and writes
+    // only the listed rows of C: each bit-matches the same row of the
+    // full product, and every other row keeps its sentinel. Wide and
+    // narrow n, both orientations of A, the pre-packed narrow entry
+    // points, and a pool splitting the list into bands.
+    Rng rng(48);
+    const std::int64_t m = 300;
+    const std::int64_t k = 96;
+    std::vector<std::int64_t> rows;
+    for (std::int64_t r = 1; r < k; r += 2) {
+        rows.push_back(r);
+    }
+    std::vector<std::int64_t> out_rows;
+    for (std::int64_t i = 0; i < m; i += 3) {
+        out_rows.push_back(i);
+    }
+    out_rows.push_back(m - 1);
+    const auto rc = static_cast<std::int64_t>(rows.size());
+    const auto oc = static_cast<std::int64_t>(out_rows.size());
+    const auto expect_listed = [&](const std::vector<float>& full,
+                                   const std::vector<float>& got,
+                                   std::int64_t n, const std::string& what) {
+        std::size_t q = 0;
+        for (std::int64_t i = 0; i < m; ++i) {
+            const bool listed = q < out_rows.size() && out_rows[q] == i;
+            q += listed ? 1 : 0;
+            for (std::int64_t j = 0; j < n; ++j) {
+                const float want = listed ? full[i * n + j] : 7.0f;
+                ASSERT_EQ(0, std::memcmp(&want, &got[i * n + j], sizeof(float)))
+                    << what << " row " << i << " col " << j;
+            }
+        }
+    };
+    ThreadPool pool(4);
+    for (const std::int64_t n : {4, 40}) {
+        const auto b = random_matrix(k, n, rng);
+        for (const bool ta : {false, true}) {
+            const std::int64_t lda = ta ? m : k;
+            const auto a = random_matrix(ta ? k : m, lda, rng);
+            std::vector<float> full(static_cast<std::size_t>(m * n), 0.0f);
+            gemm_rows(ta, false, m, n, k, rows.data(), rc, 1.0f, a.data(),
+                      lda, b.data(), n, 0.0f, full.data(), n);
+            for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+                const std::string what = "n=" + std::to_string(n) +
+                                          (ta ? " trans_a" : "") +
+                                          (p != nullptr ? " pooled" : "");
+                std::vector<float> got(full.size(), 7.0f);
+                gemm_rows(ta, false, m, n, k, rows.data(), rc, 1.0f, a.data(),
+                          lda, b.data(), n, 0.0f, got.data(), n, p,
+                          out_rows.data(), oc);
+                expect_listed(full, got, n, what);
+                if (n >= kGemmNarrowN || ta) {
+                    continue;
+                }
+                std::vector<float> packed(static_cast<std::size_t>(
+                    gemm_narrow_pack_floats(oc, rc)));
+                gemm_narrow_pack(false, m, k, rows.data(), rc, 1.0f, a.data(),
+                                 k, packed.data(), out_rows.data(), oc);
+                std::fill(got.begin(), got.end(), 7.0f);
+                gemm_narrow_packed(m, n, k, rows.data(), rc, packed.data(),
+                                   b.data(), n, 0.0f, got.data(), n, p,
+                                   out_rows.data(), oc);
+                expect_listed(full, got, n, what + " packed");
+            }
+        }
+    }
+}
+
+TEST(GemmRows, RejectsUnsortedOutputRows) {
+    const std::vector<float> a{1.0f, 2.0f, 3.0f, 4.0f};
+    const std::vector<float> b{3.0f, 4.0f};
+    std::vector<float> c{0.0f, 0.0f};
+    for (const std::vector<std::int64_t>& bad :
+         {std::vector<std::int64_t>{1, 0}, std::vector<std::int64_t>{0, 2}}) {
+        EXPECT_THROW(gemm_rows(false, false, 2, 1, 2, nullptr, 2, 1.0f,
+                               a.data(), 2, b.data(), 1, 0.0f, c.data(), 1,
+                               nullptr, bad.data(), 2),
+                     check_error);
+    }
+}
+
 TEST(GemmNarrow, ThreadedBitMatchesSingle) {
     Rng rng(46);
     const std::int64_t m = 300;

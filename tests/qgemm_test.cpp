@@ -303,6 +303,48 @@ TEST(QgemmRows, RejectsUnsortedOrOutOfRangeRows) {
                  check_error);
 }
 
+TEST(QgemmRows, OutputRowListComputesListedRowsOnly) {
+    // Listed rows of C equal the full product's rows exactly; the rest
+    // keep their sentinel. n = 40 covers the 16-wide tiles and the scalar
+    // column tail; m = 300 lets a pool split the list into bands.
+    Rng rng(31);
+    const std::int64_t m = 300;
+    const std::int64_t n = 40;
+    const std::int64_t k = 77;
+    const auto a = random_int8(m, k, rng);
+    const auto b = random_int8(k, n, rng);
+    std::vector<std::int64_t> rows;
+    for (std::int64_t r = 0; r < k; r += 2) {
+        rows.push_back(r);
+    }
+    std::vector<std::int64_t> out_rows;
+    for (std::int64_t i = 1; i < m; i += 3) {
+        out_rows.push_back(i);
+    }
+    const auto rc = static_cast<std::int64_t>(rows.size());
+    const auto oc = static_cast<std::int64_t>(out_rows.size());
+    std::vector<std::int32_t> full(static_cast<std::size_t>(m * n));
+    qgemm_rows(m, n, k, rows.data(), rc, a.data(), k, b.data(), n,
+               full.data(), n);
+    std::vector<std::int32_t> want(full.size(), -5);
+    for (const std::int64_t i : out_rows) {
+        std::copy(full.begin() + i * n, full.begin() + (i + 1) * n,
+                  want.begin() + i * n);
+    }
+    ThreadPool pool(4);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        std::vector<std::int32_t> got(full.size(), -5);
+        qgemm_rows(m, n, k, rows.data(), rc, a.data(), k, b.data(), n,
+                   got.data(), n, p, out_rows.data(), oc);
+        expect_bit_equal(want, got);
+    }
+    const std::vector<std::int64_t> unsorted{2, 1};
+    std::vector<std::int32_t> got(full.size(), -5);
+    EXPECT_THROW(qgemm_rows(m, n, k, rows.data(), rc, a.data(), k, b.data(),
+                            n, got.data(), n, nullptr, unsorted.data(), 2),
+                 check_error);
+}
+
 TEST(Qgemm, KernelNameIsStable) {
     const std::string name = qgemm_kernel_name();
     EXPECT_TRUE(name == "avx2-int8" || name == "scalar") << name;

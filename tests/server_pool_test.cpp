@@ -585,11 +585,13 @@ TEST(ServerPool, CostAwareSchedulingDecidesPredictiveShedding) {
 
 TEST(ServerPool, CostModelPricesTasksByExecutedMacs) {
     // A task's price follows the MACs the executor runs. Pruning 3 of 4
-    // channels per site with kPrunedThreshold skips work, so that task
-    // must price cheaper than dense. Thresholds of 1e30 leave every
-    // channel structurally live but zero every activation at run time,
-    // so conv2 onward contract over no rows at all: that task must price
-    // cheaper still.
+    // channels per site with kPrunedThreshold skips their conv inputs and
+    // outputs alike, so that task must price cheaper than dense, at
+    // exactly its executed share of the dense MACs. Thresholds of 1e30
+    // leave every channel structurally live but zero every activation at
+    // run time, so conv2 onward contract over no rows at all: that task
+    // must price cheaper than dense too. (It still runs conv1 in full, so
+    // it need not price below the pruned task.)
     PoolFixture fixture(0);
     core::MimeNetwork& network = fixture.network;
     const auto capture = [&](const std::string& name, float threshold,
@@ -611,7 +613,9 @@ TEST(ServerPool, CostModelPricesTasksByExecutedMacs) {
     };
     capture("dense", 0.0f, false);
     capture("zero_at_run_time", 1e30f, false);
-    capture("pruned", 0.0f, true);
+    // Live channels pass every activation, so no live channel is zero at
+    // run time and the executed MACs follow from the layer specs alone.
+    capture("pruned", -1e30f, true);
 
     PoolConfig config;
     config.replica_count = 1;
@@ -623,12 +627,51 @@ TEST(ServerPool, CostModelPricesTasksByExecutedMacs) {
     pool.drain();
     pool.stop();
 
+    // The pruned task's executed / dense MACs, recomputed from the layer
+    // specs. Every site keeps ceil(C / 4) of its C channels, and a list
+    // compacts when that is at most the default 0.85 density cutoff.
+    // Conv1 reads the image (no site upstream); every other layer's input
+    // is the previous site's output (after the last pool, one feature per
+    // channel); only convs skip output channels.
+    const auto kept = [](std::int64_t channels) {
+        const std::int64_t live = (channels + 3) / 4;
+        return live < channels && static_cast<double>(live) <=
+                                      0.85 * static_cast<double>(channels)
+                   ? live
+                   : channels;
+    };
+    std::vector<arch::LayerSpec> specs = network.layer_specs();
+    specs.push_back(network.classifier_spec());
+    double dense_macs = 0.0;
+    double executed_macs = 0.0;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const arch::LayerSpec& spec = specs[i];
+        const double per_pair = static_cast<double>(
+            spec.out_height() * spec.out_width() * spec.kernel *
+            spec.kernel);
+        const std::int64_t in = i == 0 ? spec.in_channels
+                                       : kept(spec.in_channels);
+        const std::int64_t out = spec.kind == arch::LayerKind::conv
+                                     ? kept(spec.out_channels)
+                                     : spec.out_channels;
+        dense_macs += per_pair * static_cast<double>(spec.in_channels *
+                                                     spec.out_channels);
+        executed_macs += per_pair * static_cast<double>(in * out);
+    }
+
     // No batch of 5 ever ran, so no observed EWMA blends in: every price
-    // is the shared calibration scale times the task's base price.
+    // is the shared calibration scale times the task's base price,
+    // overhead + 5 * per_sample * live_fraction.
     const CostModel& model = *pool.cost_model();
-    EXPECT_LT(model.predict_batch_us("zero_at_run_time", 5),
-              model.predict_batch_us("pruned", 5));
+    const CostModelConfig& cost = model.config();
+    const double priced_live =
+        (model.predict_batch_us("pruned", 5) / model.calibration_scale() -
+         cost.default_batch_overhead_us) /
+        (5.0 * cost.default_per_sample_us);
+    EXPECT_NEAR(priced_live, executed_macs / dense_macs, 1e-12);
     EXPECT_LT(model.predict_batch_us("pruned", 5),
+              model.predict_batch_us("dense", 5));
+    EXPECT_LT(model.predict_batch_us("zero_at_run_time", 5),
               model.predict_batch_us("dense", 5));
 }
 
