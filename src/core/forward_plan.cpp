@@ -10,15 +10,8 @@
 
 namespace mime::core {
 
-namespace {
-
-std::int64_t tensor_bytes(const Tensor& t) {
-    return t.numel() * static_cast<std::int64_t>(sizeof(float));
-}
-
-}  // namespace
-
-ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
+ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size,
+                         std::vector<nn::QuantizedTensor>& int8_weights)
     : network_(&network),
       batch_size_(batch_size),
       quantized_(network.quantized_execution().enabled) {
@@ -31,10 +24,13 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
     input_slab_ = Tensor(input_shape_);
 
     nn::Sequential& graph = network.network();
-    // Reserved up front: `last_buffer` points into steps_ during the
-    // build, so the vector must never reallocate.
     steps_.reserve(graph.size());
     profiles_.reserve(graph.size());
+    // One int8 snapshot per layer, shared by every batch size's plan:
+    // the first quantized plan fills the slots, later ones reuse them.
+    if (quantized_) {
+        int8_weights.resize(graph.size());
+    }
     // Per-kind ordinals for profile names (conv1, bn1, act1, ...). bn
     // and act number after the conv/linear they follow, matching how
     // the arch layer specs are usually read.
@@ -44,7 +40,10 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
     int pool_ordinal = 0;
     int fc_ordinal = 0;
     Shape current = input_shape_;
-    Tensor* last_buffer = nullptr;  // most recent plan-owned buffer
+    // Arena storage holding the current activation; the input slab is
+    // outside the arena, so the first conv writes storage 0.
+    std::size_t side = 1;
+    bool have_output = false;
 
     // Deadness provenance for the sparse path: the most recent threshold
     // mask whose structural zeros still cover the current buffer. Masks
@@ -69,10 +68,12 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
                 conv->geometry(current.dim(2), current.dim(3));
             std::size_t scratch;
             if (quantized_) {
-                step.qweight =
-                    conv->quantize_weights(current.dim(2), current.dim(3));
-                quantized_max_rel_error_ = std::max(
-                    quantized_max_rel_error_, step.qweight.max_rel_error);
+                nn::QuantizedTensor& snapshot = int8_weights[i];
+                if (snapshot.empty()) {
+                    snapshot =
+                        conv->quantize_weights(current.dim(2), current.dim(3));
+                }
+                step.qweight = &snapshot;
                 scratch = conv->quantized_workspace_bytes(
                     current.dim(2), current.dim(3), batch_size);
             } else {
@@ -95,16 +96,15 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
                 step.live_scratch.reserve(
                     static_cast<std::size_t>(conv->in_channels()));
             }
-            step.buffer = Tensor({batch_size, conv->out_channels(),
-                                  g.out_height(), g.out_width()});
+            step.output_shape = Shape({batch_size, conv->out_channels(),
+                                       g.out_height(), g.out_width()});
             step.mac_unit =
                 static_cast<std::uint64_t>(batch_size * g.col_cols());
             step.out_total = static_cast<std::uint64_t>(conv->out_channels());
             step.k_total = static_cast<std::uint64_t>(g.col_rows());
-            current = step.buffer.shape();
             upstream_site = nullptr;
         } else if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(&layer)) {
-            MIME_REQUIRE(last_buffer != nullptr,
+            MIME_REQUIRE(have_output,
                          "BatchNorm2d cannot be the first planned layer");
             step.kind = Step::Kind::batchnorm;
             step.bn = bn;
@@ -112,7 +112,7 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
             // The affine shift maps zeros to nonzeros: deadness dies.
             upstream_site = nullptr;
         } else if (auto* site = dynamic_cast<ActivationSite*>(&layer)) {
-            MIME_REQUIRE(last_buffer != nullptr,
+            MIME_REQUIRE(have_output,
                          "ActivationSite cannot be the first planned layer");
             step.kind = Step::Kind::activation;
             step.site = site;
@@ -136,19 +136,17 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
             step.kind = Step::Kind::pool;
             step.pool = pool;
             profile.name = "pool" + std::to_string(++pool_ordinal);
-            step.buffer = Tensor(pool->output_shape(current));
-            current = step.buffer.shape();
+            step.output_shape = pool->output_shape(current);
             // Pooling mixes neurons within a channel but a structurally
             // dead channel (all zeros) pools to all zeros.
             upstream_channel_only = true;
         } else if (dynamic_cast<nn::Flatten*>(&layer) != nullptr) {
-            MIME_REQUIRE(last_buffer != nullptr,
+            MIME_REQUIRE(have_output,
                          "Flatten cannot be the first planned layer");
             step.kind = Step::Kind::flatten;
             profile.name = "flatten";
             const std::int64_t features = current.numel() / batch_size;
-            step.buffer = last_buffer->alias(Shape({batch_size, features}));
-            current = step.buffer.shape();
+            step.output_shape = Shape({batch_size, features});
         } else if (auto* linear = dynamic_cast<nn::Linear*>(&layer)) {
             step.kind = Step::Kind::linear;
             step.linear = linear;
@@ -184,10 +182,13 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
                 // Linear keeps its int8 snapshot transposed ([in, out])
                 // so the GEMM tiles 16-wide over out_features; the
                 // per-output-channel scales are unaffected.
-                step.qweight = nn::transpose_quantized(
-                    nn::quantize_weights_per_channel(linear->weight().value));
-                quantized_max_rel_error_ = std::max(
-                    quantized_max_rel_error_, step.qweight.max_rel_error);
+                nn::QuantizedTensor& snapshot = int8_weights[i];
+                if (snapshot.empty()) {
+                    snapshot = nn::transpose_quantized(
+                        nn::quantize_weights_per_channel(
+                            linear->weight().value));
+                }
+                step.qweight = &snapshot;
                 // Unlike the float path, quantized linear needs scratch
                 // (int8 activations + int32 accumulators).
                 const std::size_t scratch =
@@ -197,31 +198,42 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size)
                 }
                 profile.workspace_bytes = scratch;
             }
-            step.buffer = Tensor({batch_size, linear->out_features()});
+            step.output_shape = Shape({batch_size, linear->out_features()});
             step.mac_unit = static_cast<std::uint64_t>(batch_size);
             step.out_total =
                 static_cast<std::uint64_t>(linear->out_features());
             step.k_total = static_cast<std::uint64_t>(linear->in_features());
-            current = step.buffer.shape();
             upstream_site = nullptr;
         } else {
             MIME_REQUIRE(false, "ForwardPlan cannot schedule layer kind '" +
                                     layer.kind() + "'");
         }
+        if (step.kind == Step::Kind::conv || step.kind == Step::Kind::pool ||
+            step.kind == Step::Kind::linear) {
+            // A computed output goes to the storage its input is not in.
+            side = 1 - side;
+            have_output = true;
+            arena_floats_ =
+                std::max(arena_floats_, step.output_shape.numel());
+        }
+        if (step.output_shape.rank() != 0) {
+            step.arena_side = side;
+            current = step.output_shape;
+        }
         steps_.push_back(std::move(step));
         profiles_.push_back(std::move(profile));
-        if (steps_.back().buffer.shape().rank() != 0) {
-            last_buffer = &steps_.back().buffer;
-        }
     }
+}
 
-    buffer_bytes_ = static_cast<std::size_t>(tensor_bytes(input_slab_));
-    for (const Step& step : steps_) {
-        if (step.kind == Step::Kind::conv ||
-            step.kind == Step::Kind::pool ||
-            step.kind == Step::Kind::linear) {
-            buffer_bytes_ +=
-                static_cast<std::size_t>(tensor_bytes(step.buffer));
+void ForwardPlan::bind_arena(std::array<Tensor, 2>& arena) {
+    for (Step& step : steps_) {
+        if (step.output_shape.rank() != 0) {
+            // Flush with the storage's end, so a write past the output
+            // leaves the allocation. Flatten lands on its input's run.
+            Tensor& storage = arena[step.arena_side];
+            step.buffer = storage.alias(
+                storage.numel() - step.output_shape.numel(),
+                step.output_shape);
         }
     }
 }
@@ -309,9 +321,9 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                     }
                 }
                 bool compacted;
-                if (!step.qweight.empty()) {
+                if (step.qweight != nullptr) {
                     compacted = step.conv->forward_into_quantized(
-                        *cur, workspace, step.buffer, step.qweight, viewp,
+                        *cur, workspace, step.buffer, *step.qweight, viewp,
                         out_viewp);
                     ++quantized_hits_;
                 } else {
@@ -347,7 +359,7 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                 cur = cur_mut = &step.buffer;
                 break;
             case Step::Kind::flatten:
-                // The view aliases cur_mut's storage; nothing to compute.
+                // The view aliases cur_mut's elements; nothing to compute.
                 cur = cur_mut = &step.buffer;
                 break;
             case Step::Kind::linear: {
@@ -383,9 +395,9 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                     viewp = &view;
                 }
                 bool compacted;
-                if (!step.qweight.empty()) {
+                if (step.qweight != nullptr) {
                     compacted = step.linear->forward_into_quantized(
-                        *cur, workspace, step.buffer, step.qweight, viewp);
+                        *cur, workspace, step.buffer, *step.qweight, viewp);
                     ++quantized_hits_;
                 } else {
                     compacted =

@@ -11,15 +11,29 @@
 //
 // The plan walks the network's Sequential once at build time and records
 // one step per layer:
-//   * Conv2d / MaxPool2d / Linear steps own a preallocated output buffer
-//     and (conv only) a workspace scratch reservation for im2col;
+//   * Conv2d / MaxPool2d / Linear steps write a contiguous view of the
+//     network's activation arena (and conv takes a workspace scratch
+//     reservation for im2col);
 //   * BatchNorm2d normalizes the conv activations in place;
 //   * activation sites run as one fused in-place pass (threshold masking
 //     or ReLU — no mask tensor, no cached MAC outputs);
-//   * Flatten is free: an alias view of the previous buffer at the
+//   * Flatten is free: an alias view of the previous output at the
 //     flattened shape.
 // Scratch lifetimes nest per layer, so the Workspace high-water mark is
 // the *maximum* im2col footprint over conv layers, not the sum.
+//
+// Activation memory: the arena is two float storages owned by the
+// MimeNetwork and shared by every plan it builds, each sized for the
+// largest step output of any of them. A step's output lives in the
+// storage its predecessor did not write (ping-pong), so a step never
+// reads and writes one storage, and each view ends flush with the end of
+// its storage, so an overrun of a step's output runs off the allocation
+// (where ASan sees it). A replica serving every batch size from 1 to 8
+// thus holds two buffers of the batch-8 plan's largest activation
+// instead of one buffer per layer per batch size. Building a plan whose
+// largest step outgrows the arena grows both storages and rebinds every
+// plan of the network; plan build stays the only place that allocates.
+// Input slabs stay per plan: callers fill them right before run().
 //
 // Sparse execution: the build walk additionally records, per conv /
 // linear step, which upstream ThresholdMask (if any) provably zeroed
@@ -40,18 +54,21 @@
 // threshold mode and its live-channel density is at or below the
 // policy's cutoff, the conv computes only those output channels. The
 // mask's select zeroes a +inf- or NaN-threshold channel whatever the
-// conv (and BN) left there (inf - inf and NaN compare false), so the
-// skipped channels need no write and post-mask activations stay
-// bit-identical. A pruned task's conv then costs live-in x live-out
-// MACs. Hit and skipped-MAC counters accumulate across runs.
+// arena held there, another plan's NaN or +-inf included (inf - inf
+// and NaN compare false), so the skipped channels need no write and
+// post-mask activations stay bit-identical. A pruned task's conv then
+// costs live-in x live-out MACs. Hit and skipped-MAC counters accumulate
+// across runs.
 //
 // Quantized execution: when the network's QuantizedExecution policy is
-// on at build time, conv/linear steps snapshot their weights as int8
-// with per-output-channel scales (the float masters are untouched) and
-// run through the int8 kernels — activations quantize with one dynamic
-// scale per sample into workspace scratch, the contraction happens in
-// int32, and the dequantized float lands in the same output buffer, so
-// BN / activation / threshold-mask stages are unchanged. Deadness
+// on at build time, conv/linear steps run through the int8 kernels
+// against an int8 snapshot of their weights with per-output-channel
+// scales (the float masters are untouched). The network keeps one
+// snapshot per layer, built with its first quantized plan and shared by
+// every batch size. Activations quantize with one dynamic scale per
+// sample into workspace scratch, the contraction happens in int32, and
+// the dequantized float lands in the same output view, so BN /
+// activation / threshold-mask stages are unchanged. Deadness
 // propagation composes: the same input and output live sets drive
 // qgemm_rows. The classifier is the exception: it is the per-task head
 // a server copies in at every task install, which a build-time snapshot
@@ -61,12 +78,16 @@
 // threshold install between batches needs no plan rebuild (the
 // ActiveSet rebuild is the mask's own, amortized per install).
 //
-// The plan holds non-owning pointers into the network's modules; the
-// network must outlive it (MimeNetwork owns its plans, which makes that
-// automatic). Executing a plan requires the network to be in eval mode —
-// backward-only caching is exactly the allocation the plan eliminates.
+// The plan holds non-owning pointers into the network's modules and
+// int8 snapshots; the network must outlive it (MimeNetwork owns its
+// plans, which makes that automatic). Executing a plan requires the
+// network to be in eval mode — backward-only caching is exactly the
+// allocation the plan eliminates. Plans of one network share the arena
+// (and each Conv2d's live-row scratch), so they never run concurrently;
+// replicas that serve in parallel are separate networks.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -84,13 +105,9 @@ namespace mime::core {
 class MimeNetwork;
 class ActivationSite;
 
+/// Built, and bound to its network's arena, by MimeNetwork::plan_for.
 class ForwardPlan {
 public:
-    /// Builds the schedule and allocates every buffer (this is the only
-    /// place a planned forward allocates). The network must outlive the
-    /// plan.
-    ForwardPlan(MimeNetwork& network, std::int64_t batch_size);
-
     ForwardPlan(const ForwardPlan&) = delete;
     ForwardPlan& operator=(const ForwardPlan&) = delete;
 
@@ -98,9 +115,12 @@ public:
     /// workspace is reset on entry (scratch never outlives a batch, and
     /// a previous batch that threw mid-layer must not wedge this one)
     /// and reserved to workspace_bytes() on first use. Returns the
-    /// logits buffer, which stays valid (and is overwritten) across
-    /// run() calls. Performs zero heap allocations after the first
-    /// call reserved the workspace.
+    /// logits, a view into the network's activation arena: valid until
+    /// the next planned run of any batch size on that network, or the
+    /// next plan build that grows the arena. Callers copy out what they
+    /// keep (the server copies each row before its next forward). Never
+    /// run two plans of one network concurrently. Performs zero heap
+    /// allocations after the first call reserved the workspace.
     const Tensor& run(const Tensor& input, Workspace& workspace);
 
     /// Preallocated batched input slab callers may fill in place (the
@@ -114,8 +134,9 @@ public:
 
     /// Scratch high-water mark a run needs (im2col; alignment-rounded).
     std::size_t workspace_bytes() const noexcept { return workspace_bytes_; }
-    /// Bytes of plan-owned activation buffers (input slab included).
-    std::size_t buffer_bytes() const noexcept { return buffer_bytes_; }
+    /// Floats of this plan's largest step output: what each of the two
+    /// arena storages must hold for it.
+    std::int64_t arena_floats() const noexcept { return arena_floats_; }
 
     /// Whether this plan was built for int8 quantized execution (fixed
     /// at build time; MimeNetwork::set_quantized_execution clears
@@ -124,11 +145,6 @@ public:
     /// Cumulative conv/linear steps run through the int8 kernels (every
     /// conv/linear step of a quantized plan except the float classifier).
     std::uint64_t quantized_hits() const noexcept { return quantized_hits_; }
-    /// Worst per-channel relative error of the weights this plan
-    /// pre-quantized at build (0 for a float plan).
-    double quantized_max_rel_error() const noexcept {
-        return quantized_max_rel_error_;
-    }
 
     /// Cumulative count of conv/linear steps that ran the row-compacted
     /// sparse path, on the input side, the output side or both (across
@@ -151,14 +167,27 @@ public:
     }
 
 private:
+    friend class MimeNetwork;
+
+    /// Builds the schedule and the input slab. Under an enabled
+    /// QuantizedExecution policy the steps run on `int8_weights`, the
+    /// network's snapshots indexed by graph layer, filling any slot
+    /// still empty. The steps' outputs stay unbound until bind_arena().
+    ForwardPlan(MimeNetwork& network, std::int64_t batch_size,
+                std::vector<nn::QuantizedTensor>& int8_weights);
+
+    /// Points every step's output at its arena storage; each storage
+    /// must hold at least arena_floats().
+    void bind_arena(std::array<Tensor, 2>& arena);
+
     struct Step {
         enum class Kind {
-            conv,        ///< conv->forward_into, new buffer + scratch
+            conv,        ///< conv->forward_into, arena view + scratch
             batchnorm,   ///< bn->forward_into in place
             activation,  ///< site->forward_eval_inplace (fused mask/ReLU)
-            pool,        ///< pool->forward_into, new buffer
-            flatten,     ///< alias view of the previous buffer
-            linear       ///< linear->forward_into, new buffer
+            pool,        ///< pool->forward_into, arena view
+            flatten,     ///< alias of the previous output
+            linear       ///< linear->forward_into, arena view
         };
         Kind kind;
         nn::Conv2d* conv = nullptr;
@@ -166,7 +195,13 @@ private:
         ActivationSite* site = nullptr;
         nn::MaxPool2d* pool = nullptr;
         nn::Linear* linear = nullptr;
-        Tensor buffer;  ///< owned output (conv/pool/linear), view (flatten)
+        /// Output shape (conv/pool/linear/flatten; rank 0 for the
+        /// in-place steps) and the arena storage that holds it.
+        Shape output_shape;
+        std::size_t arena_side = 0;
+        /// The last output_shape.numel() floats of that storage, carved
+        /// by bind_arena().
+        Tensor buffer;
 
         // -- sparse execution (conv / linear steps only) -------------------
         /// Upstream mask whose structural zeros cover this step's input
@@ -199,14 +234,14 @@ private:
         std::uint64_t k_total = 0;
 
         // -- quantized execution (conv / linear steps only) ----------------
-        /// Int8 snapshot of the layer's weights with per-output-channel
-        /// scales, built once when the plan is built under an enabled
-        /// QuantizedExecution policy (empty otherwise, and always empty
-        /// for the classifier); the step runs int8 exactly when it is
-        /// non-empty. The float master weights stay untouched, so
-        /// threshold installs and calibration see exactly the weights
-        /// they always did.
-        nn::QuantizedTensor qweight;
+        /// The network's int8 snapshot of the layer's weights with
+        /// per-output-channel scales, when the plan was built under an
+        /// enabled QuantizedExecution policy (null otherwise, and always
+        /// null for the classifier); the step runs int8 exactly when it
+        /// is set. The float master weights stay untouched, so threshold
+        /// installs and calibration see exactly the weights they always
+        /// did.
+        const nn::QuantizedTensor* qweight = nullptr;
     };
 
     MimeNetwork* network_;
@@ -216,13 +251,12 @@ private:
     std::vector<Step> steps_;
     std::vector<obs::LayerProfile> profiles_;  ///< parallel to steps_
     std::size_t workspace_bytes_ = 0;
-    std::size_t buffer_bytes_ = 0;
+    std::int64_t arena_floats_ = 0;
     std::uint64_t sparse_hits_ = 0;
     std::uint64_t skipped_macs_ = 0;
     std::uint64_t dense_macs_ = 0;
     bool quantized_ = false;
     std::uint64_t quantized_hits_ = 0;
-    double quantized_max_rel_error_ = 0.0;
 };
 
 }  // namespace mime::core

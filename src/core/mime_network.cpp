@@ -149,13 +149,24 @@ Tensor MimeNetwork::forward(const Tensor& input) {
 
 ForwardPlan& MimeNetwork::plan_for(std::int64_t batch_size) {
     auto it = plans_.find(batch_size);
-    if (it == plans_.end()) {
-        it = plans_
-                 .emplace(batch_size,
-                          std::make_unique<ForwardPlan>(*this, batch_size))
-                 .first;
+    if (it != plans_.end()) {
+        return *it->second;
     }
-    return *it->second;
+    std::unique_ptr<ForwardPlan> plan(
+        new ForwardPlan(*this, batch_size, quantized_weights_));
+    if (plan->arena_floats() > arena_floats_) {
+        // Grow both storages and move every cached plan onto them; the
+        // old storages go once the last view of them is rebound.
+        arena_floats_ = plan->arena_floats();
+        for (Tensor& storage : arena_) {
+            storage = Tensor(Shape({arena_floats_}));
+        }
+        for (auto& [batch, cached] : plans_) {
+            cached->bind_arena(arena_);
+        }
+    }
+    plan->bind_arena(arena_);
+    return *plans_.emplace(batch_size, std::move(plan)).first->second;
 }
 
 const Tensor& MimeNetwork::forward_planned(const Tensor& input,
@@ -180,11 +191,27 @@ std::size_t MimeNetwork::planned_workspace_bytes() const {
 }
 
 std::size_t MimeNetwork::planned_buffer_bytes() const {
-    std::size_t bytes = 0;
+    std::int64_t floats = 2 * arena_floats_;
     for (const auto& [batch, plan] : plans_) {
-        bytes += plan->buffer_bytes();
+        floats += plan->input_shape().numel();
+    }
+    return static_cast<std::size_t>(floats) * sizeof(float);
+}
+
+std::size_t MimeNetwork::planned_quantized_weight_bytes() const {
+    std::size_t bytes = 0;
+    for (const nn::QuantizedTensor& q : quantized_weights_) {
+        bytes += q.data.size() * sizeof(std::int8_t) +
+                 q.scales.size() * sizeof(float);
     }
     return bytes;
+}
+
+void MimeNetwork::drop_plans() {
+    plans_.clear();
+    arena_ = {};
+    arena_floats_ = 0;
+    quantized_weights_.clear();
 }
 
 void MimeNetwork::set_sparse_execution(const SparseExecution& policy) {
@@ -201,9 +228,9 @@ void MimeNetwork::set_sparse_execution(const SparseExecution& policy) {
 
 void MimeNetwork::set_quantized_execution(const QuantizedExecution& policy) {
     quantized_execution_ = policy;
-    // Plans snapshot quantized weights (and size scratch) for one mode
-    // at build time; rebuild lazily under the new policy.
-    plans_.clear();
+    // Plans fix their mode (and size scratch) at build time; rebuild
+    // lazily under the new policy.
+    drop_plans();
 }
 
 std::uint64_t MimeNetwork::planned_quantized_hits() const {
@@ -216,8 +243,8 @@ std::uint64_t MimeNetwork::planned_quantized_hits() const {
 
 double MimeNetwork::planned_quantized_max_rel_error() const {
     double worst = 0.0;
-    for (const auto& [batch, plan] : plans_) {
-        worst = std::max(worst, plan->quantized_max_rel_error());
+    for (const nn::QuantizedTensor& q : quantized_weights_) {
+        worst = std::max(worst, q.max_rel_error);
     }
     return worst;
 }
@@ -274,7 +301,7 @@ void MimeNetwork::set_pool(ThreadPool* pool) {
     // Conv workspace sizing is band-aware (bands = min(pool size,
     // batch)), so plans built under a different pool may under-reserve;
     // rebuild lazily on next use.
-    plans_.clear();
+    drop_plans();
 }
 
 void MimeNetwork::set_eval_mode(bool eval) {

@@ -4,6 +4,7 @@
 // paper: one W_parent, many T_child).
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 #include "nn/linear.h"
 #include "nn/module.h"
 #include "nn/pooling.h"
+#include "nn/quantize.h"
 #include "tensor/workspace.h"
 
 namespace mime::core {
@@ -132,28 +134,34 @@ public:
 
     /// Planned, allocation-free forward. Builds (and caches) a
     /// ForwardPlan for this batch size on first use — the warm-up —
-    /// then executes against the plan's preallocated buffers with zero
+    /// then executes against the network's activation arena with zero
     /// heap allocations, using `workspace` for im2col scratch. Output
-    /// bit-matches forward(); the returned reference is overwritten by
-    /// the next planned run at this batch size. Requires eval mode.
+    /// bit-matches forward(); the returned logits are overwritten by the
+    /// next planned run of any batch size (see ForwardPlan::run).
+    /// Requires eval mode.
     const Tensor& forward_planned(const Tensor& input, Workspace& workspace);
 
     /// The cached plan for one batch size (built on first use). Lets
     /// callers stack images directly into plan_for(n).input_slab().
     /// Plans are never evicted — that is what makes steady state
-    /// allocation-free — so a caller serving ragged batch sizes
-    /// accumulates one buffer set per distinct size, bounded by
-    /// ~(max_batch + 1)/2 times the largest plan (buffers scale
-    /// linearly with batch). Keep the batcher's max_batch_size modest
-    /// and watch planned_buffer_bytes() (serving surfaces it as
-    /// plan_buffer_bytes).
+    /// allocation-free. Every plan writes its activations into one
+    /// arena of two storages, each as large as the largest step output
+    /// of any plan, so serving ragged batch sizes up to N costs the
+    /// batch-N plan's arena plus one input slab per distinct size.
+    /// Building a plan that outgrows the arena grows it and rebinds the
+    /// cached plans, which invalidates logits still held from a run.
     ForwardPlan& plan_for(std::int64_t batch_size);
 
     /// Scratch high-water mark (bytes) over every plan built so far;
     /// the workspace capacity a steady-state server replica needs.
     std::size_t planned_workspace_bytes() const;
-    /// Plan-owned activation buffer bytes over every plan built so far.
+    /// Planned activation bytes: the arena's two storages, counted
+    /// once, plus every cached plan's input slab.
     std::size_t planned_buffer_bytes() const;
+    /// Bytes of the int8 weight snapshots quantized plans run on: one
+    /// per conv and hidden linear layer, shared by every batch size (0
+    /// while no quantized plan is cached).
+    std::size_t planned_quantized_weight_bytes() const;
 
     /// Installs the sparse-execution policy, pushing the density cutoff
     /// into every Conv2d / Linear layer.
@@ -169,10 +177,11 @@ public:
     std::uint64_t planned_skipped_macs() const;
     std::uint64_t planned_dense_macs() const;
 
-    /// Installs the quantized-execution policy. Clears cached plans:
-    /// each plan snapshots int8 weights at build time (like set_pool,
-    /// a stale plan would silently run the wrong mode), so flip this
-    /// before the serving warm-up, not per batch.
+    /// Installs the quantized-execution policy. Clears cached plans, the
+    /// arena and the int8 weight snapshots (plans fix their mode at
+    /// build time; like set_pool, a stale plan would silently run the
+    /// wrong mode), so flip this before the serving warm-up, not per
+    /// batch.
     void set_quantized_execution(const QuantizedExecution& policy);
     const QuantizedExecution& quantized_execution() const noexcept {
         return quantized_execution_;
@@ -181,8 +190,8 @@ public:
     /// Cumulative conv/linear steps run through the int8 kernels,
     /// summed over every cached plan.
     std::uint64_t planned_quantized_hits() const;
-    /// Worst per-channel relative weight-quantization error over every
-    /// cached plan's pre-quantized weights (0 when none are quantized).
+    /// Worst per-channel relative weight-quantization error over the
+    /// int8 weight snapshots (0 when none are quantized).
     double planned_quantized_max_rel_error() const;
 
     /// Enables per-step wall-time / MAC profiling inside every planned
@@ -216,9 +225,10 @@ public:
         return network_.cached_state_bytes();
     }
 
-    /// Installs (or clears) the thread pool and drops cached plans:
-    /// plan workspace sizing depends on the pool's band count, so a
-    /// stale plan could under-reserve conv scratch.
+    /// Installs (or clears) the thread pool and drops cached plans (with
+    /// the arena and int8 weight snapshots): plan workspace sizing
+    /// depends on the pool's band count, so a stale plan could
+    /// under-reserve conv scratch.
     void set_pool(ThreadPool* pool);
 
     // -- modes and parameter groups -----------------------------------------
@@ -307,6 +317,9 @@ public:
     nn::Sequential& network() noexcept { return network_; }
 
 private:
+    /// Drops every cached plan with the arena and int8 snapshots.
+    void drop_plans();
+
     MimeNetworkConfig config_;
     std::vector<arch::LayerSpec> layer_specs_;
     arch::LayerSpec classifier_spec_;
@@ -320,9 +333,17 @@ private:
     bool plan_profiling_ = false;
     SparseExecution sparse_execution_{};
     QuantizedExecution quantized_execution_{};
+    /// The activation arena every plan's conv / pool / linear steps
+    /// write into (see ForwardPlan): two storages of arena_floats_
+    /// each, the largest step output of any cached plan.
+    std::array<Tensor, 2> arena_;
+    std::int64_t arena_floats_ = 0;
+    /// Int8 weight snapshots indexed by graph layer (empty for layers
+    /// that run float), built with the first quantized plan.
+    std::vector<nn::QuantizedTensor> quantized_weights_;
     /// Plans keyed by batch size, built lazily by plan_for(). Plans
-    /// hold pointers into network_'s modules, so they live (and die)
-    /// with this network.
+    /// hold pointers into network_'s modules and quantized_weights_, so
+    /// they live (and die) with this network.
     std::map<std::int64_t, std::unique_ptr<ForwardPlan>> plans_;
 };
 

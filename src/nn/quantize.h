@@ -64,8 +64,9 @@ double quantization_relative_error(const Tensor& t, int bits);
 // ---------------------------------------------------------------------------
 
 /// An int8 weight matrix with per-output-channel symmetric scales:
-/// real[r, c] ~= data[r * cols + c] * scales[r]. Built once per
-/// ForwardPlan from the float master weights (which stay untouched).
+/// real[r, c] ~= data[r * cols + c] * scales[r]. Built once per layer
+/// from the float master weights (which stay untouched) when a network
+/// builds its first quantized ForwardPlan.
 struct QuantizedTensor {
     std::vector<std::int8_t> data;  ///< row-major [rows, cols]
     std::vector<float> scales;      ///< one per row (output channel)

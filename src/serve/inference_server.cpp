@@ -112,7 +112,8 @@ InferenceServer::InferenceServer(core::MimeNetwork& network,
       workspace_peak_gauge_(registry_.gauge(
           "serve.workspace_peak_bytes", "planned scratch high-water mark")),
       plan_buffers_gauge_(registry_.gauge(
-          "serve.plan_buffer_bytes", "plan-owned activation buffer bytes")),
+          "serve.plan_buffer_bytes",
+          "planned activation bytes: the arena once plus input slabs")),
       cache_hits_gauge_(registry_.gauge("serve.cache_hits",
                                         "threshold cache hits")),
       cache_misses_gauge_(registry_.gauge("serve.cache_misses",
@@ -368,9 +369,10 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
         const Clock::time_point installed = traced ? Clock::now() : started;
 
         // Stack request images into the plan's preallocated input slab
-        // and execute against plan buffers + this replica's workspace —
-        // zero heap allocations once the plan for this batch size is
-        // warm.
+        // and execute against the network's activation arena + this
+        // replica's workspace — zero heap allocations once the plan for
+        // this batch size is warm. The logits live in the arena until
+        // the next forward, so each row is copied out below.
         core::ForwardPlan& plan =
             network_->plan_for(static_cast<std::int64_t>(batch.size()));
         Tensor& slab = plan.input_slab();

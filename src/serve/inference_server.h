@@ -119,8 +119,9 @@ struct ServerStats {
     PriorityLaneStats batch;
     /// Steady-state scratch high-water mark of this replica's Workspace.
     std::int64_t workspace_peak_bytes = 0;
-    /// Bytes of plan-owned activation buffers across every batch size
-    /// planned so far.
+    /// Planned activation bytes: the network's activation arena,
+    /// counted once, plus the input slab of every batch size planned so
+    /// far (MimeNetwork::planned_buffer_bytes).
     std::int64_t plan_buffer_bytes = 0;
     /// Planned conv/linear steps that ran the row-compacted sparse path.
     std::int64_t sparse_path_hits = 0;

@@ -92,7 +92,8 @@ struct PoolStats {
     /// Sum of every replica's steady-state workspace high-water mark —
     /// the pool's total scratch footprint.
     std::int64_t workspace_peak_bytes = 0;
-    /// Sum of every replica's plan-owned activation buffer bytes.
+    /// Sum of every replica's planned activation bytes (one arena plus
+    /// input slabs per replica).
     std::int64_t plan_buffer_bytes = 0;
     /// Sums of the replicas' sparse planned-execution counters.
     std::int64_t sparse_path_hits = 0;

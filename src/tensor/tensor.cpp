@@ -61,28 +61,46 @@ Tensor::Tensor(Shape shape, std::vector<float> values)
     adopt(make_storage(std::move(values)));
 }
 
+Tensor::Tensor(Shape shape, std::shared_ptr<std::vector<float>> storage,
+               float* first) noexcept
+    : shape_(std::move(shape)),
+      data_(std::move(storage)),
+      ptr_(first),
+      numel_(shape_.numel()) {}
+
+// Copies take only the source's own elements, so a copy of an offset
+// view is exactly as large as the view.
 Tensor::Tensor(const Tensor& other) : shape_(other.shape_) {
-    adopt(make_storage(*other.data_));
+    adopt(make_storage(
+        std::vector<float>(other.ptr_, other.ptr_ + other.numel_)));
 }
 
 Tensor& Tensor::operator=(const Tensor& other) {
     if (this != &other) {
         shape_ = other.shape_;
-        adopt(make_storage(*other.data_));
+        adopt(make_storage(
+            std::vector<float>(other.ptr_, other.ptr_ + other.numel_)));
     }
     return *this;
 }
 
-Tensor::Tensor(Tensor&& other) noexcept : shape_(std::move(other.shape_)) {
-    adopt(std::move(other.data_));
+Tensor::Tensor(Tensor&& other) noexcept
+    : shape_(std::move(other.shape_)),
+      data_(std::move(other.data_)),
+      ptr_(other.ptr_),
+      numel_(other.numel_) {
     other.ptr_ = nullptr;
+    other.numel_ = 0;
 }
 
 Tensor& Tensor::operator=(Tensor&& other) noexcept {
     if (this != &other) {
         shape_ = std::move(other.shape_);
-        adopt(std::move(other.data_));
+        data_ = std::move(other.data_);
+        ptr_ = other.ptr_;
+        numel_ = other.numel_;
         other.ptr_ = nullptr;
+        other.numel_ = 0;
     }
     return *this;
 }
@@ -97,16 +115,16 @@ Tensor Tensor::full(Shape shape, float value) {
 
 Tensor Tensor::randn(Shape shape, Rng& rng, float mean, float stddev) {
     Tensor t(std::move(shape));
-    for (auto& v : t.vec()) {
-        v = static_cast<float>(rng.normal(mean, stddev));
+    for (std::int64_t i = 0; i < t.numel_; ++i) {
+        t.ptr_[i] = static_cast<float>(rng.normal(mean, stddev));
     }
     return t;
 }
 
 Tensor Tensor::rand_uniform(Shape shape, Rng& rng, float lo, float hi) {
     Tensor t(std::move(shape));
-    for (auto& v : t.vec()) {
-        v = static_cast<float>(rng.uniform(lo, hi));
+    for (std::int64_t i = 0; i < t.numel_; ++i) {
+        t.ptr_[i] = static_cast<float>(rng.uniform(lo, hi));
     }
     return t;
 }
@@ -115,7 +133,7 @@ float& Tensor::at(std::int64_t flat_index) {
     MIME_REQUIRE(flat_index >= 0 && flat_index < numel(),
                  "flat index " + std::to_string(flat_index) +
                      " out of range for " + shape_.to_string());
-    return vec()[static_cast<std::size_t>(flat_index)];
+    return ptr_[flat_index];
 }
 
 float Tensor::at(std::int64_t flat_index) const {
@@ -137,7 +155,7 @@ float& Tensor::at(std::initializer_list<std::int64_t> indices) {
         flat = flat * extent + idx;
         ++axis;
     }
-    return vec()[static_cast<std::size_t>(flat)];
+    return ptr_[flat];
 }
 
 float Tensor::at(std::initializer_list<std::int64_t> indices) const {
@@ -146,41 +164,38 @@ float Tensor::at(std::initializer_list<std::int64_t> indices) const {
 
 Tensor Tensor::clone() const { return *this; }
 
-Tensor Tensor::alias() {
-    Tensor view;
-    view.shape_ = shape_;
-    view.adopt(data_);
-    return view;
-}
+Tensor Tensor::alias() { return Tensor(shape_, data_, ptr_); }
 
 Tensor Tensor::alias(Shape view_shape) {
-    MIME_REQUIRE(view_shape.numel() == shape_.numel(),
+    MIME_REQUIRE(view_shape.numel() == numel_,
                  "cannot alias " + shape_.to_string() + " as " +
                      view_shape.to_string());
-    Tensor view;
-    view.shape_ = std::move(view_shape);
-    view.adopt(data_);
-    return view;
+    return Tensor(std::move(view_shape), data_, ptr_);
+}
+
+Tensor Tensor::alias(std::int64_t offset, Shape view_shape) {
+    MIME_REQUIRE(offset >= 0 && offset <= numel_ &&
+                     view_shape.numel() <= numel_ - offset,
+                 "cannot alias " + view_shape.to_string() + " at offset " +
+                     std::to_string(offset) + " of " + shape_.to_string());
+    return Tensor(std::move(view_shape), data_, ptr_ + offset);
 }
 
 Tensor Tensor::reshaped(Shape new_shape) const {
-    MIME_REQUIRE(new_shape.numel() == shape_.numel(),
+    MIME_REQUIRE(new_shape.numel() == numel_,
                  "cannot reshape " + shape_.to_string() + " to " +
                      new_shape.to_string());
-    return Tensor(std::move(new_shape), vec());
+    return Tensor(std::move(new_shape),
+                  std::vector<float>(ptr_, ptr_ + numel_));
 }
 
-void Tensor::fill(float value) {
-    for (auto& v : vec()) {
-        v = value;
-    }
-}
+void Tensor::fill(float value) { std::fill(ptr_, ptr_ + numel_, value); }
 
 void Tensor::copy_from(const Tensor& source) {
     MIME_REQUIRE(shape_ == source.shape_,
                  "copy_from shape mismatch: " + shape_.to_string() + " vs " +
                      source.shape_.to_string());
-    std::copy(source.vec().begin(), source.vec().end(), vec().begin());
+    std::copy(source.ptr_, source.ptr_ + source.numel_, ptr_);
 }
 
 void Tensor::axpy(float alpha, const Tensor& x) {
@@ -188,15 +203,16 @@ void Tensor::axpy(float alpha, const Tensor& x) {
                                           shape_.to_string() + " vs " +
                                           x.shape().to_string());
     const float* xs = x.data();
-    std::vector<float>& ys = vec();
-    for (std::size_t i = 0; i < ys.size(); ++i) {
+    float* ys = ptr_;
+    for (std::int64_t i = 0; i < numel_; ++i) {
         ys[i] += alpha * xs[i];
     }
 }
 
 void Tensor::scale(float s) {
-    for (auto& v : vec()) {
-        v *= s;
+    float* ys = ptr_;
+    for (std::int64_t i = 0; i < numel_; ++i) {
+        ys[i] *= s;
     }
 }
 

@@ -1,14 +1,18 @@
 // Dense float32 tensor with value semantics and contiguous row-major
 // storage. This is the numeric substrate for the neural-network library;
-// it deliberately avoids views/striding so that every invariant
-// ("data().size() == shape().numel()") is trivial to state and test.
+// it deliberately avoids strided views so that every tensor's elements
+// are one contiguous run of shape().numel() floats.
 //
 // Storage is refcounted internally, but copies stay deep — two tensors
 // never share memory unless one was made with the explicit alias()
-// escape hatch. Aliasing exists for exactly one purpose: letting server
+// escape hatch. Aliasing exists for two purposes: letting server
 // replicas read one frozen W_parent without duplicating it (the paper's
-// DRAM story applied to host RAM). An alias always covers the whole
-// tensor at the same shape; there are still no strided views.
+// DRAM story applied to host RAM), and letting a network's planned
+// forwards write their activations into one shared arena. An alias is
+// either the whole tensor (at its shape or another of the same numel)
+// or a contiguous run of its elements starting at an offset; every
+// operation on an alias — copies, fill, copy_from, axpy, scale,
+// reshaped — acts on that run only. There are still no strided views.
 #pragma once
 
 #include <cstdint>
@@ -58,12 +62,9 @@ public:
     // -- observers ---------------------------------------------------------
 
     const Shape& shape() const noexcept { return shape_; }
-    std::int64_t numel() const noexcept {
-        return data_ ? static_cast<std::int64_t>(data_->size()) : 0;
-    }
+    std::int64_t numel() const noexcept { return numel_; }
     float* data() noexcept { return ptr_; }
     const float* data() const noexcept { return ptr_; }
-    const std::vector<float>& values() const noexcept { return *data_; }
 
     /// Bounds-checked flat element access.
     float& at(std::int64_t flat_index);
@@ -96,8 +97,15 @@ public:
 
     /// Shared view at a different shape; numel must match. The planned
     /// executor uses this to make Flatten free: [N, C, H, W] and
-    /// [N, C*H*W] handles onto one activation buffer.
+    /// [N, C*H*W] handles onto one activation buffer. An alias of an
+    /// offset view starts at that view's offset.
     Tensor alias(Shape view_shape);
+
+    /// Shared view of the view_shape.numel() elements starting at flat
+    /// element `offset` of this tensor; the run must lie inside this
+    /// tensor. The planned executor carves each step's output out of
+    /// the network's activation arena this way.
+    Tensor alias(std::int64_t offset, Shape view_shape);
 
     /// True when both tensors share one storage block.
     bool aliases(const Tensor& other) const noexcept {
@@ -105,7 +113,7 @@ public:
     }
 
     /// Returns a tensor with the same data and a new shape; numel must
-    /// match. Storage is copied (no aliasing views by design).
+    /// match. Storage is copied (alias(Shape) is the sharing variant).
     Tensor reshaped(Shape new_shape) const;
 
     /// Sets every element to `value`.
@@ -137,16 +145,19 @@ public:
     static std::int64_t storage_allocation_bytes() noexcept;
 
 private:
-    std::vector<float>& vec() noexcept { return *data_; }
-    const std::vector<float>& vec() const noexcept { return *data_; }
+    /// A tensor over existing storage whose elements start at `first`.
+    Tensor(Shape shape, std::shared_ptr<std::vector<float>> storage,
+           float* first) noexcept;
     void adopt(std::shared_ptr<std::vector<float>> storage) noexcept {
         data_ = std::move(storage);
         ptr_ = data_ ? data_->data() : nullptr;
+        numel_ = data_ ? static_cast<std::int64_t>(data_->size()) : 0;
     }
 
     Shape shape_;
     std::shared_ptr<std::vector<float>> data_;
-    float* ptr_ = nullptr;  ///< cached data_->data() (hot-path access)
+    float* ptr_ = nullptr;     ///< first element (hot-path access)
+    std::int64_t numel_ = 0;   ///< shape_.numel(); 0 once moved from
 };
 
 // -- elementwise free functions (same-shape operands, no broadcasting) ----

@@ -5,18 +5,25 @@
 // all-dead (everything past it then depends on the biases only). The
 // networks are a tiny VGG (whose 2x2 conv11-13 run the narrow GEMMs) and
 // a plain CNN with batchnorm whose channel counts are not multiples of
-// the SIMD width. At batch sizes 1, 3 and 8, single-threaded and banded
-// over a pool:
+// the SIMD width. At batch sizes 1, 3 and 8, in an order drawn per seed
+// (so smaller plans also run on an arena a larger plan grew),
+// single-threaded and banded over a pool:
 //   * float sparse planned logits == float dense planned logits ==
 //     MimeNetwork::forward, bit for bit;
 //   * int8 sparse planned logits == int8 dense planned logits, bit for
 //     bit;
 //   * the planned skipped-MAC counter equals the count recomputed here
 //     from layer_specs() and the live lists.
+// Before each checked run, a batch of another size whose inputs include
+// +-1e30, +inf and NaN runs through the same network, so every checked
+// run starts from an arena holding another plan's garbage (huge,
+// infinite and NaN activations), which the skipped output channels must
+// never leak.
 // The seed list is fixed, plus one seed from std::random_device that is
 // printed to the test log; add it to kSeeds to replay a failure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -133,6 +140,42 @@ Tensor random_input(std::int64_t batch, std::int64_t size,
         x[i] = normal(rng);
     }
     return x;
+}
+
+/// A random input with about one value in four replaced by +-1e30, +inf
+/// or NaN.
+Tensor poisoned_input(std::int64_t batch, std::int64_t size,
+                      std::mt19937_64& rng) {
+    const float poison[] = {1e30f, -1e30f,
+                            std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+    Tensor x = random_input(batch, size, rng);
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+        if (rng() % 4 == 0) {
+            x[i] = poison[rng() % 4];
+        }
+    }
+    return x;
+}
+
+/// Builds the plan for `batch` (unless cached), then runs a poisoned
+/// batch of another size drawn from `sizes`, which leaves that plan's
+/// arena views full of garbage; a larger garbage plan first grows the
+/// arena and rebinds the `batch` plan onto it.
+void soil_arena(core::MimeNetwork& net, std::int64_t batch,
+                const std::vector<std::int64_t>& sizes, Workspace& workspace,
+                std::mt19937_64& rng) {
+    net.plan_for(batch);
+    std::vector<std::int64_t> others;
+    for (const std::int64_t other : sizes) {
+        if (other != batch) {
+            others.push_back(other);
+        }
+    }
+    const std::int64_t other = others[rng() % others.size()];
+    net.forward_planned(
+        poisoned_input(other, net.layer_specs().front().in_height, rng),
+        workspace);
 }
 
 /// Runs the module graph layer by layer and keeps each conv's input.
@@ -262,42 +305,68 @@ bool bit_equal(const std::vector<float>& a, const Tensor& b) {
            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-/// Runs batch sizes 1, 3 and 8, single-threaded and on `pool`, under the
-/// thresholds installed in `net`, and checks the three equalities.
+/// Runs batch sizes 1, 3 and 8 in an order drawn from `rng`,
+/// single-threaded and on `pool`, under the thresholds installed in
+/// `net`, and checks the three equalities. Plans of all three sizes
+/// share one arena per (pool, precision) pass, and a poisoned batch of
+/// another size runs before every checked run.
 void check_paths(core::MimeNetwork& net, ThreadPool& pool,
                  std::mt19937_64& rng) {
     const std::int64_t size = net.layer_specs().front().in_height;
-    for (const std::int64_t batch : {1, 3, 8}) {
-        const Tensor x = random_input(batch, size, rng);
-        net.set_pool(nullptr);
-        const std::vector<float> reference = copy_of(net.forward(x));
+    std::vector<std::int64_t> batches = {1, 3, 8};
+    std::shuffle(batches.begin(), batches.end(), rng);
+    SCOPED_TRACE("batch order " + std::to_string(batches[0]) + ", " +
+                 std::to_string(batches[1]) + ", " +
+                 std::to_string(batches[2]));
+    struct Case {
+        std::int64_t batch;
+        Tensor x;
+        std::vector<float> reference;
+        std::uint64_t expected_skipped;
+    };
+    std::vector<Case> cases;
+    net.set_pool(nullptr);
+    for (const std::int64_t batch : batches) {
+        Tensor x = random_input(batch, size, rng);
+        std::vector<float> reference = copy_of(net.forward(x));
         const std::uint64_t expected =
             expected_skipped_macs(net, conv_inputs(net, x), batch);
-        for (const bool pooled : {false, true}) {
-            SCOPED_TRACE("batch " + std::to_string(batch) +
-                         (pooled ? ", ThreadPool(4)" : ", no pool"));
-            net.set_pool(pooled ? &pool : nullptr);
-            Workspace workspace;
+        cases.push_back({batch, std::move(x), std::move(reference), expected});
+    }
+    for (const bool pooled : {false, true}) {
+        SCOPED_TRACE(pooled ? "ThreadPool(4)" : "no pool");
+        net.set_pool(pooled ? &pool : nullptr);
+        Workspace workspace;
 
-            net.set_quantized_execution({false});
+        net.set_quantized_execution({false});
+        for (const Case& c : cases) {
+            SCOPED_TRACE("float, batch " + std::to_string(c.batch));
             net.set_sparse_execution({false, kCutoff});
+            soil_arena(net, c.batch, batches, workspace, rng);
             EXPECT_TRUE(
-                bit_equal(reference, net.forward_planned(x, workspace)))
+                bit_equal(c.reference, net.forward_planned(c.x, workspace)))
                 << "float dense planned diverges from forward()";
             net.set_sparse_execution({true, kCutoff});
+            soil_arena(net, c.batch, batches, workspace, rng);
             const std::uint64_t skipped0 = net.planned_skipped_macs();
             EXPECT_TRUE(
-                bit_equal(reference, net.forward_planned(x, workspace)))
+                bit_equal(c.reference, net.forward_planned(c.x, workspace)))
                 << "float sparse planned diverges from forward()";
-            EXPECT_EQ(net.planned_skipped_macs() - skipped0, expected);
+            EXPECT_EQ(net.planned_skipped_macs() - skipped0,
+                      c.expected_skipped);
+        }
 
-            net.set_quantized_execution({true});
+        net.set_quantized_execution({true});
+        for (const Case& c : cases) {
+            SCOPED_TRACE("int8, batch " + std::to_string(c.batch));
             net.set_sparse_execution({false, kCutoff});
+            soil_arena(net, c.batch, batches, workspace, rng);
             const std::vector<float> int8_dense =
-                copy_of(net.forward_planned(x, workspace));
+                copy_of(net.forward_planned(c.x, workspace));
             net.set_sparse_execution({true, kCutoff});
+            soil_arena(net, c.batch, batches, workspace, rng);
             EXPECT_TRUE(
-                bit_equal(int8_dense, net.forward_planned(x, workspace)))
+                bit_equal(int8_dense, net.forward_planned(c.x, workspace)))
                 << "int8 sparse planned diverges from int8 dense";
         }
     }

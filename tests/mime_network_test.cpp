@@ -4,6 +4,10 @@
 // zero allocations after warm-up, and eval-mode cache hygiene.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "arch/plain_cnn.h"
 #include "common/check.h"
 #include "core/forward_plan.h"
@@ -415,10 +419,79 @@ TEST(ForwardPlan, PlanIsPerBatchSizeAndReusesWorkspace) {
     EXPECT_EQ(&plan2, &net.plan_for(2));  // cached, not rebuilt
     EXPECT_EQ(plan2.input_shape(), Shape({2, 3, 32, 32}));
     EXPECT_GT(plan2.workspace_bytes(), 0u);
-    EXPECT_GT(plan5.buffer_bytes(), plan2.buffer_bytes());
+    EXPECT_GT(plan5.arena_floats(), plan2.arena_floats());
     // One workspace serves every batch size (max, not sum).
     EXPECT_EQ(net.planned_workspace_bytes(),
               std::max(plan2.workspace_bytes(), plan5.workspace_bytes()));
+}
+
+/// Bytes of one arena storage at `batch`: the largest step output, which
+/// is some layer's (pre-pool) output or the logits.
+std::size_t arena_storage_bytes(const MimeNetwork& net, std::int64_t batch) {
+    std::int64_t largest = net.classifier_spec().out_channels;
+    for (const arch::LayerSpec& spec : net.layer_specs()) {
+        largest = std::max(largest, spec.neuron_count());
+    }
+    return static_cast<std::size_t>(batch * largest) * sizeof(float);
+}
+
+TEST(ForwardPlan, PlansOfEveryBatchSizeShareOneArena) {
+    // Whatever order plans for batch sizes 1-8 are built in, the
+    // network holds two arena storages sized for the largest plan built
+    // so far, plus one input slab per plan; smaller plans built after a
+    // larger one add only their slab.
+    const std::vector<std::vector<std::int64_t>> orders = {
+        {1, 2, 3, 4, 5, 6, 7, 8}, {5, 2, 8, 1, 7, 3, 6, 4}};
+    for (const std::vector<std::int64_t>& order : orders) {
+        MimeNetwork net(tiny_config());
+        net.set_training(false);
+        net.set_eval_mode(true);
+        const arch::LayerSpec& first = net.layer_specs().front();
+        const std::size_t image_bytes =
+            static_cast<std::size_t>(first.in_channels * first.in_height *
+                                     first.in_width) *
+            sizeof(float);
+        std::int64_t largest = 0;
+        std::size_t slabs = 0;
+        for (const std::int64_t batch : order) {
+            SCOPED_TRACE("batch " + std::to_string(batch));
+            net.plan_for(batch);
+            largest = std::max(largest, batch);
+            slabs += static_cast<std::size_t>(batch) * image_bytes;
+            EXPECT_EQ(net.planned_buffer_bytes(),
+                      2 * arena_storage_bytes(net, largest) + slabs);
+        }
+        EXPECT_EQ(net.planned_buffer_bytes(),
+                  2 * arena_storage_bytes(net, 8) + 36 * image_bytes);
+    }
+}
+
+TEST(ForwardPlan, Int8WeightSnapshotsAreBuiltOncePerNetwork) {
+    MimeNetwork net(tiny_config());
+    net.set_training(false);
+    net.set_eval_mode(true);
+    net.plan_for(2);  // a float plan quantizes nothing
+    EXPECT_EQ(net.planned_quantized_weight_bytes(), 0u);
+
+    // One int8 byte per weight and one float scale per output channel,
+    // for every conv and hidden fc layer (the classifier runs float).
+    std::size_t expected = 0;
+    for (const arch::LayerSpec& spec : net.layer_specs()) {
+        expected += static_cast<std::size_t>(spec.weight_count()) +
+                    static_cast<std::size_t>(spec.out_channels) * sizeof(float);
+    }
+    net.set_quantized_execution({true});
+    EXPECT_EQ(net.planned_buffer_bytes(), 0u);  // plans and arena dropped
+    for (std::int64_t batch = 1; batch <= 8; ++batch) {
+        net.plan_for(batch);
+        EXPECT_EQ(net.planned_quantized_weight_bytes(), expected)
+            << "after building the batch-" << batch << " plan";
+    }
+    EXPECT_GT(net.planned_quantized_max_rel_error(), 0.0);
+
+    net.set_quantized_execution({false});
+    EXPECT_EQ(net.planned_quantized_weight_bytes(), 0u);
+    EXPECT_EQ(net.planned_quantized_max_rel_error(), 0.0);
 }
 
 TEST(ForwardPlan, RunSelfHealsAStaleWorkspaceOffset) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "tensor/tensor.h"
@@ -91,28 +93,140 @@ TEST(Tensor, CopyAssignmentIsDeep) {
     EXPECT_NE(a.data(), b.data());
 }
 
-TEST(Tensor, AliasSharesStorageBothWays) {
-    Tensor a = Tensor::ones({2, 2});
-    Tensor view = a.alias();
-    EXPECT_TRUE(a.aliases(view));
-    EXPECT_EQ(a.data(), view.data());
-    EXPECT_EQ(view.shape(), a.shape());
+// The alias tests run on both alias forms: the whole tensor (offset 0,
+// alias()) and a run of a larger storage starting at an offset and
+// ending flush with the storage's end, the layout of the planned
+// executor's activation arena.
+constexpr std::int64_t kAliasOffsets[] = {0, 3};
 
-    view[0] = 7.0f;
-    EXPECT_EQ(a[0], 7.0f);
-    a.fill(3.0f);
-    EXPECT_EQ(view[3], 3.0f);
+/// Storage for a [2, 2] alias at `offset`: offset + 4 elements valued
+/// 1, 2, 3, ...
+Tensor alias_storage(std::int64_t offset) {
+    Tensor storage = offset == 0 ? Tensor({2, 2}) : Tensor({offset + 4});
+    for (std::int64_t i = 0; i < storage.numel(); ++i) {
+        storage[i] = static_cast<float>(i + 1);
+    }
+    return storage;
+}
+
+Tensor alias_at(Tensor& storage, std::int64_t offset) {
+    return offset == 0 ? storage.alias() : storage.alias(offset, Shape{2, 2});
+}
+
+TEST(Tensor, AliasSharesStorageBothWays) {
+    for (const std::int64_t offset : kAliasOffsets) {
+        SCOPED_TRACE("offset " + std::to_string(offset));
+        Tensor a = alias_storage(offset);
+        Tensor view = alias_at(a, offset);
+        EXPECT_TRUE(a.aliases(view));
+        EXPECT_EQ(view.data(), a.data() + offset);
+        EXPECT_EQ(view.shape(), Shape({2, 2}));
+        EXPECT_EQ(view.numel(), 4);
+        EXPECT_EQ(view.at({0, 0}), a[offset]);
+        EXPECT_THROW(view.at(4), check_error);
+
+        view[0] = 7.0f;
+        EXPECT_EQ(a[offset], 7.0f);
+        a.fill(3.0f);
+        EXPECT_EQ(view[3], 3.0f);
+    }
 }
 
 TEST(Tensor, CopyOfAliasIsDeepAgain) {
     // alias() is an explicit escape hatch; value semantics resume at
-    // the first copy.
-    Tensor a = Tensor::ones({4});
-    Tensor view = a.alias();
-    Tensor copy = view;
-    copy[0] = 5.0f;
-    EXPECT_EQ(a[0], 1.0f);
-    EXPECT_FALSE(copy.aliases(a));
+    // the first copy, which takes only the alias's own elements.
+    for (const std::int64_t offset : kAliasOffsets) {
+        SCOPED_TRACE("offset " + std::to_string(offset));
+        Tensor a = alias_storage(offset);
+        Tensor view = alias_at(a, offset);
+        const std::int64_t bytes = Tensor::storage_allocation_bytes();
+        Tensor copy = view;
+        Tensor cloned = view.clone();
+        Tensor assigned({9});
+        const std::int64_t before_assign = Tensor::storage_allocation_bytes();
+        assigned = view;
+        EXPECT_EQ(before_assign - bytes,
+                  2 * 4 * static_cast<std::int64_t>(sizeof(float)) +
+                      9 * static_cast<std::int64_t>(sizeof(float)));
+        EXPECT_EQ(Tensor::storage_allocation_bytes() - before_assign,
+                  4 * static_cast<std::int64_t>(sizeof(float)));
+        for (const Tensor* t : {&copy, &cloned, &assigned}) {
+            EXPECT_EQ(t->shape(), Shape({2, 2}));
+            EXPECT_EQ(t->numel(), 4);
+            EXPECT_FALSE(t->aliases(a));
+            for (std::int64_t i = 0; i < 4; ++i) {
+                EXPECT_EQ((*t)[i], a[offset + i]);
+            }
+        }
+        copy[0] = 5.0f;
+        EXPECT_EQ(a[offset], static_cast<float>(offset + 1));
+    }
+}
+
+TEST(Tensor, OffsetAliasOpsTouchOnlyItsElements) {
+    // A [2, 2] run in the middle of nine elements: fill, copy_from,
+    // axpy, scale and reshaped see its four elements and leave the
+    // storage on both sides alone.
+    Tensor storage({9}, -9.0f);
+    Tensor view = storage.alias(3, Shape{2, 2});
+    auto expect_outside_untouched = [&] {
+        for (const std::int64_t i : {0, 1, 2, 7, 8}) {
+            EXPECT_EQ(storage[i], -9.0f) << "element " << i;
+        }
+    };
+
+    view.fill(1.0f);
+    expect_outside_untouched();
+    for (std::int64_t i = 3; i < 7; ++i) {
+        EXPECT_EQ(storage[i], 1.0f);
+    }
+
+    const Tensor source({2, 2}, std::vector<float>{1, 2, 3, 4});
+    view.copy_from(source);
+    expect_outside_untouched();
+    EXPECT_EQ(storage[3], 1.0f);
+    EXPECT_EQ(storage[6], 4.0f);
+
+    view.axpy(2.0f, source);
+    expect_outside_untouched();
+    EXPECT_EQ(storage[3], 3.0f);
+    EXPECT_EQ(storage[6], 12.0f);
+
+    view.scale(0.5f);
+    expect_outside_untouched();
+    EXPECT_EQ(storage[3], 1.5f);
+    EXPECT_EQ(storage[6], 6.0f);
+
+    const Tensor flat = view.reshaped({4});
+    EXPECT_EQ(flat.numel(), 4);
+    EXPECT_FALSE(flat.aliases(storage));
+    for (std::int64_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(flat[i], storage[3 + i]);
+    }
+    EXPECT_THROW(view.reshaped({9}), check_error);
+
+    // Ops between two offset aliases read the source's run, not the
+    // start of its storage.
+    Tensor other_storage({6}, 0.0f);
+    Tensor other = other_storage.alias(2, Shape{2, 2});
+    other.copy_from(view);
+    EXPECT_EQ(other_storage[1], 0.0f);
+    EXPECT_EQ(other_storage[2], 1.5f);
+    EXPECT_EQ(other_storage[5], 6.0f);
+}
+
+TEST(Tensor, OffsetAliasPastTheStorageEndThrows) {
+    Tensor storage({7});
+    EXPECT_NO_THROW(storage.alias(3, Shape{2, 2}));  // flush with the end
+    EXPECT_NO_THROW(storage.alias(0, Shape{7}));
+    EXPECT_THROW(storage.alias(4, Shape{2, 2}), check_error);
+    EXPECT_THROW(storage.alias(7, Shape{1}), check_error);
+    EXPECT_THROW(storage.alias(-1, Shape{2}), check_error);
+    // Offsets count from the alias's own first element and must stay
+    // inside it, so a run past the storage's end throws from a view too.
+    Tensor view = storage.alias(3, Shape{2, 2});
+    EXPECT_NO_THROW(view.alias(1, Shape{3}));
+    EXPECT_THROW(view.alias(1, Shape{2, 2}), check_error);
 }
 
 TEST(Tensor, ReshapePreservesData) {
@@ -194,15 +308,26 @@ TEST(Tensor, Reductions) {
 }
 
 TEST(Tensor, ReshapedAliasSharesStorageAtNewShape) {
-    Tensor t({2, 6});
-    t[3] = 7.0f;
-    Tensor view = t.alias(Shape{3, 4});
-    EXPECT_TRUE(view.aliases(t));
-    EXPECT_EQ(view.shape(), Shape({3, 4}));
-    EXPECT_EQ(view[3], 7.0f);
-    view[5] = -1.0f;  // writes are visible through both handles
-    EXPECT_EQ(t[5], -1.0f);
-    EXPECT_THROW(t.alias(Shape{5, 5}), check_error);
+    // Offset 0 reshapes the whole tensor; offset 2 reshapes a [2, 6]
+    // run of 14 elements, and the reshaped alias keeps that offset.
+    for (const std::int64_t offset : {0, 2}) {
+        SCOPED_TRACE("offset " + std::to_string(offset));
+        Tensor storage({offset + 12});
+        Tensor t = storage.alias(offset, Shape{2, 6});
+        t[3] = 7.0f;
+        Tensor view = t.alias(Shape{3, 4});
+        EXPECT_TRUE(view.aliases(t));
+        EXPECT_EQ(view.data(), storage.data() + offset);
+        EXPECT_EQ(view.shape(), Shape({3, 4}));
+        EXPECT_EQ(view[3], 7.0f);
+        view[5] = -1.0f;  // writes are visible through both handles
+        EXPECT_EQ(t[5], -1.0f);
+        EXPECT_EQ(storage[offset + 5], -1.0f);
+        EXPECT_THROW(t.alias(Shape{5, 5}), check_error);
+        if (offset != 0) {
+            EXPECT_THROW(t.alias(Shape{offset + 12}), check_error);
+        }
+    }
 }
 
 TEST(Tensor, AllocationProbeCountsStorageCreation) {

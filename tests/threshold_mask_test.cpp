@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 #include "core/threshold_mask.h"
@@ -258,6 +259,43 @@ TEST(ThresholdMask, VectorizedApplyMatchesScalarDefinition) {
     // last_sparsity comes from the count fused into the apply loop.
     EXPECT_DOUBLE_EQ(mask.last_sparsity(),
                      static_cast<double>(zeros) / (3.0 * features));
+}
+
+// The planned executor skips the output channels a mask prunes, so the
+// mask's in-place pass sees whatever another plan left in the activation
+// arena there. A pruned (+inf or NaN) threshold must zero every such
+// value, NaN and +-inf included, in the 8-wide body and the scalar tail.
+TEST(ThresholdMask, PrunedNeuronsZeroNonFiniteActivationsInPlace) {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float garbage[] = {nan, inf, -inf, 1e30f, -1e30f, 0.5f};
+    const std::int64_t features = 19;  // exercises the non-multiple-of-8 tail
+    ThresholdMask mask({features}, 0.0f);
+    float* t = mask.thresholds().value.data();
+    for (std::int64_t i = 0; i < features; ++i) {
+        t[i] = i % 3 == 0 ? 0.1f : (i % 3 == 1 ? kPrunedThreshold : nan);
+    }
+    mask.mark_thresholds_dirty();
+    Tensor y({2, features});
+    for (std::int64_t i = 0; i < y.numel(); ++i) {
+        y[i] = garbage[i % 6];
+    }
+    const Tensor before = y;
+    mask.forward_eval_inplace(y);
+    for (std::int64_t n = 0; n < 2; ++n) {
+        for (std::int64_t i = 0; i < features; ++i) {
+            const float out = y[n * features + i];
+            const float in = before[n * features + i];
+            if (i % 3 != 0) {
+                EXPECT_EQ(out, 0.0f) << "pruned neuron " << i << " kept "
+                                     << in;
+            } else if (in - t[i] >= 0.0f) {
+                EXPECT_EQ(out, in);
+            } else {
+                EXPECT_EQ(out, 0.0f);
+            }
+        }
+    }
 }
 
 // Sweep: sparsity is monotone in the threshold level.
