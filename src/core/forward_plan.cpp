@@ -12,9 +12,7 @@ namespace mime::core {
 
 ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size,
                          std::vector<nn::QuantizedTensor>& int8_weights)
-    : network_(&network),
-      batch_size_(batch_size),
-      quantized_(network.quantized_execution().enabled) {
+    : network_(&network), batch_size_(batch_size) {
     MIME_REQUIRE(batch_size >= 1, "ForwardPlan batch size must be >= 1");
     MIME_REQUIRE(!network.layer_specs().empty(),
                  "ForwardPlan needs a built network");
@@ -25,10 +23,14 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size,
 
     nn::Sequential& graph = network.network();
     steps_.reserve(graph.size());
-    profiles_.reserve(graph.size());
+    // The network keeps one profile per step for all of its plans: every
+    // plan walks the same Sequential, so step i is the same layer in each.
+    std::vector<obs::LayerProfile>& profiles = network.planned_profiles_;
+    profiles.resize(graph.size());
     // One int8 snapshot per layer, shared by every batch size's plan:
     // the first quantized plan fills the slots, later ones reuse them.
-    if (quantized_) {
+    const bool quantized = network.quantized_execution().enabled;
+    if (quantized) {
         int8_weights.resize(graph.size());
     }
     // Per-kind ordinals for profile names (conv1, bn1, act1, ...). bn
@@ -57,7 +59,7 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size,
     for (std::size_t i = 0; i < graph.size(); ++i) {
         nn::Module& layer = graph.layer(i);
         Step step{};
-        obs::LayerProfile profile;
+        obs::LayerProfile& profile = profiles[i];
         if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
             step.kind = Step::Kind::conv;
             step.conv = conv;
@@ -67,7 +69,7 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size,
             const ConvGeometry g =
                 conv->geometry(current.dim(2), current.dim(3));
             std::size_t scratch;
-            if (quantized_) {
+            if (quantized) {
                 nn::QuantizedTensor& snapshot = int8_weights[i];
                 if (snapshot.empty()) {
                     snapshot =
@@ -85,7 +87,8 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size,
                 workspace_bytes_ = scratch;
             }
             profile.name = "conv" + std::to_string(++conv_ordinal);
-            profile.workspace_bytes = scratch;
+            profile.workspace_bytes =
+                std::max(profile.workspace_bytes, scratch);
             // Conv consumes channel-level deadness (a fully-masked input
             // channel zeroes its K*K rows of the column matrix), which
             // both channel-only and full neuron-level provenance supply.
@@ -178,7 +181,7 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size,
             // int8 snapshot of it would go stale at the next task
             // install: it stays float in every plan.
             const bool task_head = i + 1 == graph.size();
-            if (quantized_ && !task_head) {
+            if (quantized && !task_head) {
                 // Linear keeps its int8 snapshot transposed ([in, out])
                 // so the GEMM tiles 16-wide over out_features; the
                 // per-output-channel scales are unaffected.
@@ -196,7 +199,8 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size,
                 if (scratch > workspace_bytes_) {
                     workspace_bytes_ = scratch;
                 }
-                profile.workspace_bytes = scratch;
+                profile.workspace_bytes =
+                    std::max(profile.workspace_bytes, scratch);
             }
             step.output_shape = Shape({batch_size, linear->out_features()});
             step.mac_unit = static_cast<std::uint64_t>(batch_size);
@@ -221,7 +225,6 @@ ForwardPlan::ForwardPlan(MimeNetwork& network, std::int64_t batch_size,
             current = step.output_shape;
         }
         steps_.push_back(std::move(step));
-        profiles_.push_back(std::move(profile));
     }
 }
 
@@ -235,6 +238,49 @@ void ForwardPlan::bind_arena(std::array<Tensor, 2>& arena) {
                 storage.numel() - step.output_shape.numel(),
                 step.output_shape);
         }
+    }
+}
+
+namespace {
+
+/// `list` when the sparse policy lets a layer compact over it: not
+/// all-live, and its density at or below the cutoff. Null otherwise, so
+/// the layer runs that side dense.
+const nn::ActiveIndexView* usable(const nn::ActiveIndexView& list,
+                                  double density_cutoff) {
+    return !list.all_live() && list.density() <= density_cutoff ? &list
+                                                                : nullptr;
+}
+
+}  // namespace
+
+void ForwardPlan::account(const Step& step, const nn::ActiveIndexView* in,
+                          const nn::ActiveIndexView* out,
+                          obs::LayerProfile* profile) {
+    const std::uint64_t dense = step.mac_unit * step.out_total * step.k_total;
+    std::uint64_t skipped = 0;
+    if (in != nullptr || out != nullptr) {
+        // A listed input index owns k_total / total contraction rows: K*K
+        // for a conv's channel, 1 for a linear's feature.
+        const std::uint64_t k_live =
+            in != nullptr ? static_cast<std::uint64_t>(in->count) *
+                                (step.k_total /
+                                 static_cast<std::uint64_t>(in->total))
+                          : step.k_total;
+        const std::uint64_t out_live =
+            out != nullptr ? static_cast<std::uint64_t>(out->count)
+                           : step.out_total;
+        skipped = dense - step.mac_unit * out_live * k_live;
+        ++network_->planned_sparse_hits_;
+        network_->planned_skipped_macs_ += skipped;
+    }
+    network_->planned_dense_macs_ += dense;
+    if (step.qweight != nullptr) {
+        ++network_->planned_quantized_hits_;
+    }
+    if (profile != nullptr) {
+        profile->dense_macs += static_cast<std::int64_t>(dense);
+        profile->skipped_macs += static_cast<std::int64_t>(skipped);
     }
 }
 
@@ -259,17 +305,14 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
     Tensor* cur_mut = nullptr;  // null while cur is the caller's input
     for (std::size_t si = 0; si < steps_.size(); ++si) {
         Step& step = steps_[si];
+        obs::LayerProfile* profile =
+            profiling ? &network_->planned_profiles_[si] : nullptr;
         std::chrono::steady_clock::time_point step_begin;
-        std::uint64_t skipped_before = 0;
-        std::uint64_t dense_before = 0;
         if (profiling) {
-            skipped_before = skipped_macs_;
-            dense_before = dense_macs_;
             step_begin = std::chrono::steady_clock::now();
         }
         switch (step.kind) {
             case Step::Kind::conv: {
-                dense_macs_ += step.mac_unit * step.out_total * step.k_total;
                 nn::ActiveIndexView view;
                 const nn::ActiveIndexView* viewp = nullptr;
                 if (sparse_enabled && step.input_site != nullptr &&
@@ -301,7 +344,7 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                             static_cast<std::int64_t>(
                                 step.live_scratch.size()),
                             as.channels};
-                    viewp = &view;
+                    viewp = usable(view, density_cutoff);
                 }
                 // Output channels the consuming mask zeroes whatever they
                 // hold are not computed at all.
@@ -315,36 +358,17 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                                 static_cast<std::int64_t>(
                                     as.live_channels.size()),
                                 as.channels};
-                    if (!out_view.all_live() &&
-                        out_view.density() <= density_cutoff) {
-                        out_viewp = &out_view;
-                    }
+                    out_viewp = usable(out_view, density_cutoff);
                 }
-                bool compacted;
                 if (step.qweight != nullptr) {
-                    compacted = step.conv->forward_into_quantized(
+                    step.conv->forward_into_quantized(
                         *cur, workspace, step.buffer, *step.qweight, viewp,
                         out_viewp);
-                    ++quantized_hits_;
                 } else {
-                    compacted = step.conv->forward_into(
-                        *cur, workspace, step.buffer, viewp, out_viewp);
+                    step.conv->forward_into(*cur, workspace, step.buffer,
+                                            viewp, out_viewp);
                 }
-                if (compacted || out_viewp != nullptr) {
-                    ++sparse_hits_;
-                    const std::uint64_t kk = static_cast<std::uint64_t>(
-                        step.conv->kernel() * step.conv->kernel());
-                    const std::uint64_t k_live =
-                        compacted ? static_cast<std::uint64_t>(view.count) * kk
-                                  : step.k_total;
-                    const std::uint64_t out_live =
-                        out_viewp != nullptr
-                            ? static_cast<std::uint64_t>(out_view.count)
-                            : step.out_total;
-                    skipped_macs_ +=
-                        step.mac_unit * (step.out_total * step.k_total -
-                                         out_live * k_live);
-                }
+                account(step, viewp, out_viewp, profile);
                 cur = cur_mut = &step.buffer;
                 break;
             }
@@ -363,7 +387,6 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                 cur = cur_mut = &step.buffer;
                 break;
             case Step::Kind::linear: {
-                dense_macs_ += step.mac_unit * step.out_total * step.k_total;
                 nn::ActiveIndexView view;
                 const nn::ActiveIndexView* viewp = nullptr;
                 if (sparse_enabled && step.input_site != nullptr &&
@@ -392,38 +415,25 @@ const Tensor& ForwardPlan::run(const Tensor& input, Workspace& workspace) {
                                     step.live_scratch.size()),
                                 step.linear->in_features()};
                     }
-                    viewp = &view;
+                    viewp = usable(view, density_cutoff);
                 }
-                bool compacted;
                 if (step.qweight != nullptr) {
-                    compacted = step.linear->forward_into_quantized(
+                    step.linear->forward_into_quantized(
                         *cur, workspace, step.buffer, *step.qweight, viewp);
-                    ++quantized_hits_;
                 } else {
-                    compacted =
-                        step.linear->forward_into(*cur, step.buffer, viewp);
+                    step.linear->forward_into(*cur, step.buffer, viewp);
                 }
-                if (compacted) {
-                    ++sparse_hits_;
-                    skipped_macs_ +=
-                        step.mac_unit * step.out_total *
-                        (step.k_total - static_cast<std::uint64_t>(view.count));
-                }
+                account(step, viewp, nullptr, profile);
                 cur = cur_mut = &step.buffer;
                 break;
             }
         }
         if (profiling) {
-            obs::LayerProfile& profile = profiles_[si];
-            ++profile.runs;
-            profile.total_us +=
+            ++profile->runs;
+            profile->total_us +=
                 std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - step_begin)
                     .count();
-            profile.skipped_macs +=
-                static_cast<std::int64_t>(skipped_macs_ - skipped_before);
-            profile.dense_macs +=
-                static_cast<std::int64_t>(dense_macs_ - dense_before);
         }
     }
     return *cur;

@@ -40,25 +40,30 @@
 // that step's input — threshold deadness survives max-pooling at channel
 // granularity and flatten at neuron granularity, and dies at any
 // conv/bn/linear in between. At run time, when the network's sparse
-// policy is on and the site runs in threshold mode, the step hands the
-// layer a live list, which skips the other rows' MACs via row-compacted
-// GEMM (bit-identical outputs — the skipped terms are exact zeros). A
-// linear step takes the mask's structural ActiveSet as is. A conv step
-// narrows the structurally live channels at run time to those nonzero
-// in at least one sample of the batch, found by an early-exit scan of
-// its input: thresholds that zero a live channel across the batch skip
-// its MACs as pruning does.
+// policy is on and the site runs in threshold mode, the step builds a
+// live list. A linear step takes the mask's structural ActiveSet as is.
+// A conv step narrows the structurally live channels at run time to
+// those nonzero in at least one sample of the batch, found by an
+// early-exit scan of its input: thresholds that zero a live channel
+// across the batch skip its MACs as pruning does.
 //
 // The output side: each conv step also records the site that masks its
-// own output, directly or through a BatchNorm2d. When that site runs in
-// threshold mode and its live-channel density is at or below the
-// policy's cutoff, the conv computes only those output channels. The
-// mask's select zeroes a +inf- or NaN-threshold channel whatever the
-// arena held there, another plan's NaN or +-inf included (inf - inf
-// and NaN compare false), so the skipped channels need no write and
-// post-mask activations stay bit-identical. A pruned task's conv then
-// costs live-in x live-out MACs. Hit and skipped-MAC counters accumulate
-// across runs.
+// own output, directly or through a BatchNorm2d, and lists that site's
+// live channels when it runs in threshold mode. The mask's select zeroes
+// a +inf- or NaN-threshold channel whatever the arena held there,
+// another plan's NaN or +-inf included (inf - inf and NaN compare
+// false), so the skipped channels need no write and post-mask
+// activations stay bit-identical.
+//
+// run() is the only code that applies the policy's density cutoff: it
+// hands a layer a list, input or output side alike, only when the list
+// is not all-live and its density is at or below the cutoff, and the
+// layer compacts exactly when it is handed one (row-compacted GEMM;
+// bit-identical outputs, because the skipped terms are exact zeros). A
+// pruned task's conv then costs live-in x live-out MACs. The hits,
+// skipped and dense MACs, quantized hits and per-step profiles of every
+// run accumulate on the network (MimeNetwork::planned_sparse_hits and
+// its siblings), one set for all of its plans.
 //
 // Quantized execution: when the network's QuantizedExecution policy is
 // on at build time, conv/linear steps run through the int8 kernels
@@ -138,41 +143,16 @@ public:
     /// arena storages must hold for it.
     std::int64_t arena_floats() const noexcept { return arena_floats_; }
 
-    /// Whether this plan was built for int8 quantized execution (fixed
-    /// at build time; MimeNetwork::set_quantized_execution clears
-    /// cached plans so the mode can never go stale).
-    bool quantized() const noexcept { return quantized_; }
-    /// Cumulative conv/linear steps run through the int8 kernels (every
-    /// conv/linear step of a quantized plan except the float classifier).
-    std::uint64_t quantized_hits() const noexcept { return quantized_hits_; }
-
-    /// Cumulative count of conv/linear steps that ran the row-compacted
-    /// sparse path, on the input side, the output side or both (across
-    /// all run() calls on this plan).
-    std::uint64_t sparse_hits() const noexcept { return sparse_hits_; }
-    /// Cumulative MACs those sparse hits skipped versus dense execution:
-    /// dense minus live-out x live-in, per step.
-    std::uint64_t skipped_macs() const noexcept { return skipped_macs_; }
-    /// Cumulative dense-equivalent MACs of every conv/linear step run
-    /// (the denominator for a skipped-MAC fraction).
-    std::uint64_t dense_macs() const noexcept { return dense_macs_; }
-
-    /// Per-step cost profiles (one per plan step, named conv1/bn1/act1/
-    /// pool1/.../fc3). runs/total_us/MAC fields accumulate only while
-    /// the owning network's plan profiling is enabled
-    /// (MimeNetwork::set_plan_profiling); names and workspace bytes are
-    /// filled at build time either way.
-    const std::vector<obs::LayerProfile>& profiles() const noexcept {
-        return profiles_;
-    }
-
 private:
     friend class MimeNetwork;
 
-    /// Builds the schedule and the input slab. Under an enabled
-    /// QuantizedExecution policy the steps run on `int8_weights`, the
-    /// network's snapshots indexed by graph layer, filling any slot
-    /// still empty. The steps' outputs stay unbound until bind_arena().
+    /// Builds the schedule and the input slab, and names the network's
+    /// per-step profiles (conv1/bn1/act1/pool1/.../fc3), raising each
+    /// step's workspace bytes to this plan's scratch where it is
+    /// larger. Under an enabled QuantizedExecution policy
+    /// the steps run on `int8_weights`, the network's snapshots indexed
+    /// by graph layer, filling any slot still empty. The steps' outputs
+    /// stay unbound until bind_arena().
     ForwardPlan(MimeNetwork& network, std::int64_t batch_size,
                 std::vector<nn::QuantizedTensor>& int8_weights);
 
@@ -214,15 +194,16 @@ private:
         bool input_neuron_level = false;
         /// Linear, channel-level only: input features per mask channel.
         std::int64_t input_channel_extent = 0;
-        /// The live list handed to the layer when it is built per run:
-        /// for a conv, the structurally live input channels nonzero in
-        /// some sample of the batch; for a channel-level linear, the
-        /// live channels expanded to their features. Capacity is
-        /// reserved at build, so runs never allocate.
+        /// The input live list when it is built per run: for a conv,
+        /// the structurally live input channels nonzero in some sample
+        /// of the batch; for a channel-level linear, the live channels
+        /// expanded to their features. Capacity is reserved at build,
+        /// so runs never allocate.
         std::vector<std::int64_t> live_scratch;
         /// Conv only: the threshold site that masks this conv's output
         /// (next step, or the one after a BatchNorm2d; null otherwise).
-        /// Its live channels are the only output channels computed.
+        /// Its live channels are the only output channels computed
+        /// when the policy's cutoff passes them.
         ActivationSite* output_site = nullptr;
         /// Skipped-MAC accounting constants: a step runs
         /// mac_unit * out * k MACs over the output rows (conv output
@@ -244,19 +225,19 @@ private:
         const nn::QuantizedTensor* qweight = nullptr;
     };
 
+    /// Adds a conv / linear step that ran with input list `in` and
+    /// output list `out` (null: that side ran dense) to the network's
+    /// counters, and to `profile` unless it is null.
+    void account(const Step& step, const nn::ActiveIndexView* in,
+                 const nn::ActiveIndexView* out, obs::LayerProfile* profile);
+
     MimeNetwork* network_;
     std::int64_t batch_size_;
     Shape input_shape_;
     Tensor input_slab_;
     std::vector<Step> steps_;
-    std::vector<obs::LayerProfile> profiles_;  ///< parallel to steps_
     std::size_t workspace_bytes_ = 0;
     std::int64_t arena_floats_ = 0;
-    std::uint64_t sparse_hits_ = 0;
-    std::uint64_t skipped_macs_ = 0;
-    std::uint64_t dense_macs_ = 0;
-    bool quantized_ = false;
-    std::uint64_t quantized_hits_ = 0;
 };
 
 }  // namespace mime::core

@@ -212,18 +212,11 @@ void MimeNetwork::drop_plans() {
     arena_ = {};
     arena_floats_ = 0;
     quantized_weights_.clear();
-}
-
-void MimeNetwork::set_sparse_execution(const SparseExecution& policy) {
-    sparse_execution_ = policy;
-    for (std::size_t i = 0; i < network_.size(); ++i) {
-        nn::Module& layer = network_.layer(i);
-        if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
-            conv->set_sparse_density_cutoff(policy.density_cutoff);
-        } else if (auto* linear = dynamic_cast<nn::Linear*>(&layer)) {
-            linear->set_sparse_density_cutoff(policy.density_cutoff);
-        }
-    }
+    planned_sparse_hits_ = 0;
+    planned_skipped_macs_ = 0;
+    planned_dense_macs_ = 0;
+    planned_quantized_hits_ = 0;
+    planned_profiles_.clear();
 }
 
 void MimeNetwork::set_quantized_execution(const QuantizedExecution& policy) {
@@ -233,67 +226,12 @@ void MimeNetwork::set_quantized_execution(const QuantizedExecution& policy) {
     drop_plans();
 }
 
-std::uint64_t MimeNetwork::planned_quantized_hits() const {
-    std::uint64_t n = 0;
-    for (const auto& [batch, plan] : plans_) {
-        n += plan->quantized_hits();
-    }
-    return n;
-}
-
 double MimeNetwork::planned_quantized_max_rel_error() const {
     double worst = 0.0;
     for (const nn::QuantizedTensor& q : quantized_weights_) {
         worst = std::max(worst, q.max_rel_error);
     }
     return worst;
-}
-
-std::uint64_t MimeNetwork::planned_sparse_hits() const {
-    std::uint64_t n = 0;
-    for (const auto& [batch, plan] : plans_) {
-        n += plan->sparse_hits();
-    }
-    return n;
-}
-
-std::uint64_t MimeNetwork::planned_skipped_macs() const {
-    std::uint64_t n = 0;
-    for (const auto& [batch, plan] : plans_) {
-        n += plan->skipped_macs();
-    }
-    return n;
-}
-
-std::uint64_t MimeNetwork::planned_dense_macs() const {
-    std::uint64_t n = 0;
-    for (const auto& [batch, plan] : plans_) {
-        n += plan->dense_macs();
-    }
-    return n;
-}
-
-std::vector<obs::LayerProfile> MimeNetwork::planned_layer_profiles() const {
-    std::vector<obs::LayerProfile> merged;
-    for (const auto& [batch, plan] : plans_) {
-        const std::vector<obs::LayerProfile>& profiles = plan->profiles();
-        if (merged.empty()) {
-            merged = profiles;
-            continue;
-        }
-        // Every plan schedules the same Sequential, so step index i is
-        // the same layer in every plan.
-        for (std::size_t i = 0;
-             i < merged.size() && i < profiles.size(); ++i) {
-            merged[i].runs += profiles[i].runs;
-            merged[i].total_us += profiles[i].total_us;
-            merged[i].skipped_macs += profiles[i].skipped_macs;
-            merged[i].dense_macs += profiles[i].dense_macs;
-            merged[i].workspace_bytes = std::max(
-                merged[i].workspace_bytes, profiles[i].workspace_bytes);
-        }
-    }
-    return merged;
 }
 
 void MimeNetwork::set_pool(ThreadPool* pool) {

@@ -36,8 +36,8 @@ enum class ActivationMode {
 /// take the row-compacted path for structurally pruned masks (and, for
 /// convs, input channels zero across the batch, and output channels the
 /// consuming mask prunes), and the density above which a live list is
-/// ignored and its side runs dense. One cutoff gates the input and
-/// output lists alike.
+/// not handed to the layer, so its side runs dense. ForwardPlan::run is
+/// the only reader; one cutoff gates the input and output lists alike.
 struct SparseExecution {
     bool enabled = true;
     double density_cutoff = nn::kDefaultSparseDensityCutoff;
@@ -163,50 +163,70 @@ public:
     /// while no quantized plan is cached).
     std::size_t planned_quantized_weight_bytes() const;
 
-    /// Installs the sparse-execution policy, pushing the density cutoff
-    /// into every Conv2d / Linear layer.
-    void set_sparse_execution(const SparseExecution& policy);
+    /// Installs the sparse-execution policy; the next planned run
+    /// applies it.
+    void set_sparse_execution(const SparseExecution& policy) noexcept {
+        sparse_execution_ = policy;
+    }
     const SparseExecution& sparse_execution() const noexcept {
         return sparse_execution_;
     }
 
-    /// Cumulative sparse-path counters summed over every cached plan:
-    /// conv/linear steps that ran row-compacted, the MACs they skipped,
-    /// and the dense-equivalent MAC total (fraction denominator).
-    std::uint64_t planned_sparse_hits() const;
-    std::uint64_t planned_skipped_macs() const;
-    std::uint64_t planned_dense_macs() const;
+    /// Cumulative planned-run counters, one set for every plan of this
+    /// network, reset with the plans (set_quantized_execution, set_pool):
+    /// conv/linear steps that ran row-compacted on the input side, the
+    /// output side or both; the MACs they skipped versus dense execution
+    /// (dense minus live-out x live-in, per step); and the
+    /// dense-equivalent MACs of every conv/linear step run (the
+    /// denominator for a skipped-MAC fraction).
+    std::uint64_t planned_sparse_hits() const noexcept {
+        return planned_sparse_hits_;
+    }
+    std::uint64_t planned_skipped_macs() const noexcept {
+        return planned_skipped_macs_;
+    }
+    std::uint64_t planned_dense_macs() const noexcept {
+        return planned_dense_macs_;
+    }
 
     /// Installs the quantized-execution policy. Clears cached plans, the
-    /// arena and the int8 weight snapshots (plans fix their mode at
-    /// build time; like set_pool, a stale plan would silently run the
-    /// wrong mode), so flip this before the serving warm-up, not per
-    /// batch.
+    /// arena, the int8 weight snapshots and the planned counters and
+    /// profiles (plans fix their mode at build time; like set_pool, a
+    /// stale plan would silently run the wrong mode), so flip this
+    /// before the serving warm-up, not per batch.
     void set_quantized_execution(const QuantizedExecution& policy);
     const QuantizedExecution& quantized_execution() const noexcept {
         return quantized_execution_;
     }
 
-    /// Cumulative conv/linear steps run through the int8 kernels,
-    /// summed over every cached plan.
-    std::uint64_t planned_quantized_hits() const;
+    /// Cumulative conv/linear steps run through the int8 kernels (every
+    /// conv/linear step of a quantized plan except the float
+    /// classifier), reset with the plans.
+    std::uint64_t planned_quantized_hits() const noexcept {
+        return planned_quantized_hits_;
+    }
     /// Worst per-channel relative weight-quantization error over the
     /// int8 weight snapshots (0 when none are quantized).
     double planned_quantized_max_rel_error() const;
 
     /// Enables per-step wall-time / MAC profiling inside every planned
-    /// run (see ForwardPlan::profiles). Off by default: when off, runs
+    /// run (see planned_layer_profiles). Off by default: when off, runs
     /// pay one branch per step; when on, two steady_clock reads per
     /// step.
     void set_plan_profiling(bool enabled) noexcept {
         plan_profiling_ = enabled;
     }
     bool plan_profiling() const noexcept { return plan_profiling_; }
-    /// Per-step profiles merged across every cached plan (step index
-    /// aligns across batch sizes because every plan walks the same
-    /// Sequential): runs / wall time / MACs sum; workspace bytes take
-    /// the max over plans.
-    std::vector<obs::LayerProfile> planned_layer_profiles() const;
+    /// One profile per plan step (conv1/bn1/act1/pool1/.../fc3), shared
+    /// by the plans of every batch size, which walk the same Sequential.
+    /// Names and workspace bytes (the max over plans) are set at plan
+    /// build; runs, wall time and MACs accumulate only while plan
+    /// profiling is on. Empty until a plan is built, and again after
+    /// the plans are dropped (set_quantized_execution, set_pool).
+    const std::vector<obs::LayerProfile>& planned_layer_profiles()
+        const noexcept {
+        return planned_profiles_;
+    }
 
     /// Sets train/eval mode. While the backbone is frozen, BatchNorm
     /// layers stay in inference mode even during threshold training so
@@ -226,9 +246,9 @@ public:
     }
 
     /// Installs (or clears) the thread pool and drops cached plans (with
-    /// the arena and int8 weight snapshots): plan workspace sizing
-    /// depends on the pool's band count, so a stale plan could
-    /// under-reserve conv scratch.
+    /// the arena, int8 weight snapshots, planned counters and profiles):
+    /// plan workspace sizing depends on the pool's band count, so a
+    /// stale plan could under-reserve conv scratch.
     void set_pool(ThreadPool* pool);
 
     // -- modes and parameter groups -----------------------------------------
@@ -317,7 +337,12 @@ public:
     nn::Sequential& network() noexcept { return network_; }
 
 private:
-    /// Drops every cached plan with the arena and int8 snapshots.
+    /// ForwardPlan's build names planned_profiles_, and its runs add to
+    /// the planned counters.
+    friend class ForwardPlan;
+
+    /// Drops every cached plan with the arena, int8 snapshots, planned
+    /// counters and profiles.
     void drop_plans();
 
     MimeNetworkConfig config_;
@@ -345,6 +370,11 @@ private:
     /// hold pointers into network_'s modules and quantized_weights_, so
     /// they live (and die) with this network.
     std::map<std::int64_t, std::unique_ptr<ForwardPlan>> plans_;
+    std::uint64_t planned_sparse_hits_ = 0;
+    std::uint64_t planned_skipped_macs_ = 0;
+    std::uint64_t planned_dense_macs_ = 0;
+    std::uint64_t planned_quantized_hits_ = 0;
+    std::vector<obs::LayerProfile> planned_profiles_;  ///< one per step
 };
 
 }  // namespace mime::core

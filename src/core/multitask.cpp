@@ -20,6 +20,16 @@ TaskAdaptation capture_adaptation(MimeNetwork& network,
     return adaptation;
 }
 
+void install_adaptation(MimeNetwork& network,
+                        const TaskAdaptation& adaptation) {
+    network.load_thresholds(adaptation.thresholds);
+    auto backbone = network.backbone_parameters();
+    MIME_REQUIRE(backbone.size() >= 2,
+                 "backbone must end with classifier weight+bias");
+    backbone[backbone.size() - 2]->value.copy_from(adaptation.head_weight);
+    backbone[backbone.size() - 1]->value.copy_from(adaptation.head_bias);
+}
+
 std::vector<PipelinedItem> interleave_tasks(
     const std::vector<const data::Dataset*>& datasets,
     std::int64_t items_per_task) {
@@ -78,10 +88,7 @@ void MultiTaskEngine::activate_mime_task(std::int64_t task) {
     // stale active index pointing at mixed thresholds.
     active_mime_task_ = -1;
     active_conventional_task_ = -1;
-    network_->load_thresholds(a.thresholds);
-    auto backbone = network_->backbone_parameters();
-    backbone[backbone.size() - 2]->value.copy_from(a.head_weight);
-    backbone[backbone.size() - 1]->value.copy_from(a.head_bias);
+    install_adaptation(*network_, a);
     active_mime_task_ = task;
     ++threshold_switches_;
 }

@@ -36,6 +36,14 @@ TaskAdaptation capture_adaptation(MimeNetwork& network,
                                   const std::string& task_name,
                                   std::int64_t num_classes);
 
+/// Installs an adaptation into `network`, the inverse of
+/// capture_adaptation: loads its thresholds and copies its head into the
+/// classifier, in place (no reallocation). A throw can leave the network
+/// partly installed, so callers that track the resident task invalidate
+/// it first.
+void install_adaptation(MimeNetwork& network,
+                        const TaskAdaptation& adaptation);
+
 /// One image tagged with its task.
 struct PipelinedItem {
     Tensor image;            ///< [C, H, W]

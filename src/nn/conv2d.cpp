@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/sync.h"
 #include "tensor/gemm.h"
 #include "tensor/qgemm.h"
 
@@ -161,16 +160,15 @@ Conv2d::GemmLists Conv2d::gemm_lists(const ActiveIndexView* live_in_channels,
     GemmLists lists;
     lists.row_count = ckk;
     lists.out_count = out_channels_;
-    lists.compacted_in = live_in_channels != nullptr &&
-                         live_in_channels->indices != nullptr &&
-                         !live_in_channels->all_live() &&
-                         live_in_channels->density() <= sparse_density_cutoff_;
-    if (lists.compacted_in) {
+    if (live_in_channels != nullptr) {
         MIME_REQUIRE(live_in_channels->total == in_channels_,
                      "Conv2d live-channel view covers " +
                          std::to_string(live_in_channels->total) +
                          " channels, layer has " +
                          std::to_string(in_channels_));
+        MIME_REQUIRE(live_in_channels->indices != nullptr ||
+                         live_in_channels->count == 0,
+                     "Conv2d live-channel view needs indices");
         // Expand live channels to the K*K GEMM rows each one owns in
         // the column matrix; ascending channels give ascending rows.
         live_rows_.clear();
@@ -184,7 +182,7 @@ Conv2d::GemmLists Conv2d::gemm_lists(const ActiveIndexView* live_in_channels,
         lists.rows = live_rows_.data();
         lists.row_count = static_cast<std::int64_t>(live_rows_.size());
     }
-    if (live_out_channels != nullptr && !live_out_channels->all_live()) {
+    if (live_out_channels != nullptr) {
         MIME_REQUIRE(live_out_channels->total == out_channels_,
                      "Conv2d live-output view covers " +
                          std::to_string(live_out_channels->total) +
@@ -199,7 +197,7 @@ Conv2d::GemmLists Conv2d::gemm_lists(const ActiveIndexView* live_in_channels,
     return lists;
 }
 
-bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
+void Conv2d::forward_into(const Tensor& input, Workspace& workspace,
                           Tensor& output,
                           const ActiveIndexView* live_in_channels,
                           const ActiveIndexView* live_out_channels) {
@@ -219,13 +217,13 @@ bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
 
     const GemmLists lists =
         gemm_lists(live_in_channels, live_out_channels, ckk);
-    const bool sparse = lists.compacted_in;
+    const bool sparse = live_in_channels != nullptr;
     const std::int64_t* rows = lists.rows;
     const std::int64_t row_count = lists.row_count;
     const std::int64_t* out_rows = lists.out_rows;
     const std::int64_t out_count = lists.out_count;
     if (out_count == 0) {
-        return sparse;  // no output channel to compute
+        return;  // no output channel to compute
     }
 
     const std::int64_t in_stride = in_channels_ * g.in_height * g.in_width;
@@ -308,7 +306,6 @@ bool Conv2d::forward_into(const Tensor& input, Workspace& workspace,
         }
     }
     workspace.rewind(mark);
-    return sparse;
 }
 
 std::size_t Conv2d::quantized_workspace_bytes(std::int64_t in_height,
@@ -348,7 +345,7 @@ nn::QuantizedTensor Conv2d::quantize_weights(std::int64_t in_height,
     return q;
 }
 
-bool Conv2d::forward_into_quantized(const Tensor& input,
+void Conv2d::forward_into_quantized(const Tensor& input,
                                     Workspace& workspace, Tensor& output,
                                     const nn::QuantizedTensor& qweight,
                                     const ActiveIndexView* live_in_channels,
@@ -383,13 +380,13 @@ bool Conv2d::forward_into_quantized(const Tensor& input,
 
     const GemmLists lists =
         gemm_lists(live_in_channels, live_out_channels, ckk);
-    const bool sparse = lists.compacted_in;
+    const bool sparse = live_in_channels != nullptr;
     const std::int64_t* rows = lists.rows;
     const std::int64_t row_count = lists.row_count;
     const std::int64_t* out_rows = lists.out_rows;
     const std::int64_t out_count = lists.out_count;
     if (out_count == 0) {
-        return sparse;  // no output channel to compute
+        return;  // no output channel to compute
     }
 
     const std::int64_t in_stride = in_channels_ * g.in_height * g.in_width;
@@ -544,7 +541,6 @@ bool Conv2d::forward_into_quantized(const Tensor& input,
         }
     }
     workspace.rewind(mark);
-    return sparse;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
@@ -566,14 +562,25 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     const std::int64_t in_stride = in_channels_ * g.in_height * g.in_width;
     const std::int64_t out_stride = out_channels_ * spatial;
 
-    Mutex accumulate_mutex;
+    // One weight / bias gradient slot per chunk, at the chunk's first
+    // sample. A chunk writes only its own slot, and the slots are summed
+    // in sample order after the loop, so the gradients do not depend on
+    // which worker finishes first and pooled training is reproducible.
+    struct GradSlot {
+        Tensor weight;
+        Tensor bias;
+    };
+    std::vector<std::optional<GradSlot>> slots(
+        static_cast<std::size_t>(batch));
 
     auto run_range = [&](std::size_t begin, std::size_t end) {
         std::vector<float> cols(static_cast<std::size_t>(ckk * spatial));
         std::vector<float> grad_cols(static_cast<std::size_t>(ckk * spatial));
-        Tensor local_grad_w(weight_.grad.shape());
-        Tensor local_grad_b =
-            bias_ ? Tensor(bias_->grad.shape()) : Tensor();
+        GradSlot& slot = slots[begin].emplace(
+            GradSlot{Tensor(weight_.grad.shape()),
+                     bias_ ? Tensor(bias_->grad.shape()) : Tensor()});
+        Tensor& local_grad_w = slot.weight;
+        Tensor& local_grad_b = slot.bias;
 
         for (std::size_t un = begin; un < end; ++un) {
             const auto n = static_cast<std::int64_t>(un);
@@ -603,12 +610,6 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                  grad_cols.data(), spatial, nullptr);
             col2im(g, grad_cols.data(), grad_input.data() + n * in_stride);
         }
-
-        MutexLock lock(accumulate_mutex);
-        weight_.grad.axpy(1.0f, local_grad_w);
-        if (bias_) {
-            bias_->grad.axpy(1.0f, local_grad_b);
-        }
     };
 
     if (pool_ != nullptr && batch > 1) {
@@ -616,6 +617,14 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                      /*min_chunk=*/1);
     } else {
         run_range(0, static_cast<std::size_t>(batch));
+    }
+    for (const std::optional<GradSlot>& slot : slots) {
+        if (slot.has_value()) {
+            weight_.grad.axpy(1.0f, slot->weight);
+            if (bias_) {
+                bias_->grad.axpy(1.0f, slot->bias);
+            }
+        }
     }
     return grad_input;
 }

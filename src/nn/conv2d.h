@@ -39,27 +39,30 @@ public:
     /// are bit-identical to the sequential order because each output
     /// row's FMA chain is the same either way.
     ///
+    /// The layer compacts over exactly the lists it is given; whether a
+    /// list is worth compacting over (the sparse policy's density
+    /// cutoff) is the caller's decision.
+    ///
     /// `live_in_channels`, when given, lists the input channels that can
     /// be nonzero; every other channel must be zero in every sample
     /// (structurally pruned by an upstream threshold mask, or zeroed
-    /// across the batch at run time). If its density is at or below the
-    /// cutoff, im2col lowers only the listed channels and the GEMM
-    /// contracts over their rows only — bit-identical to dense because
-    /// the skipped rows contribute exact zeros. Returns whether that
-    /// compacted path ran.
+    /// across the batch at run time). im2col lowers only the listed
+    /// channels and the GEMM contracts over their rows only —
+    /// bit-identical to dense because the skipped rows contribute exact
+    /// zeros.
     ///
-    /// `live_out_channels`, when given and not all-live, lists the only
-    /// output channels computed: the GEMM reads just those weight rows
-    /// and writes just those rows of each sample's output, with the bias
-    /// added to them only. Every other channel of `output` keeps whatever
-    /// it held, so the caller must zero it: the planned executor passes
-    /// the live channels of the threshold mask that consumes this output,
-    /// which zeroes a +inf/NaN-threshold channel whatever it holds. The
-    /// listed channels bit-match a dense forward (rows of the GEMM never
-    /// mix). The density cutoff is the caller's to apply here, and an
-    /// empty list computes nothing. Composes with `live_in_channels`: a
-    /// pruned task's conv costs live-in x live-out MACs.
-    bool forward_into(const Tensor& input, Workspace& workspace,
+    /// `live_out_channels`, when given, lists the only output channels
+    /// computed: the GEMM reads just those weight rows and writes just
+    /// those rows of each sample's output, with the bias added to them
+    /// only. Every other channel of `output` keeps whatever it held, so
+    /// the caller must zero it: the planned executor passes the live
+    /// channels of the threshold mask that consumes this output, which
+    /// zeroes a +inf/NaN-threshold channel whatever it holds. The listed
+    /// channels bit-match a dense forward (rows of the GEMM never mix),
+    /// and an empty list computes nothing. Composes with
+    /// `live_in_channels`: a pruned task's conv costs live-in x live-out
+    /// MACs.
+    void forward_into(const Tensor& input, Workspace& workspace,
                       Tensor& output,
                       const ActiveIndexView* live_in_channels = nullptr,
                       const ActiveIndexView* live_out_channels = nullptr);
@@ -75,10 +78,9 @@ public:
     /// spatial positions runs the GEMM with operands swapped (transposed
     /// column matrix times transposed weights), so the int8 kernel's
     /// 16-wide tiles span output channels rather than a scalar tail.
-    /// Same live-channel compaction, output-channel list and return
-    /// semantics as forward_into; a compacted call also computes each
-    /// sample's scale from, and quantizes, only the listed channels'
-    /// planes (the rest are zero, so the scale and the bytes the GEMM
+    /// Same live-channel compaction and output-channel list as
+    /// forward_into; a compacted call also computes each sample's scale
+    /// from, and quantizes, only the listed channels' planes (the rest are zero, so the scale and the bytes the GEMM
     /// reads are the same), and the dequant runs over the listed output
     /// channels only. On the swapped narrow GEMM the output channels are
     /// its columns, which a row list cannot reach, so the listed
@@ -86,7 +88,7 @@ public:
     /// workspace, padded to whole 16-wide tiles. Scratch comes from
     /// `workspace` (quantized_workspace_bytes), so steady state
     /// allocates nothing.
-    bool forward_into_quantized(const Tensor& input, Workspace& workspace,
+    void forward_into_quantized(const Tensor& input, Workspace& workspace,
                                 Tensor& output,
                                 const nn::QuantizedTensor& qweight,
                                 const ActiveIndexView* live_in_channels =
@@ -127,15 +129,6 @@ public:
     /// given size into: min(pool size, batch) with a pool, else 1.
     std::int64_t conv_bands(std::int64_t batch) const;
 
-    /// Density above which forward_into ignores `live_in_channels` and
-    /// runs dense (compaction bookkeeping beats the win near 1.0).
-    void set_sparse_density_cutoff(double cutoff) noexcept {
-        sparse_density_cutoff_ = cutoff;
-    }
-    double sparse_density_cutoff() const noexcept {
-        return sparse_density_cutoff_;
-    }
-
     Parameter& weight() noexcept { return weight_; }
     Parameter& bias() { return bias_.value(); }
     bool has_bias() const noexcept { return bias_.has_value(); }
@@ -151,7 +144,6 @@ private:
     /// rows expanded from the input channels (null rows = all C*K*K)
     /// and the output channels to compute (null out_rows = all Cout).
     struct GemmLists {
-        bool compacted_in = false;
         const std::int64_t* rows = nullptr;
         std::int64_t row_count = 0;
         const std::int64_t* out_rows = nullptr;
@@ -171,7 +163,6 @@ private:
     Parameter weight_;
     std::optional<Parameter> bias_;
     Tensor cached_input_;  ///< saved by forward for the backward pass
-    double sparse_density_cutoff_ = kDefaultSparseDensityCutoff;
     /// Scratch for the live-channel -> live-GEMM-row (c*K*K + t)
     /// expansion; member so steady-state sparse forwards reuse its
     /// capacity instead of reallocating.

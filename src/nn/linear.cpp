@@ -8,6 +8,21 @@
 
 namespace mime::nn {
 
+namespace {
+
+/// Rejects a live-feature list that does not index the layer's inputs.
+void check_live_features(const ActiveIndexView& live,
+                         std::int64_t in_features) {
+    MIME_REQUIRE(live.total == in_features,
+                 "Linear live-feature view covers " +
+                     std::to_string(live.total) + " features, layer has " +
+                     std::to_string(in_features));
+    MIME_REQUIRE(live.indices != nullptr || live.count == 0,
+                 "Linear live-feature view needs indices");
+}
+
+}  // namespace
+
 Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
                bool bias)
     : in_features_(in_features), out_features_(out_features) {
@@ -39,19 +54,11 @@ Tensor Linear::forward(const Tensor& input) {
     return output;
 }
 
-bool Linear::forward_compute(const Tensor& input, Tensor& output,
+void Linear::forward_compute(const Tensor& input, Tensor& output,
                              const ActiveIndexView* live_features) {
     const std::int64_t batch = input.shape().dim(0);
-    const bool sparse = live_features != nullptr &&
-                        live_features->indices != nullptr &&
-                        !live_features->all_live() &&
-                        live_features->density() <= sparse_density_cutoff_;
-    if (sparse) {
-        MIME_REQUIRE(live_features->total == in_features_,
-                     "Linear live-feature view covers " +
-                         std::to_string(live_features->total) +
-                         " features, layer has " +
-                         std::to_string(in_features_));
+    if (live_features != nullptr) {
+        check_live_features(*live_features, in_features_);
         // Contract over live input features only; the skipped features
         // are exact zeros in `input`, so this bit-matches the dense
         // product (same microkernel, same surviving-term order).
@@ -74,10 +81,9 @@ bool Linear::forward_compute(const Tensor& input, Tensor& output,
             }
         }
     }
-    return sparse;
 }
 
-bool Linear::forward_into(const Tensor& input, Tensor& output,
+void Linear::forward_into(const Tensor& input, Tensor& output,
                           const ActiveIndexView* live_features) {
     MIME_REQUIRE(eval_mode(),
                  "Linear::forward_into is inference-only; set_eval_mode "
@@ -91,7 +97,7 @@ bool Linear::forward_into(const Tensor& input, Tensor& output,
                  "Linear::forward_into output must be preallocated to [N, " +
                      std::to_string(out_features_) + "], got " +
                      output.shape().to_string());
-    return forward_compute(input, output, live_features);
+    forward_compute(input, output, live_features);
 }
 
 std::size_t Linear::quantized_workspace_bytes(std::int64_t batch) const {
@@ -104,7 +110,7 @@ std::size_t Linear::quantized_workspace_bytes(std::int64_t batch) const {
                sizeof(std::int32_t));
 }
 
-bool Linear::forward_into_quantized(const Tensor& input,
+void Linear::forward_into_quantized(const Tensor& input,
                                     Workspace& workspace, Tensor& output,
                                     const nn::QuantizedTensor& qweight,
                                     const ActiveIndexView* live_features) {
@@ -134,16 +140,8 @@ bool Linear::forward_into_quantized(const Tensor& input,
                      std::to_string(in_features_) + ", " +
                      std::to_string(out_features_) + "]");
 
-    const bool sparse = live_features != nullptr &&
-                        live_features->indices != nullptr &&
-                        !live_features->all_live() &&
-                        live_features->density() <= sparse_density_cutoff_;
-    if (sparse) {
-        MIME_REQUIRE(live_features->total == in_features_,
-                     "Linear live-feature view covers " +
-                         std::to_string(live_features->total) +
-                         " features, layer has " +
-                         std::to_string(in_features_));
+    if (live_features != nullptr) {
+        check_live_features(*live_features, in_features_);
     }
 
     const Workspace::Checkpoint mark = workspace.checkpoint();
@@ -161,7 +159,7 @@ bool Linear::forward_into_quantized(const Tensor& input,
     }
     auto* acc = workspace.alloc<std::int32_t>(batch * out_features_);
 
-    if (sparse) {
+    if (live_features != nullptr) {
         // Contract over live input features only; a dead feature's
         // column of xq is exactly zero (0 * inv_scale rounds to 0), so
         // this equals the dense int8 product exactly.
@@ -186,7 +184,6 @@ bool Linear::forward_into_quantized(const Tensor& input,
         }
     }
     workspace.rewind(mark);
-    return sparse;
 }
 
 void Linear::set_eval_mode(bool eval) {

@@ -32,12 +32,12 @@ public:
     ///
     /// `live_features`, when given, lists the input features that can be
     /// nonzero (the rest were provably zeroed by an upstream threshold
-    /// mask); if its density is at or below the cutoff the layer runs
-    /// the row-compacted GEMM over just those features — bit-identical
-    /// to the dense product because the skipped features contribute
-    /// exact zeros. Returns whether the compacted path ran (false means
-    /// dense fallback: null/all-live view or density above cutoff).
-    bool forward_into(const Tensor& input, Tensor& output,
+    /// mask), and the layer runs the row-compacted GEMM over just those
+    /// features — bit-identical to the dense product because the
+    /// skipped features contribute exact zeros. Whether a list is worth
+    /// compacting over (the sparse policy's density cutoff) is the
+    /// caller's decision.
+    void forward_into(const Tensor& input, Tensor& output,
                       const ActiveIndexView* live_features = nullptr);
 
     /// Int8 planned forward: quantizes the activations ([N, in], one
@@ -46,8 +46,8 @@ public:
     /// *transposed* to [in, out] (see transpose_quantized; scales stay
     /// per output channel) — with the int8 kernel into int32, and
     /// dequantizes + bias into the float `output`. Same live-feature
-    /// compaction and return semantics as forward_into.
-    bool forward_into_quantized(const Tensor& input, Workspace& workspace,
+    /// compaction as forward_into.
+    void forward_into_quantized(const Tensor& input, Workspace& workspace,
                                 Tensor& output,
                                 const nn::QuantizedTensor& qweight,
                                 const ActiveIndexView* live_features =
@@ -58,15 +58,6 @@ public:
     /// activation slab plus the int32 accumulator tile.
     std::size_t quantized_workspace_bytes(std::int64_t batch) const;
 
-    /// Density above which forward_into ignores `live_features` and
-    /// runs dense (compaction bookkeeping beats the win near 1.0).
-    void set_sparse_density_cutoff(double cutoff) noexcept {
-        sparse_density_cutoff_ = cutoff;
-    }
-    double sparse_density_cutoff() const noexcept {
-        return sparse_density_cutoff_;
-    }
-
     Parameter& weight() noexcept { return weight_; }
     Parameter& bias() { return bias_.value(); }
     bool has_bias() const noexcept { return bias_.has_value(); }
@@ -75,7 +66,7 @@ public:
     std::int64_t out_features() const noexcept { return out_features_; }
 
 private:
-    bool forward_compute(const Tensor& input, Tensor& output,
+    void forward_compute(const Tensor& input, Tensor& output,
                          const ActiveIndexView* live_features);
 
     std::int64_t in_features_;
@@ -83,7 +74,6 @@ private:
     Parameter weight_;
     std::optional<Parameter> bias_;
     Tensor cached_input_;
-    double sparse_density_cutoff_ = kDefaultSparseDensityCutoff;
 };
 
 }  // namespace mime::nn

@@ -1,17 +1,17 @@
 // Shared vocabulary between the sparse planned executor (core) and the
 // layers that can exploit structural sparsity (nn): a non-owning view of
-// a live-index list plus the default density cutoff above which layers
-// fall back to the dense kernel (compaction overhead outweighs skipped
-// MACs when almost everything is live).
+// a live-index list plus the default density cutoff above which the
+// executor hands a layer no list, so it runs dense (compaction overhead
+// outweighs skipped MACs when almost everything is live).
 #pragma once
 
 #include <cstdint>
 
 namespace mime::nn {
 
-/// Density above which sparse-capable layers run dense by default; a
-/// tunable knob via Conv2d/Linear::set_sparse_density_cutoff or
-/// MimeNetwork::set_sparse_execution.
+/// Default of SparseExecution::density_cutoff, the density above which
+/// ForwardPlan::run hands a conv or linear layer no live list (set per
+/// network with MimeNetwork::set_sparse_execution).
 inline constexpr double kDefaultSparseDensityCutoff = 0.85;
 
 /// Non-owning view of the live indices of one axis. On an input axis

@@ -1,7 +1,7 @@
 // Per-layer profile record produced by ForwardPlan::run when profiling
-// is enabled (MimeNetwork::set_plan_profiling). One LayerProfile per
-// plan step, accumulated across runs; MimeNetwork::planned_layer_profiles
-// merges them across every cached plan.
+// is enabled (MimeNetwork::set_plan_profiling). The network keeps one
+// LayerProfile per plan step, and the runs of its plans of every batch
+// size accumulate into it (MimeNetwork::planned_layer_profiles).
 #pragma once
 
 #include <cstddef>

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/table.h"
 #include "core/forward_plan.h"
+#include "core/multitask.h"
 #include "tensor/tensor_ops.h"
 
 namespace mime::serve {
@@ -339,12 +340,7 @@ void InferenceServer::install_task(const std::string& task) {
     // previously active task would silently run on mixed thresholds.
     active_task_.clear();
     active_classes_ = 0;
-    network_->load_thresholds(adaptation.thresholds);
-    auto backbone = network_->backbone_parameters();
-    MIME_REQUIRE(backbone.size() >= 2,
-                 "backbone must end with classifier weight+bias");
-    backbone[backbone.size() - 2]->value.copy_from(adaptation.head_weight);
-    backbone[backbone.size() - 1]->value.copy_from(adaptation.head_bias);
+    core::install_adaptation(*network_, adaptation);
     active_task_ = task;
     active_classes_ = adaptation.num_classes;
     ++threshold_swaps_;
@@ -379,10 +375,10 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
         for (std::size_t n = 0; n < batch.size(); ++n) {
             batch_assign(slab, static_cast<std::int64_t>(n), batch[n].image);
         }
-        // The plan's cumulative MAC counters, differenced across this
+        // The network's cumulative MAC counters, differenced across this
         // forward, give the live fraction the cost model prices with.
-        const std::uint64_t dense_before = plan.dense_macs();
-        const std::uint64_t skipped_before = plan.skipped_macs();
+        const std::uint64_t dense_before = network_->planned_dense_macs();
+        const std::uint64_t skipped_before = network_->planned_skipped_macs();
         const Tensor& logits = network_->forward_planned(slab, workspace_);
 
         const std::int64_t head_width = logits.shape().dim(1);
@@ -408,9 +404,10 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
             // Feed reality back: the MACs this batch executed reprice
             // the task, and the measured service time (install +
             // forward) calibrates the absolute scale.
-            const std::uint64_t dense = plan.dense_macs() - dense_before;
+            const std::uint64_t dense =
+                network_->planned_dense_macs() - dense_before;
             const std::uint64_t skipped =
-                plan.skipped_macs() - skipped_before;
+                network_->planned_skipped_macs() - skipped_before;
             config_.cost_model->set_task_live_fraction(
                 task, dense == 0 ? 1.0
                                  : static_cast<double>(dense - skipped) /

@@ -1,6 +1,7 @@
 // Tests for Conv2d and Linear: reference forward, gradient checks,
-// threading equivalence, and the planned-executor forward_into variants
-// (workspace-backed, eval-mode, allocation-free).
+// threading equivalence, pooled-training reproducibility, and the
+// planned-executor forward_into variants (workspace-backed, eval-mode,
+// allocation-free).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -234,8 +235,7 @@ TEST(Conv2d, QuantizedNarrowOutputSwapsOperandsExactly) {
                                          nullptr),
                                      &view}) {
         Tensor out({3, 24, 2, 2});
-        EXPECT_EQ(conv.forward_into_quantized(x, ws, out, narrow, v),
-                  v != nullptr);
+        conv.forward_into_quantized(x, ws, out, narrow, v);
         for (std::int64_t i = 0; i < want.numel(); ++i) {
             ASSERT_EQ(out[i], want[i]) << (v != nullptr ? "sparse" : "dense");
         }
@@ -291,7 +291,7 @@ TEST(Conv2d, OutputChannelListComputesListedChannelsOnly) {
                              std::to_string(size) +
                              (in != nullptr ? " live-in" : ""));
                 Tensor out({3, 40, size, size}, kSentinel);
-                EXPECT_EQ(run(out, in, &out_view), in != nullptr);
+                run(out, in, &out_view);
                 for (std::int64_t i = 0; i < out.numel(); ++i) {
                     const std::int64_t ch = (i / (size * size)) % 40;
                     const bool listed =
@@ -309,6 +309,101 @@ TEST(Conv2d, OutputChannelListComputesListedChannelsOnly) {
             }
         }
         EXPECT_EQ(ws.used_bytes(), 0u);
+    }
+}
+
+TEST(Conv2d, ComputesWithEveryInputListItIsHanded) {
+    // Whether a list is dense enough to skip is the planned executor's
+    // call, not the layer's: handed 15 of 16 input channels (above the
+    // default cutoff), the conv lowers only those, so the nonzero
+    // values of the unlisted channel never reach the output. Float and
+    // int8, wide (8x8) and narrow (2x2) outputs, match a dense forward
+    // of the input with that channel zeroed, bit for bit.
+    Rng rng(21);
+    Conv2d conv(16, 8, 3, 1, 1, rng);
+    conv.bias().value = Tensor::randn({8}, rng);
+    conv.set_eval_mode(true);
+    constexpr std::int64_t kUnlisted = 5;
+    std::vector<std::int64_t> live;
+    for (std::int64_t c = 0; c < 16; ++c) {
+        if (c != kUnlisted) {
+            live.push_back(c);
+        }
+    }
+    const ActiveIndexView view{live.data(), 15, 16};
+    ASSERT_GT(view.density(), kDefaultSparseDensityCutoff);
+    for (const std::int64_t size : {8, 2}) {
+        const Tensor x = Tensor::randn({3, 16, size, size}, rng);
+        Tensor zeroed = x;
+        for (std::int64_t i = 0; i < x.numel(); ++i) {
+            if ((i / (size * size)) % 16 == kUnlisted) {
+                zeroed[i] = 0.0f;
+            }
+        }
+        const QuantizedTensor q = conv.quantize_weights(size, size);
+        Workspace ws(std::max(
+            static_cast<std::size_t>(conv.workspace_floats(size, size, 3)) *
+                sizeof(float),
+            conv.quantized_workspace_bytes(size, size, 3)));
+        for (const bool int8 : {false, true}) {
+            SCOPED_TRACE(std::string(int8 ? "int8" : "float") + " size " +
+                         std::to_string(size));
+            auto run = [&](const Tensor& in, const ActiveIndexView* list) {
+                Tensor out({3, 8, size, size});
+                if (int8) {
+                    conv.forward_into_quantized(in, ws, out, q, list);
+                } else {
+                    conv.forward_into(in, ws, out, list);
+                }
+                return out;
+            };
+            const Tensor want = run(zeroed, nullptr);
+            const Tensor got = run(x, &view);
+            EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                     static_cast<std::size_t>(want.numel()) *
+                                         sizeof(float)));
+            // The unlisted channel does change a dense forward.
+            const Tensor leaked = run(x, nullptr);
+            EXPECT_NE(0, std::memcmp(want.data(), leaked.data(),
+                                     static_cast<std::size_t>(want.numel()) *
+                                         sizeof(float)));
+        }
+    }
+}
+
+TEST(Conv2d, PooledTrainingIsBitReproducible) {
+    // A pooled backward sums its per-chunk weight and bias gradients in
+    // sample order, not in the order the workers finish, so two training
+    // runs on the same pool end with bit-identical parameters.
+    ThreadPool pool(4);
+    auto train = [&pool] {
+        Rng rng(19);
+        Conv2d conv(4, 8, 3, 1, 1, rng);
+        conv.set_pool(&pool);
+        const Tensor x = Tensor::randn({16, 4, 8, 8}, rng);
+        const Tensor target = Tensor::randn({16, 8, 8, 8}, rng);
+        for (int step = 0; step < 10; ++step) {
+            conv.weight().zero_grad();
+            conv.bias().zero_grad();
+            // Gradient of 0.5 * ||conv(x) - target||^2.
+            Tensor grad = conv.forward(x);
+            grad.axpy(-1.0f, target);
+            conv.backward(grad);
+            conv.weight().value.axpy(-1e-3f, conv.weight().grad);
+            conv.bias().value.axpy(-1e-3f, conv.bias().grad);
+        }
+        return std::vector<Tensor>{conv.weight().value, conv.bias().value};
+    };
+    const std::vector<Tensor> first = train();
+    for (int run = 0; run < 4; ++run) {
+        const std::vector<Tensor> again = train();
+        for (std::size_t p = 0; p < first.size(); ++p) {
+            ASSERT_EQ(0, std::memcmp(first[p].data(), again[p].data(),
+                                     static_cast<std::size_t>(
+                                         first[p].numel()) *
+                                         sizeof(float)))
+                << "run " << run << ", parameter " << p;
+        }
     }
 }
 
@@ -361,6 +456,39 @@ TEST(Linear, ForwardIntoBitMatchesForwardAndKeepsNoCache) {
 
     Tensor bad({3, 5});
     EXPECT_THROW(fc.forward_into(x, bad), check_error);
+}
+
+TEST(Linear, ComputesWithEveryInputListItIsHanded) {
+    // Handed 15 of 16 input features (above the default cutoff), the
+    // layer contracts over those only: the unlisted feature's nonzero
+    // values never reach the output, which bit-matches a dense forward
+    // of the input with that feature zeroed.
+    Rng rng(22);
+    Linear fc(16, 6, rng);
+    fc.bias().value = Tensor::randn({6}, rng);
+    fc.set_eval_mode(true);
+    constexpr std::int64_t kUnlisted = 9;
+    std::vector<std::int64_t> live;
+    for (std::int64_t f = 0; f < 16; ++f) {
+        if (f != kUnlisted) {
+            live.push_back(f);
+        }
+    }
+    const ActiveIndexView view{live.data(), 15, 16};
+    ASSERT_GT(view.density(), kDefaultSparseDensityCutoff);
+    const Tensor x = Tensor::randn({3, 16}, rng);
+    Tensor zeroed = x;
+    for (std::int64_t n = 0; n < 3; ++n) {
+        zeroed[n * 16 + kUnlisted] = 0.0f;
+    }
+    Tensor want({3, 6});
+    fc.forward_into(zeroed, want);
+    Tensor got({3, 6});
+    fc.forward_into(x, got, &view);
+    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), 18 * sizeof(float)));
+    Tensor leaked({3, 6});
+    fc.forward_into(x, leaked);
+    EXPECT_NE(0, std::memcmp(want.data(), leaked.data(), 18 * sizeof(float)));
 }
 
 TEST(Linear, ForwardMatchesManual) {

@@ -7,13 +7,18 @@
 // a plain CNN with batchnorm whose channel counts are not multiples of
 // the SIMD width. At batch sizes 1, 3 and 8, in an order drawn per seed
 // (so smaller plans also run on an arena a larger plan grew),
-// single-threaded and banded over a pool:
+// single-threaded and banded over a pool, and with the sparse policy's
+// density cutoff at 0, at its default and at 1.0:
 //   * float sparse planned logits == float dense planned logits ==
 //     MimeNetwork::forward, bit for bit;
 //   * int8 sparse planned logits == int8 dense planned logits, bit for
 //     bit;
 //   * the planned skipped-MAC counter equals the count recomputed here
-//     from layer_specs() and the live lists.
+//     from layer_specs(), the live lists and the cutoff, and does not
+//     fall as the cutoff rises. At cutoff 0 only an empty list (density
+//     0) compacts, so the count is what the all-dead lists skip, and 0
+//     where no list is empty; at 1.0 every list that is not all-live
+//     compacts, on both sides of a conv.
 // Before each checked run, a batch of another size whose inputs include
 // +-1e30, +inf and NaN runs through the same network, so every checked
 // run starts from an arena holding another plan's garbage (huge,
@@ -40,7 +45,7 @@
 namespace mime {
 namespace {
 
-constexpr double kCutoff = nn::kDefaultSparseDensityCutoff;
+constexpr double kCutoffs[] = {0.0, nn::kDefaultSparseDensityCutoff, 1.0};
 constexpr std::uint64_t kSeeds[] = {1, 2, 3, 4};
 
 std::vector<std::uint64_t> seeds() {
@@ -221,15 +226,17 @@ std::int64_t live_neurons(const core::ThresholdMask& mask) {
 
 /// `live` of `total` indices, or `total` when the list would not pass
 /// the density cutoff (the layer then runs dense).
-std::int64_t compacted(std::int64_t live, std::int64_t total) {
+std::int64_t compacted(std::int64_t live, std::int64_t total,
+                       double cutoff) {
     return live < total && static_cast<double>(live) /
                                    static_cast<double>(total) <=
-                               kCutoff
+                               cutoff
                ? live
                : total;
 }
 
-/// MACs one sparse planned float forward skips. Layer spec i is masked
+/// MACs one sparse planned float forward skips at `cutoff`. Layer spec i
+/// is masked
 /// by site i (the classifier by none) and reads site i - 1 (the first
 /// conv reads the image). A conv contracts over the input site's live
 /// channels that are nonzero in some sample, and computes the output
@@ -238,7 +245,7 @@ std::int64_t compacted(std::int64_t live, std::int64_t total) {
 /// another linear layer, its live neurons.
 std::uint64_t expected_skipped_macs(core::MimeNetwork& net,
                                     const std::vector<Tensor>& conv_in,
-                                    std::int64_t batch) {
+                                    std::int64_t batch, double cutoff) {
     std::vector<arch::LayerSpec> specs = net.layer_specs();
     specs.push_back(net.classifier_spec());
     std::uint64_t skipped = 0;
@@ -266,15 +273,16 @@ std::uint64_t expected_skipped_macs(core::MimeNetwork& net,
                     }
                     nonzero += any ? 1 : 0;
                 }
-                in_live = compacted(nonzero, spec.in_channels);
+                in_live = compacted(nonzero, spec.in_channels, cutoff);
             } else if (specs[i - 1].pool_after) {
                 const std::int64_t channels = mask.activation_shape().dim(0);
                 in_live = compacted(
                     static_cast<std::int64_t>(live_channels(mask).size()) *
                         (spec.in_channels / channels),
-                    spec.in_channels);
+                    spec.in_channels, cutoff);
             } else {
-                in_live = compacted(live_neurons(mask), spec.in_channels);
+                in_live =
+                    compacted(live_neurons(mask), spec.in_channels, cutoff);
             }
         }
         std::int64_t out_live = spec.out_channels;
@@ -284,7 +292,7 @@ std::uint64_t expected_skipped_macs(core::MimeNetwork& net,
                     live_channels(net.site(static_cast<std::int64_t>(i))
                                       .mask())
                         .size()),
-                spec.out_channels);
+                spec.out_channels, cutoff);
             ++conv;
         }
         const auto unit = static_cast<std::uint64_t>(
@@ -307,9 +315,9 @@ bool bit_equal(const std::vector<float>& a, const Tensor& b) {
 
 /// Runs batch sizes 1, 3 and 8 in an order drawn from `rng`,
 /// single-threaded and on `pool`, under the thresholds installed in
-/// `net`, and checks the three equalities. Plans of all three sizes
-/// share one arena per (pool, precision) pass, and a poisoned batch of
-/// another size runs before every checked run.
+/// `net`, and checks the three equalities at every cutoff. Plans of all
+/// three sizes share one arena per (pool, precision) pass, and a
+/// poisoned batch of another size runs before every checked run.
 void check_paths(core::MimeNetwork& net, ThreadPool& pool,
                  std::mt19937_64& rng) {
     const std::int64_t size = net.layer_specs().front().in_height;
@@ -322,17 +330,23 @@ void check_paths(core::MimeNetwork& net, ThreadPool& pool,
         std::int64_t batch;
         Tensor x;
         std::vector<float> reference;
-        std::uint64_t expected_skipped;
+        std::vector<std::uint64_t> expected_skipped;  ///< per kCutoffs
     };
     std::vector<Case> cases;
     net.set_pool(nullptr);
     for (const std::int64_t batch : batches) {
         Tensor x = random_input(batch, size, rng);
         std::vector<float> reference = copy_of(net.forward(x));
-        const std::uint64_t expected =
-            expected_skipped_macs(net, conv_inputs(net, x), batch);
-        cases.push_back({batch, std::move(x), std::move(reference), expected});
+        const std::vector<Tensor> conv_in = conv_inputs(net, x);
+        std::vector<std::uint64_t> expected;
+        for (const double cutoff : kCutoffs) {
+            expected.push_back(
+                expected_skipped_macs(net, conv_in, batch, cutoff));
+        }
+        cases.push_back({batch, std::move(x), std::move(reference),
+                         std::move(expected)});
     }
+    const double dense_cutoff = nn::kDefaultSparseDensityCutoff;
     for (const bool pooled : {false, true}) {
         SCOPED_TRACE(pooled ? "ThreadPool(4)" : "no pool");
         net.set_pool(pooled ? &pool : nullptr);
@@ -341,33 +355,43 @@ void check_paths(core::MimeNetwork& net, ThreadPool& pool,
         net.set_quantized_execution({false});
         for (const Case& c : cases) {
             SCOPED_TRACE("float, batch " + std::to_string(c.batch));
-            net.set_sparse_execution({false, kCutoff});
+            net.set_sparse_execution({false, dense_cutoff});
             soil_arena(net, c.batch, batches, workspace, rng);
             EXPECT_TRUE(
                 bit_equal(c.reference, net.forward_planned(c.x, workspace)))
                 << "float dense planned diverges from forward()";
-            net.set_sparse_execution({true, kCutoff});
-            soil_arena(net, c.batch, batches, workspace, rng);
-            const std::uint64_t skipped0 = net.planned_skipped_macs();
-            EXPECT_TRUE(
-                bit_equal(c.reference, net.forward_planned(c.x, workspace)))
-                << "float sparse planned diverges from forward()";
-            EXPECT_EQ(net.planned_skipped_macs() - skipped0,
-                      c.expected_skipped);
+            for (std::size_t k = 0; k < std::size(kCutoffs); ++k) {
+                SCOPED_TRACE("cutoff " + std::to_string(kCutoffs[k]));
+                net.set_sparse_execution({true, kCutoffs[k]});
+                soil_arena(net, c.batch, batches, workspace, rng);
+                const std::uint64_t skipped0 = net.planned_skipped_macs();
+                EXPECT_TRUE(bit_equal(c.reference,
+                                      net.forward_planned(c.x, workspace)))
+                    << "float sparse planned diverges from forward()";
+                EXPECT_EQ(net.planned_skipped_macs() - skipped0,
+                          c.expected_skipped[k]);
+                if (k > 0) {
+                    EXPECT_GE(c.expected_skipped[k],
+                              c.expected_skipped[k - 1]);
+                }
+            }
         }
 
         net.set_quantized_execution({true});
         for (const Case& c : cases) {
             SCOPED_TRACE("int8, batch " + std::to_string(c.batch));
-            net.set_sparse_execution({false, kCutoff});
+            net.set_sparse_execution({false, dense_cutoff});
             soil_arena(net, c.batch, batches, workspace, rng);
             const std::vector<float> int8_dense =
                 copy_of(net.forward_planned(c.x, workspace));
-            net.set_sparse_execution({true, kCutoff});
-            soil_arena(net, c.batch, batches, workspace, rng);
-            EXPECT_TRUE(
-                bit_equal(int8_dense, net.forward_planned(c.x, workspace)))
-                << "int8 sparse planned diverges from int8 dense";
+            for (const double cutoff : kCutoffs) {
+                SCOPED_TRACE("cutoff " + std::to_string(cutoff));
+                net.set_sparse_execution({true, cutoff});
+                soil_arena(net, c.batch, batches, workspace, rng);
+                EXPECT_TRUE(bit_equal(int8_dense,
+                                      net.forward_planned(c.x, workspace)))
+                    << "int8 sparse planned diverges from int8 dense";
+            }
         }
     }
     net.set_pool(nullptr);

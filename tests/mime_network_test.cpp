@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "arch/plain_cnn.h"
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "core/forward_plan.h"
 #include "core/mime_network.h"
 #include "tensor/workspace.h"
@@ -492,6 +494,89 @@ TEST(ForwardPlan, Int8WeightSnapshotsAreBuiltOncePerNetwork) {
     net.set_quantized_execution({false});
     EXPECT_EQ(net.planned_quantized_weight_bytes(), 0u);
     EXPECT_EQ(net.planned_quantized_max_rel_error(), 0.0);
+}
+
+TEST(ForwardPlan, NetworkCountsEveryPlanUntilThePlansAreDropped) {
+    // One set of counters and step profiles per network: runs of the
+    // plans of batch sizes 1-8 all add to it, and dropping the plans
+    // (set_quantized_execution, set_pool) resets it.
+    MimeNetwork net(tiny_config());
+    net.set_training(false);
+    net.set_eval_mode(true);
+    net.set_mode(ActivationMode::threshold);
+    // Odd channels of every site pruned: density 0.5, so steps compact.
+    for (std::int64_t s = 0; s < net.site_count(); ++s) {
+        ThresholdMask& mask = net.site(s).mask();
+        Tensor& t = mask.thresholds().value;
+        const std::int64_t extent =
+            t.numel() / mask.activation_shape().dim(0);
+        for (std::int64_t i = 0; i < t.numel(); ++i) {
+            t[i] = (i / extent) % 2 == 1
+                       ? std::numeric_limits<float>::infinity()
+                       : 0.0f;
+        }
+        mask.mark_thresholds_dirty();
+    }
+    net.set_plan_profiling(true);
+    Workspace workspace;
+    Rng rng(71);
+
+    // Runs batch sizes 1-8 once each; every profile then has 8 runs and
+    // the profiles' MACs sum to the network's counters.
+    auto run_all_sizes = [&] {
+        std::uint64_t dense_per_image = 0;
+        for (std::int64_t batch = 1; batch <= 8; ++batch) {
+            SCOPED_TRACE("batch " + std::to_string(batch));
+            const std::uint64_t hits0 = net.planned_sparse_hits();
+            const std::uint64_t skipped0 = net.planned_skipped_macs();
+            const std::uint64_t dense0 = net.planned_dense_macs();
+            net.forward_planned(Tensor::randn({batch, 3, 32, 32}, rng),
+                                workspace);
+            EXPECT_GT(net.planned_sparse_hits(), hits0);
+            EXPECT_GT(net.planned_skipped_macs(), skipped0);
+            const std::uint64_t dense = net.planned_dense_macs() - dense0;
+            if (batch == 1) {
+                dense_per_image = dense;
+            }
+            EXPECT_EQ(dense, static_cast<std::uint64_t>(batch) *
+                                 dense_per_image);
+            for (const obs::LayerProfile& p : net.planned_layer_profiles()) {
+                EXPECT_EQ(p.runs, batch) << p.name;
+            }
+        }
+        std::int64_t dense = 0;
+        std::int64_t skipped = 0;
+        for (const obs::LayerProfile& p : net.planned_layer_profiles()) {
+            dense += p.dense_macs;
+            skipped += p.skipped_macs;
+        }
+        EXPECT_EQ(static_cast<std::uint64_t>(dense), net.planned_dense_macs());
+        EXPECT_EQ(static_cast<std::uint64_t>(skipped),
+                  net.planned_skipped_macs());
+    };
+    auto expect_reset = [&] {
+        EXPECT_EQ(net.planned_sparse_hits(), 0u);
+        EXPECT_EQ(net.planned_skipped_macs(), 0u);
+        EXPECT_EQ(net.planned_dense_macs(), 0u);
+        EXPECT_EQ(net.planned_quantized_hits(), 0u);
+        EXPECT_TRUE(net.planned_layer_profiles().empty());
+    };
+
+    run_all_sizes();
+    EXPECT_EQ(net.planned_quantized_hits(), 0u);  // float plans
+
+    net.set_quantized_execution({true});
+    expect_reset();
+    run_all_sizes();
+    // 13 convs + 2 hidden fcs per run; the classifier runs float.
+    EXPECT_EQ(net.planned_quantized_hits(), 8u * 15u);
+
+    ThreadPool pool(2);
+    net.set_pool(&pool);
+    expect_reset();
+    run_all_sizes();
+    net.set_pool(nullptr);
+    expect_reset();
 }
 
 TEST(ForwardPlan, RunSelfHealsAStaleWorkspaceOffset) {

@@ -11,8 +11,10 @@
 
 #include "arch/vgg.h"
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "core/forward_plan.h"
 #include "core/mime_network.h"
+#include "nn/conv2d.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -271,22 +273,24 @@ TEST(PlanProfilingTest, ProfilesAccumulateOnlyWhenEnabled) {
     network.set_training(false);
     network.set_eval_mode(true);
     Workspace workspace;
+    EXPECT_TRUE(network.planned_layer_profiles().empty());  // no plan yet
     core::ForwardPlan& plan = network.plan_for(2);
     Tensor input(plan.input_shape());
 
     // Names and workspace reservations exist from build time.
-    ASSERT_FALSE(plan.profiles().empty());
-    EXPECT_EQ(plan.profiles().front().name, "conv1");
-    EXPECT_GT(plan.profiles().front().workspace_bytes, 0u);
+    const std::vector<obs::LayerProfile>& profiles =
+        network.planned_layer_profiles();
+    ASSERT_FALSE(profiles.empty());
+    EXPECT_EQ(profiles.front().name, "conv1");
+    EXPECT_GT(profiles.front().workspace_bytes, 0u);
 
     // Disabled (default): running accumulates nothing.
     plan.run(input, workspace);
-    EXPECT_EQ(plan.profiles().front().runs, 0);
+    EXPECT_EQ(profiles.front().runs, 0);
 
     network.set_plan_profiling(true);
     plan.run(input, workspace);
     plan.run(input, workspace);
-    const std::vector<obs::LayerProfile>& profiles = plan.profiles();
     for (const obs::LayerProfile& profile : profiles) {
         EXPECT_EQ(profile.runs, 2) << profile.name;
         EXPECT_GE(profile.total_us, 0.0) << profile.name;
@@ -296,35 +300,49 @@ TEST(PlanProfilingTest, ProfilesAccumulateOnlyWhenEnabled) {
     EXPECT_GT(profiles.front().dense_macs, 0);
     EXPECT_EQ(profiles.back().name.rfind("fc", 0), 0u);
     EXPECT_GT(profiles.back().dense_macs, 0);
-
-    // Network-level merge across plans sums runs per step index.
-    const std::vector<obs::LayerProfile> merged =
-        network.planned_layer_profiles();
-    ASSERT_EQ(merged.size(), profiles.size());
-    EXPECT_EQ(merged.front().runs, 2);
 }
 
 TEST(PlanProfilingTest, MergeAcrossBatchSizesSumsRuns) {
+    // On a pool, conv scratch holds one im2col slice per band, and the
+    // band count grows with the batch (min(pool size, batch)), so the
+    // batch-4 plan reserves more for conv1 than the batch-1 plan does.
+    ThreadPool pool(4);
     core::MimeNetwork network(tiny_network_config());
     network.set_training(false);
     network.set_eval_mode(true);
+    network.set_pool(&pool);
     network.set_plan_profiling(true);
+    auto& conv1 = dynamic_cast<nn::Conv2d&>(network.network().layer(0));
+    const arch::LayerSpec& spec = network.layer_specs().front();
+    auto conv1_bytes = [&](std::int64_t batch) {
+        return static_cast<std::size_t>(conv1.workspace_floats(
+                   spec.in_height, spec.in_width, batch)) *
+               sizeof(float);
+    };
+    ASSERT_GT(conv1_bytes(4), conv1_bytes(1));
+
     Workspace workspace;
     core::ForwardPlan& plan1 = network.plan_for(1);
+    EXPECT_EQ(network.planned_layer_profiles().front().workspace_bytes,
+              conv1_bytes(1));
     core::ForwardPlan& plan4 = network.plan_for(4);
     Tensor in1(plan1.input_shape());
     Tensor in4(plan4.input_shape());
     plan1.run(in1, workspace);
     plan4.run(in4, workspace);
     plan4.run(in4, workspace);
-    const std::vector<obs::LayerProfile> merged =
+    const std::vector<obs::LayerProfile>& merged =
         network.planned_layer_profiles();
     ASSERT_FALSE(merged.empty());
     EXPECT_EQ(merged.front().runs, 3);
     // Workspace bytes take the max over plans (plan4's im2col is
-    // larger), not the sum.
-    EXPECT_EQ(merged.front().workspace_bytes,
-              plan4.profiles().front().workspace_bytes);
+    // larger), not the first plan's bytes or the sum.
+    EXPECT_EQ(merged.front().workspace_bytes, conv1_bytes(4));
+    EXPECT_GT(merged.front().workspace_bytes, conv1_bytes(1));
+    // Building a smaller plan afterwards keeps the larger bytes.
+    network.plan_for(2);
+    EXPECT_EQ(network.planned_layer_profiles().front().workspace_bytes,
+              conv1_bytes(4));
 }
 
 }  // namespace
