@@ -25,9 +25,14 @@ void print_claim(const std::string& metric, const std::string& paper,
 }
 
 void write_json_file(const std::string& filename, const Json& json) {
-    const std::string body = json.to_string() + "\n";
     const char* env = std::getenv("MIME_BENCH_JSON_DIR");
-    const std::filesystem::path dir = env != nullptr ? env : ".";
+    if (env == nullptr) {
+        std::printf("  (MIME_BENCH_JSON_DIR unset: %s not written)\n",
+                    filename.c_str());
+        return;
+    }
+    const std::string body = json.to_string() + "\n";
+    const std::filesystem::path dir = env;
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     const std::filesystem::path path = dir / filename;

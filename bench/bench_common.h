@@ -36,8 +36,10 @@ void print_claim(const std::string& metric, const std::string& paper,
 /// keeps every bench spelling `bench::Json` unchanged.
 using Json = ::mime::Json;
 
-/// Writes `json` to MIME_BENCH_JSON_DIR/filename (dir defaults to the
-/// current working directory) and logs the path.
+/// Writes `json` to MIME_BENCH_JSON_DIR/filename and logs the path.
+/// With MIME_BENCH_JSON_DIR unset it writes nothing and says so, so a
+/// run from the repo root cannot overwrite a committed record (refresh
+/// one with MIME_BENCH_JSON_DIR=.).
 void write_json_file(const std::string& filename, const Json& json);
 
 /// The trainable mini setup (width-scaled VGG16 + synthetic task suite);

@@ -1,7 +1,7 @@
 // Dependency-free micro-kernel bench (plain std::chrono, so it always
 // builds and runs in CI).
 //
-// Reports, and persists to BENCH_kernels.json:
+// Reports, and persists to $MIME_BENCH_JSON_DIR/BENCH_kernels.json:
 //   1. dense GEMM GFLOP/s for the compiled microkernel (vs the scalar
 //      reference for correctness),
 //   2. row-compacted gemm_rows speedup across a density sweep,

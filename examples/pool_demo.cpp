@@ -58,8 +58,8 @@ int main() {
     pool_config.server.cache_capacity = 3;
     pool_config.server.worker_threads = 1;
     serve::ServerPool pool(network, store.task_loader(), pool_config);
-    // The clients only ever see the unified interface; a lone
-    // InferenceServer would serve them with the same code.
+    // The clients only ever see the unified interface; a pool of one
+    // replica would serve them with the same code.
     serve::InferenceService& service = pool;
 
     const double backbone_mib =

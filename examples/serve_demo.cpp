@@ -1,7 +1,7 @@
 // Tour of the unified serving client API: persist three child-task
-// adaptations to an AdaptationStore, stand up an InferenceServer that
-// hydrates its threshold cache from that store, then drive it purely
-// through the InferenceService surface — the SubmitOptions envelope
+// adaptations to an AdaptationStore, stand up a one-replica ServerPool
+// that hydrates its threshold cache from that store, then drive it
+// purely through the InferenceService surface — the SubmitOptions envelope
 // (deadline, priority, delivery mode), Outcome status codes instead of
 // exceptions, callback delivery, and best-effort cancellation — and
 // print the serving stats table.
@@ -16,7 +16,7 @@
 
 #include "core/adaptation_store.h"
 #include "core/multitask.h"
-#include "serve/inference_server.h"
+#include "serve/server_pool.h"
 #include "serve/service.h"
 
 using namespace mime;
@@ -50,15 +50,17 @@ int main(int argc, char** argv) {
                 static_cast<long long>(store.adaptation_bytes()),
                 store_dir.c_str());
 
-    serve::ServerConfig server_config;
-    server_config.batcher.max_batch_size = 4;
-    server_config.cache_capacity = 2;  // one task will thrash: watch
-                                       // the eviction counter
-    serve::InferenceServer server(network, store.task_loader(),
-                                  server_config);
-    // Everything below goes through the backend-agnostic interface —
-    // swapping in a ServerPool would not change a line.
-    serve::InferenceService& service = server;
+    // One network, so one replica; pool_demo shards the same traffic
+    // over three.
+    serve::PoolConfig pool_config;
+    pool_config.replica_count = 1;
+    pool_config.server.batcher.max_batch_size = 4;
+    pool_config.server.cache_capacity = 2;  // one task will thrash: watch
+                                            // the eviction counter
+    serve::ServerPool pool(network, store.task_loader(), pool_config);
+    // Everything below goes through the client interface — more
+    // replicas would not change a line.
+    serve::InferenceService& service = pool;
 
     // Three client threads, each hammering its own task with interactive
     // priority and a generous deadline; outcomes are checked, not
@@ -141,7 +143,7 @@ int main(int argc, char** argv) {
                     service.run("cifar10-like", Tensor({3, 32, 32}))
                         .status()));
 
-    std::printf("\n%s\n", server.stats().to_table_string().c_str());
+    std::printf("\n%s\n", pool.stats().to_table_string().c_str());
     std::filesystem::remove_all(store_dir);
     return 0;
 }

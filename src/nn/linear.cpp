@@ -1,5 +1,6 @@
 #include "nn/linear.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -144,6 +145,27 @@ void Linear::forward_into_quantized(const Tensor& input,
         check_live_features(*live_features, in_features_);
     }
 
+    // Calls visit(begin, length) for each run of consecutive listed
+    // features, or once over every feature when dense. Only the listed
+    // features set the scale and are quantized; the unlisted columns of
+    // xq stay unwritten, because qgemm_rows never reads them.
+    const auto for_each_run = [&](const auto& visit) {
+        if (live_features == nullptr) {
+            visit(std::int64_t{0}, in_features_);
+            return;
+        }
+        const std::int64_t* indices = live_features->indices;
+        for (std::int64_t i = 0; i < live_features->count;) {
+            std::int64_t end = i + 1;
+            while (end < live_features->count &&
+                   indices[end] == indices[end - 1] + 1) {
+                ++end;
+            }
+            visit(indices[i], end - i);
+            i = end;
+        }
+    };
+
     const Workspace::Checkpoint mark = workspace.checkpoint();
     // One dynamic scale per sample row (matching the conv path): an
     // outlier in one sample must not inflate the others' step size.
@@ -151,18 +173,24 @@ void Linear::forward_into_quantized(const Tensor& input,
     auto* x_scales = workspace.alloc<float>(batch);
     for (std::int64_t n = 0; n < batch; ++n) {
         const float* x = input.data() + n * in_features_;
-        const float absmax = nn::activation_absmax(x, in_features_);
+        float absmax = 0.0f;
+        for_each_run([&](std::int64_t begin, std::int64_t length) {
+            absmax = std::max(absmax,
+                              nn::activation_absmax(x + begin, length));
+        });
         x_scales[n] = absmax == 0.0f ? 0.0f : absmax / 127.0f;
-        nn::quantize_with_scale(x, in_features_,
-                                absmax == 0.0f ? 0.0f : 127.0f / absmax,
-                                xq + n * in_features_);
+        const float inv_scale = absmax == 0.0f ? 0.0f : 127.0f / absmax;
+        for_each_run([&](std::int64_t begin, std::int64_t length) {
+            nn::quantize_with_scale(x + begin, length, inv_scale,
+                                    xq + n * in_features_ + begin);
+        });
     }
     auto* acc = workspace.alloc<std::int32_t>(batch * out_features_);
 
     if (live_features != nullptr) {
-        // Contract over live input features only; a dead feature's
-        // column of xq is exactly zero (0 * inv_scale rounds to 0), so
-        // this equals the dense int8 product exactly.
+        // Contract over live input features only. The skipped features
+        // are zeros the plan listed away, so the listed absmax is the
+        // dense absmax and this equals the dense int8 product exactly.
         qgemm_rows(batch, out_features_, in_features_,
                    live_features->indices, live_features->count, xq,
                    in_features_, qweight.data.data(), out_features_, acc,

@@ -1,11 +1,9 @@
 #include "serve/inference_server.h"
 
 #include <chrono>
-#include <optional>
 #include <utility>
 
 #include "common/check.h"
-#include "common/table.h"
 #include "core/forward_plan.h"
 #include "core/multitask.h"
 #include "tensor/tensor_ops.h"
@@ -20,75 +18,17 @@ double to_us(Clock::duration d) {
 
 }  // namespace
 
-std::string ServerStats::to_table_string() const {
-    Table aggregate({"metric", "value"});
-    aggregate.add_row({"requests", std::to_string(requests_completed)});
-    aggregate.add_row({"served ok", std::to_string(requests_served)});
-    aggregate.add_row({"deadline expired", std::to_string(deadline_expired)});
-    aggregate.add_row({"cancelled", std::to_string(cancelled)});
-    aggregate.add_row({"batches", std::to_string(batches_run)});
-    aggregate.add_row({"mean batch", Table::num(mean_batch_size, 2)});
-    aggregate.add_row({"threshold swaps", std::to_string(threshold_swaps)});
-    aggregate.add_row({"cache hit/miss/evict",
-                       std::to_string(cache_hits) + "/" +
-                           std::to_string(cache_misses) + "/" +
-                           std::to_string(cache_evictions)});
-    aggregate.add_row({"throughput (req/s)", Table::num(throughput_rps, 1)});
-    aggregate.add_row({"latency p50 (us)", Table::num(p50_latency_us, 1)});
-    aggregate.add_row({"latency p95 (us)", Table::num(p95_latency_us, 1)});
-    aggregate.add_row({"latency p99 (us)", Table::num(p99_latency_us, 1)});
-    aggregate.add_row({"latency p99.9 (us)", Table::num(p999_latency_us, 1)});
-    aggregate.add_row({"interactive done/p95 (us)",
-                       std::to_string(interactive.completed) + " / " +
-                           Table::num(interactive.p95_latency_us, 1)});
-    aggregate.add_row({"batch done/p95 (us)",
-                       std::to_string(batch.completed) + " / " +
-                           Table::num(batch.p95_latency_us, 1)});
-    aggregate.add_row(
-        {"workspace peak (bytes)", std::to_string(workspace_peak_bytes)});
-    aggregate.add_row(
-        {"plan buffers (bytes)", std::to_string(plan_buffer_bytes)});
-    aggregate.add_row(
-        {"sparse path hits", std::to_string(sparse_path_hits)});
-    aggregate.add_row(
-        {"skipped MAC fraction", Table::num(skipped_mac_fraction, 4)});
-    aggregate.add_row(
-        {"quantized path hits", std::to_string(quantized_path_hits)});
-    aggregate.add_row({"quantized weight max rel err",
-                       Table::num(quantized_weight_max_rel_error, 4)});
-    aggregate.add_row(
-        {"cost-infeasible shed", std::to_string(cost_infeasible_shed)});
-    aggregate.add_row(
-        {"cost prediction error", Table::num(cost_prediction_error, 4)});
-
-    Table tasks({"task", "requests", "batches", "mean sparsity"});
-    for (const auto& [name, ts] : per_task) {
-        tasks.add_row({name, std::to_string(ts.requests),
-                       std::to_string(ts.batches),
-                       Table::num(ts.mean_sparsity, 4)});
-    }
-    return aggregate.to_string() + "\n" + tasks.to_string();
-}
-
-Shape InferenceServer::serving_input_shape(
-    const core::MimeNetwork& network) {
-    MIME_REQUIRE(!network.layer_specs().empty(),
-                 "network has no layers to serve");
-    const arch::LayerSpec& first = network.layer_specs().front();
-    return Shape({first.in_channels, first.in_height, first.in_width});
-}
-
-InferenceServer::InferenceServer(core::MimeNetwork& network,
-                                 ThresholdCache::Loader loader,
-                                 ServerConfig config)
+InferenceServer::InferenceServer(
+    core::MimeNetwork& network, ThresholdCache::Loader loader,
+    const ServerConfig& config, std::shared_ptr<CostModel> cost_model,
+    std::function<void(std::size_t)> on_requests_complete)
     : network_(&network),
-      config_(config),
-      input_shape_(serving_input_shape(network)),
+      cost_model_(std::move(cost_model)),
+      on_requests_complete_(std::move(on_requests_complete)),
       pool_(config.worker_threads),
       queue_(config.queue_capacity),
       batcher_(config.batcher),
       cache_(config.cache_capacity, std::move(loader)),
-      sampler_(config.trace_sample_rate),
       served_(registry_.counter("serve.requests_served",
                                 "requests completed with a result")),
       failed_(registry_.counter("serve.requests_failed",
@@ -158,99 +98,11 @@ InferenceServer::InferenceServer(core::MimeNetwork& network,
 
 InferenceServer::~InferenceServer() { stop(); }
 
-RequestTicket InferenceServer::submit(const std::string& task, Tensor image,
-                                      SubmitOptions options) {
-    return submit_impl(task, std::move(image), std::move(options), nullptr,
-                       /*envelope_checked=*/false, /*trace=*/nullptr,
-                       /*admission_start=*/Clock::now());
+bool InferenceServer::enqueue(InferenceRequest&& request) {
+    return queue_.push(std::move(request));
 }
-
-RequestTicket InferenceServer::submit_impl(
-    const std::string& task, Tensor image, SubmitOptions options,
-    bool* accepted, bool envelope_checked, std::shared_ptr<obs::Trace> trace,
-    Clock::time_point admission_start) {
-    if (accepted != nullptr) {
-        *accepted = false;
-    }
-    if (!envelope_checked) {
-        if (auto error =
-                envelope_error(task, image, input_shape_, options)) {
-            return reject(options, ServeStatus::invalid_request,
-                          std::move(*error));
-        }
-    }
-    // Callers that pre-checked the envelope (the pool) own the sampling
-    // decision; otherwise this replica's sampler decides.
-    if (trace == nullptr && !envelope_checked &&
-        (options.trace || sampler_.sample())) {
-        trace = std::make_shared<obs::Trace>();
-    }
-
-    InferenceRequest request;
-    request.task = task;
-    request.image = std::move(image);
-    request.priority = options.priority;
-    request.control = std::make_shared<RequestControl>();
-    request.enqueue_time = Clock::now();
-    // Saturate: a deadline past the clock's range is no deadline, not
-    // an overflow that wraps into the past.
-    const auto range_left =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            Clock::time_point::max() - request.enqueue_time);
-    if (options.deadline.count() > 0 && options.deadline < range_left) {
-        request.deadline = request.enqueue_time + options.deadline;
-    }
-    std::future<Outcome<InferenceResult>> future;
-    if (options.on_result) {
-        request.on_result = std::move(options.on_result);
-    } else {
-        future = request.promise.get_future();
-    }
-
-    const std::optional<std::int64_t> id =
-        state_.register_submit(request.enqueue_time);
-    if (!id.has_value()) {
-        // Claim so cancel() on the rejected ticket reports false.
-        request.control->try_claim();
-        request.deliver(Outcome<InferenceResult>(
-            ServeStatus::shutdown, "submit on a stopped server"));
-        return RequestTicket(-1, std::move(request.control),
-                             std::move(future));
-    }
-    request.id = *id;
-    std::shared_ptr<RequestControl> control = request.control;
-
-    // Record admission *before* the queue push: after the push the
-    // dispatch thread owns the trace (the queue mutex is the hand-off),
-    // so this is the submitter's last write.
-    if (trace != nullptr) {
-        trace->record(obs::SpanKind::admission, admission_start,
-                      Clock::now());
-        request.trace = trace;
-    }
-
-    if (!queue_.push(std::move(request))) {
-        // Raced with stop(): un-count the request so drain() still
-        // terminates, then deliver the rejection.
-        state_.rollback_submit();
-        control->try_claim();
-        request.deliver(Outcome<InferenceResult>(
-            ServeStatus::shutdown, "submit on a stopped server"));
-        return RequestTicket(*id, std::move(control), std::move(future));
-    }
-    if (accepted != nullptr) {
-        *accepted = true;
-    }
-    return RequestTicket(*id, std::move(control), std::move(future),
-                         std::move(trace));
-}
-
-void InferenceServer::drain() { state_.drain(); }
 
 void InferenceServer::stop() {
-    if (!state_.begin_stop()) {
-        return;
-    }
     queue_.close();
     if (dispatcher_.joinable()) {
         dispatcher_.join();
@@ -320,13 +172,11 @@ void InferenceServer::fail_request(InferenceRequest request,
         }
         request.trace->record(obs::SpanKind::delivery, reaped, reaped);
     }
-    // Deliver before completing the accounting so drain() returning
-    // implies every outcome (callback or future) has been delivered.
+    // Deliver before reporting the completion so the pool's drain()
+    // returning implies every outcome (callback or future) has been
+    // delivered.
     request.deliver(Outcome<InferenceResult>(status, std::move(message)));
-    state_.complete(1, Clock::now());
-    if (config_.on_requests_complete) {
-        config_.on_requests_complete(1);
-    }
+    on_requests_complete_(1);
 }
 
 void InferenceServer::install_task(const std::string& task) {
@@ -400,25 +250,22 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
                 : sparsity_sum / static_cast<double>(site_sparsities.size());
 
         const Clock::time_point finished = Clock::now();
-        if (config_.cost_model) {
-            // Feed reality back: the MACs this batch executed reprice
-            // the task, and the measured service time (install +
-            // forward) calibrates the absolute scale.
-            const std::uint64_t dense =
-                network_->planned_dense_macs() - dense_before;
-            const std::uint64_t skipped =
-                network_->planned_skipped_macs() - skipped_before;
-            config_.cost_model->set_task_live_fraction(
-                task, dense == 0 ? 1.0
-                                 : static_cast<double>(dense - skipped) /
-                                       static_cast<double>(dense));
-            const CostFeedback feedback = config_.cost_model->observe_batch(
-                task, static_cast<std::int64_t>(batch.size()),
-                to_us(finished - started));
-            cost_predicted_gauge_.set(feedback.predicted_us);
-            cost_error_gauge_.set(
-                config_.cost_model->mean_abs_relative_error());
-        }
+        // Feed reality back: the MACs this batch executed reprice the
+        // task, and the measured service time (install + forward)
+        // calibrates the absolute scale.
+        const std::uint64_t dense =
+            network_->planned_dense_macs() - dense_before;
+        const std::uint64_t skipped =
+            network_->planned_skipped_macs() - skipped_before;
+        cost_model_->set_task_live_fraction(
+            task, dense == 0 ? 1.0
+                             : static_cast<double>(dense - skipped) /
+                                   static_cast<double>(dense));
+        const CostFeedback feedback = cost_model_->observe_batch(
+            task, static_cast<std::int64_t>(batch.size()),
+            to_us(finished - started));
+        cost_predicted_gauge_.set(feedback.predicted_us);
+        cost_error_gauge_.set(cost_model_->mean_abs_relative_error());
         std::vector<InferenceResult> results;
         results.reserve(batch.size());
         for (std::size_t n = 0; n < batch.size(); ++n) {
@@ -513,13 +360,13 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
         }
         // Deliver outcomes after the serving stats above are consistent
         // (a client observing its result also observes it in stats()),
-        // but before state_.complete: drain() returning must imply
-        // every outcome — callback or future — has been delivered.
+        // but before the completion report: the pool's drain() returning
+        // must imply every outcome — callback or future — has been
+        // delivered.
         for (std::size_t n = 0; n < batch.size(); ++n) {
             batch[n].deliver(
                 Outcome<InferenceResult>(std::move(results[n])));
         }
-        state_.complete(batch.size(), finished);
     } catch (const std::exception& error) {
         fail_batch(std::move(batch), started, error.what());
     } catch (...) {
@@ -529,9 +376,7 @@ void InferenceServer::run_batch(std::vector<InferenceRequest> batch) {
                    "non-standard exception during batch execution");
     }
     // batch_size, not batch.size(): the failure paths moved the batch.
-    if (config_.on_requests_complete) {
-        config_.on_requests_complete(batch_size);
-    }
+    on_requests_complete_(batch_size);
 }
 
 void InferenceServer::fail_batch(std::vector<InferenceRequest> batch,
@@ -553,7 +398,6 @@ void InferenceServer::fail_batch(std::vector<InferenceRequest> batch,
         request.deliver(Outcome<InferenceResult>(
             ServeStatus::invalid_request, message));
     }
-    state_.complete(batch.size(), started);
 }
 
 LatencyRecorder InferenceServer::latency_recorder() const {
@@ -567,24 +411,8 @@ LatencyRecorder InferenceServer::latency_recorder(Priority lane) const {
                                          : lane_latency_batch_;
 }
 
-ServiceStats InferenceServer::service_stats() const {
-    const ServerStats full = stats();
-    ServiceStats stats;
-    stats.submitted = state_.submitted();
-    stats.completed = full.requests_completed;
-    stats.shed = 0;  // a lone server blocks at queue_capacity, never sheds
-    stats.deadline_expired = full.deadline_expired;
-    stats.cancelled = full.cancelled;
-    stats.throughput_rps = full.throughput_rps;
-    stats.interactive = full.interactive;
-    stats.batch = full.batch;
-    return stats;
-}
-
 ServerStats InferenceServer::stats() const {
     ServerStats stats;
-    stats.throughput_rps = state_.throughput_rps();
-
     // Counters and gauges come straight from the registry (all updated
     // before delivery, so a client observing its result also observes
     // it here). Read served/failed/expired/cancelled once each so the
@@ -614,49 +442,14 @@ ServerStats InferenceServer::stats() const {
         static_cast<std::int64_t>(skipped_macs_gauge_.value());
     stats.dense_equivalent_macs =
         static_cast<std::int64_t>(dense_macs_gauge_.value());
-    stats.skipped_mac_fraction =
-        stats.dense_equivalent_macs > 0
-            ? static_cast<double>(stats.skipped_macs) /
-                  static_cast<double>(stats.dense_equivalent_macs)
-            : 0.0;
     stats.quantized_path_hits =
         static_cast<std::int64_t>(quantized_hits_gauge_.value());
     stats.quantized_weight_max_rel_error = quantized_error_gauge_.value();
     stats.cost_infeasible_shed = cost_infeasible_shed_.value();
-    stats.cost_prediction_error = cost_error_gauge_.value();
-    // Numerator counts every request that rode in a batch (served or
-    // failed with it) so a failed batch does not understate the mean.
-    stats.mean_batch_size =
-        stats.batches_run > 0
-            ? static_cast<double>(served + failed) /
-                  static_cast<double>(stats.batches_run)
-            : 0.0;
-    stats.interactive.completed = lane_completed_interactive_.value();
-    stats.batch.completed = lane_completed_batch_.value();
+    stats.interactive_completed = lane_completed_interactive_.value();
+    stats.batch_completed = lane_completed_batch_.value();
 
     MutexLock lock(stats_mutex_);
-    if (latency_.count() > 0) {
-        const LatencyRecorder::Summary quantiles = latency_.summary();
-        stats.p50_latency_us = quantiles.p50;
-        stats.p95_latency_us = quantiles.p95;
-        stats.p99_latency_us = quantiles.p99;
-        stats.p999_latency_us = quantiles.p999;
-    }
-    if (lane_latency_interactive_.count() > 0) {
-        const LatencyRecorder::Summary lane =
-            lane_latency_interactive_.summary();
-        stats.interactive.p50_latency_us = lane.p50;
-        stats.interactive.p95_latency_us = lane.p95;
-        stats.interactive.p99_latency_us = lane.p99;
-        stats.interactive.p999_latency_us = lane.p999;
-    }
-    if (lane_latency_batch_.count() > 0) {
-        const LatencyRecorder::Summary lane = lane_latency_batch_.summary();
-        stats.batch.p50_latency_us = lane.p50;
-        stats.batch.p95_latency_us = lane.p95;
-        stats.batch.p99_latency_us = lane.p99;
-        stats.batch.p999_latency_us = lane.p999;
-    }
     stats.per_task = per_task_;
     return stats;
 }

@@ -1,23 +1,23 @@
-// Multi-task inference server over one MimeNetwork.
+// One replica of a ServerPool: a dispatch thread serving per-task
+// requests on one MimeNetwork.
 //
-// Owns the network for its lifetime and serves per-task requests from
-// many client threads through the unified InferenceService API: requests
-// flow through a bounded RequestQueue into a TaskBatcher, a dedicated
-// dispatch thread forms same-task batches (interactive lane ahead of
-// batch, expired deadlines and won cancels reaped before any forward),
-// installs the task's threshold set + head from the ThresholdCache (a
-// swap touches only T_child bytes — never W_parent), and runs one
-// planned forward per batch. The forward always runs sparse: conv and
-// linear steps skip structurally pruned rows, and conv input channels
-// that are zero in every sample of the batch, with bit-identical
-// outputs. Kernel-level parallelism inside the forward is driven by a
-// common/thread_pool the server owns.
+// The pool's front door validates, admits, routes and hands each
+// request to a replica's enqueue(); from there requests flow through a
+// bounded RequestQueue into a TaskBatcher, and the dispatch thread forms
+// same-task batches (interactive lane ahead of batch, expired deadlines
+// and won cancels reaped before any forward), installs the task's
+// threshold set + head from the ThresholdCache (a swap touches only
+// T_child bytes — never W_parent), and runs one planned forward per
+// batch. The forward always runs sparse: conv and linear steps skip
+// structurally pruned rows, and conv input channels that are zero in
+// every sample of the batch, with bit-identical outputs. Kernel-level
+// parallelism inside the forward is driven by a common/thread_pool the
+// replica owns.
 //
-// submit() returns a cancellable RequestTicket; outcomes arrive as
-// Outcome<InferenceResult> through the ticket's future or a
-// dispatch-side callback. Per-request latency plus aggregate throughput,
+// Every terminal outcome is delivered on the request's channel and then
+// reported to the pool's completion hook. Per-request latency plus
 // swap, cache, per-priority and per-task sparsity statistics are
-// collected continuously and printable as a common/table.
+// collected continuously; the pool merges them into PoolStats.
 #pragma once
 
 #include <cstdint>
@@ -32,24 +32,17 @@
 #include "common/thread_pool.h"
 #include "core/mime_network.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "serve/batcher.h"
 #include "serve/cost_model.h"
 #include "serve/latency_stats.h"
 #include "serve/request.h"
 #include "serve/request_queue.h"
-#include "serve/service.h"
-#include "serve/service_state.h"
 #include "serve/threshold_cache.h"
-#include "tensor/shape.h"
 #include "tensor/workspace.h"
-
-namespace mime {
-class Table;
-}
 
 namespace mime::serve {
 
+/// Per-replica configuration (PoolConfig::server).
 struct ServerConfig {
     BatcherConfig batcher{};
     /// Resident adaptations (LRU); serving more tasks than this evicts.
@@ -58,32 +51,19 @@ struct ServerConfig {
     std::size_t worker_threads = 0;
     /// Bounded request queue depth (backpressure under overload).
     std::size_t queue_capacity = 4096;
-    /// Invoked after each accepted request reaches a terminal outcome —
-    /// batch completions (with the batch size), reaped deadline/cancel
-    /// failures, and batch errors. Runs on the dispatch thread; a
-    /// ServerPool uses it for admission-slot release and load tracking.
-    std::function<void(std::size_t)> on_requests_complete;
     /// Execute planned conv/linear steps through the int8 quantized
     /// kernels (per-output-channel weight scales snapshotted at plan
     /// build; per-sample dynamic activation scales; float masters and
     /// threshold machinery untouched). Composes with sparse execution,
-    /// which every server runs: the same live sets drive the
+    /// which every replica runs: the same live sets drive the
     /// row-compacted int8 GEMM. Off (the default) keeps full-precision
     /// execution.
     bool quantized_execution = false;
-    /// Fraction of requests that get a span Trace (0 = only requests
-    /// with SubmitOptions::trace set, 1 = all). Deterministic rate
-    /// sampling (see obs::TraceSampler); untraced requests pay one
-    /// branch.
+    /// Fraction of requests the pool's front door gives a span Trace
+    /// (0 = only requests with SubmitOptions::trace set, 1 = all).
+    /// Deterministic rate sampling (see obs::TraceSampler); untraced
+    /// requests pay one branch.
     double trace_sample_rate = 0.0;
-    /// Optional shared service-time predictor (see serve/cost_model.h).
-    /// When set, every batch's measured service time calibrates the
-    /// model and the fraction of its dense MACs the batch executed
-    /// reprices the task; the serve.cost_* metrics go live. A pool
-    /// hands the same instance to every replica. Deadline-feasibility
-    /// shedding is the batcher's predict_batch_us hook, which a
-    /// ServerPool installs from this model.
-    std::shared_ptr<CostModel> cost_model;
 };
 
 /// Per-task aggregate serving statistics.
@@ -93,7 +73,7 @@ struct TaskServeStats {
     double mean_sparsity = 0.0;  ///< mean over sites, averaged per batch
 };
 
-/// Aggregate serving statistics (a consistent snapshot).
+/// One replica's serving statistics (a consistent snapshot).
 struct ServerStats {
     /// Terminal outcomes delivered (results + structured failures).
     std::int64_t requests_completed = 0;
@@ -106,17 +86,9 @@ struct ServerStats {
     std::int64_t cache_hits = 0;
     std::int64_t cache_misses = 0;
     std::int64_t cache_evictions = 0;
-    double mean_batch_size = 0.0;
-    double p50_latency_us = 0.0;
-    double p95_latency_us = 0.0;
-    double p99_latency_us = 0.0;
-    double p999_latency_us = 0.0;
-    /// Completed requests per wall-clock second between the first
-    /// enqueue and the last completion (0 for a zero-length window).
-    double throughput_rps = 0.0;
-    /// Per-priority completion counts and latency quantiles.
-    PriorityLaneStats interactive;
-    PriorityLaneStats batch;
+    /// Requests served ok per priority class.
+    std::int64_t interactive_completed = 0;
+    std::int64_t batch_completed = 0;
     /// Steady-state scratch high-water mark of this replica's Workspace.
     std::int64_t workspace_peak_bytes = 0;
     /// Planned activation bytes: the network's activation arena,
@@ -129,8 +101,6 @@ struct ServerStats {
     std::int64_t skipped_macs = 0;
     /// Dense-equivalent MACs of every planned conv/linear step run.
     std::int64_t dense_equivalent_macs = 0;
-    /// skipped_macs / dense_equivalent_macs (0 when nothing ran).
-    double skipped_mac_fraction = 0.0;
     /// Planned conv/linear steps that ran the int8 quantized kernels.
     std::int64_t quantized_path_hits = 0;
     /// Worst per-channel relative error of the int8 weight snapshots
@@ -140,47 +110,18 @@ struct ServerStats {
     /// not meet their deadline (counted inside deadline_expired too —
     /// infeasibility is a deadline failure, just an early one).
     std::int64_t cost_infeasible_shed = 0;
-    /// Cost model's running mean |predicted-observed|/observed; 0
-    /// without a model.
-    double cost_prediction_error = 0.0;
     std::map<std::string, TaskServeStats> per_task;
-
-    /// Renders the aggregate + per-task rows via common/table.
-    std::string to_table_string() const;
 };
 
-class InferenceServer : public InferenceService {
+class InferenceServer {
 public:
-    /// The network must outlive the server. The loader hydrates cache
-    /// misses (see core::AdaptationStore::task_loader()). The server
-    /// puts the network into eval + threshold mode and attaches its own
-    /// thread pool.
-    InferenceServer(core::MimeNetwork& network, ThresholdCache::Loader loader,
-                    ServerConfig config = {});
-    ~InferenceServer() override;
+    ~InferenceServer();
 
     InferenceServer(const InferenceServer&) = delete;
     InferenceServer& operator=(const InferenceServer&) = delete;
 
-    const ServerConfig& config() const noexcept { return config_; }
-
-    /// Unified submission surface (see InferenceService::submit): never
-    /// throws for runtime conditions — shutdown, deadline expiry,
-    /// cancellation and envelope errors arrive as ServeStatus.
-    RequestTicket submit(const std::string& task, Tensor image,
-                         SubmitOptions options) override;
-
-    /// Blocks until every accepted request has completed.
-    void drain() override;
-
-    /// Drains, then stops the dispatch thread. Idempotent; the
-    /// destructor calls it.
-    void stop() override;
-
-    ServiceStats service_stats() const override;
-    /// Compatibility view over the metrics registry (plus the
-    /// reservoir-backed latency quantiles and per-task table, which
-    /// live outside it).
+    /// Snapshot over the metrics registry (plus the per-task table,
+    /// which lives outside it).
     ServerStats stats() const MIME_EXCLUDES(stats_mutex_);
 
     /// The underlying runtime metrics ("serve.*" counters / gauges /
@@ -197,33 +138,36 @@ public:
     LatencyRecorder latency_recorder(Priority lane) const
         MIME_EXCLUDES(stats_mutex_);
 
-    /// The per-sample [C, H, W] a network's serving front door accepts
-    /// (shared by InferenceServer and ServerPool construction).
-    static Shape serving_input_shape(const core::MimeNetwork& network);
-
 private:
     friend class ServerPool;
 
-    /// Shared submission path. `accepted` (optional) reports whether the
-    /// request was registered and enqueued — rejected-at-door
-    /// submissions deliver their failure outcome without touching the
-    /// drain/completion accounting; the pool unwinds its own bookkeeping
-    /// off this flag. `envelope_checked` skips re-validation for callers
-    /// (the pool) that already ran envelope_error on this request; such
-    /// callers also own the sampling decision and pass their `trace`
-    /// (or null) plus the time their front door was entered, so the
-    /// admission span covers pool admission + routing. Local callers
-    /// leave `trace` null and this replica's sampler decides.
-    RequestTicket submit_impl(const std::string& task, Tensor image,
-                              SubmitOptions options, bool* accepted,
-                              bool envelope_checked = false,
-                              std::shared_ptr<obs::Trace> trace = nullptr,
-                              Clock::time_point admission_start = {});
+    /// The network must outlive the replica. The loader hydrates cache
+    /// misses (see core::AdaptationStore::task_loader()). The replica
+    /// puts the network into eval + threshold mode and attaches its own
+    /// thread pool. Every batch's measured service time calibrates
+    /// `cost_model` (shared with the other replicas), and the fraction
+    /// of its dense MACs the batch executed reprices the task.
+    /// `on_requests_complete` runs on the dispatch thread after each
+    /// terminal delivery — batch completions (with the batch size),
+    /// reaped deadline/cancel failures, and batch errors.
+    InferenceServer(core::MimeNetwork& network, ThresholdCache::Loader loader,
+                    const ServerConfig& config,
+                    std::shared_ptr<CostModel> cost_model,
+                    std::function<void(std::size_t)> on_requests_complete);
+
+    /// Queues a request the pool has admitted. Blocks while the queue is
+    /// full; returns false once stop() has closed it, leaving the
+    /// request intact so the caller can deliver its shutdown outcome.
+    bool enqueue(InferenceRequest&& request);
+
+    /// Serves what is queued, then joins the dispatch thread.
+    /// Idempotent; the destructor calls it.
+    void stop();
 
     void dispatch_loop();
     void run_batch(std::vector<InferenceRequest> batch);
-    /// Delivers a structured failure for a reaped request and records it
-    /// in the completion accounting.
+    /// Delivers a structured failure for a reaped request and reports
+    /// its completion.
     void fail_request(InferenceRequest request, ServeStatus status,
                       std::string message);
     /// Delivers invalid_request to a whole batch after an execution
@@ -233,8 +177,8 @@ private:
     void install_task(const std::string& task);
 
     core::MimeNetwork* network_;
-    ServerConfig config_;
-    Shape input_shape_;  ///< per-sample [C, H, W] the network accepts
+    std::shared_ptr<CostModel> cost_model_;
+    std::function<void(std::size_t)> on_requests_complete_;
     Workspace workspace_;  ///< planned-executor scratch; dispatch-thread only
     ThreadPool pool_;
     RequestQueue queue_;
@@ -246,17 +190,10 @@ private:
     std::int64_t active_classes_ = 0;  ///< dispatch-thread only
     std::int64_t threshold_swaps_ = 0; ///< dispatch-thread only
 
-    /// Submission ids, drain condvar, idempotent stop, throughput window
-    /// — the bookkeeping shared with ServerPool via ServiceState.
-    ServiceState state_;
-
     /// Runtime metrics. Handles below are registered once in the
-    /// constructor; the hot path (dispatch thread, submitters) touches
-    /// them with relaxed atomic adds only. ServerStats is assembled
-    /// from these — what used to be a dozen mutex-guarded counters and
-    /// their "snapshot" shadows.
+    /// constructor; the hot path (dispatch thread) touches them with
+    /// relaxed atomic adds only. ServerStats is assembled from these.
     obs::MetricsRegistry registry_;
-    obs::TraceSampler sampler_;
     obs::Counter& served_;            ///< ok results delivered
     obs::Counter& failed_;            ///< batch-error outcomes
     obs::Counter& deadline_expired_;

@@ -1,10 +1,11 @@
-// Thread-safe bounded MPSC queue feeding the server's dispatch loop.
+// Thread-safe bounded MPSC queue feeding a replica's dispatch loop.
 //
-// Producers (client threads calling InferenceServer::submit) push
-// requests and block when the queue is at capacity (backpressure instead
-// of unbounded memory growth under overload). The single consumer (the
-// dispatch loop) drains everything available at once, optionally waiting
-// up to a deadline for the first arrival.
+// Producers (client threads in ServerPool::submit, through
+// InferenceServer::enqueue) push requests and block when the queue is
+// at capacity (backpressure instead of unbounded memory growth under
+// overload). The single consumer (the dispatch loop) drains everything
+// available at once, optionally waiting up to a deadline for the first
+// arrival.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,7 @@
 // Replica-selection policies for the server pool.
 //
-// Routing decides which replica InferenceServer a request lands on. The
-// three policies trade cache locality against load balance:
+// Routing decides which of a ServerPool's replicas a request lands on.
+// The three policies trade cache locality against load balance:
 //   * round_robin   — strict rotation; perfectly fair, task-blind, so
 //                     every replica ends up hydrating every task,
 //   * task_affinity — hash task -> replica; a task's thresholds live on

@@ -1,12 +1,28 @@
 #include "serve/server_pool.h"
 
 #include <algorithm>
+#include <chrono>
+#include <map>
+#include <optional>
 #include <utility>
 
+#include "common/check.h"
 #include "common/table.h"
 #include "serve/latency_stats.h"
 
 namespace mime::serve {
+
+namespace {
+
+/// The per-sample [C, H, W] the network's first layer accepts.
+Shape serving_input_shape(const core::MimeNetwork& network) {
+    MIME_REQUIRE(!network.layer_specs().empty(),
+                 "network has no layers to serve");
+    const arch::LayerSpec& first = network.layer_specs().front();
+    return Shape({first.in_channels, first.in_height, first.in_width});
+}
+
+}  // namespace
 
 void PoolStats::accumulate(const ServerStats& server) {
     requests_served += server.requests_served;
@@ -26,8 +42,8 @@ void PoolStats::accumulate(const ServerStats& server) {
     quantized_weight_max_rel_error = std::max(
         quantized_weight_max_rel_error, server.quantized_weight_max_rel_error);
     cost_infeasible_shed += server.cost_infeasible_shed;
-    interactive.completed += server.interactive.completed;
-    batch.completed += server.batch.completed;
+    interactive.completed += server.interactive_completed;
+    batch.completed += server.batch_completed;
 }
 
 std::string PoolStats::to_table_string() const {
@@ -93,14 +109,37 @@ std::string PoolStats::to_table_string() const {
                  std::to_string(r.server.cache_evictions),
              std::to_string(r.server.workspace_peak_bytes)});
     }
-    return aggregate.to_string() + "\n" + per_replica.to_string();
+
+    // A task served by several replicas gets one row: counts sum, and
+    // the per-batch mean sparsity is weighted by each replica's batches.
+    std::map<std::string, TaskServeStats> per_task;
+    for (const ReplicaStats& r : replicas) {
+        for (const auto& [name, ts] : r.server.per_task) {
+            TaskServeStats& merged = per_task[name];
+            const std::int64_t batches = merged.batches + ts.batches;
+            merged.mean_sparsity =
+                (merged.mean_sparsity * static_cast<double>(merged.batches) +
+                 ts.mean_sparsity * static_cast<double>(ts.batches)) /
+                static_cast<double>(batches);
+            merged.requests += ts.requests;
+            merged.batches = batches;
+        }
+    }
+    Table tasks({"task", "requests", "batches", "mean sparsity"});
+    for (const auto& [name, ts] : per_task) {
+        tasks.add_row({name, std::to_string(ts.requests),
+                       std::to_string(ts.batches),
+                       Table::num(ts.mean_sparsity, 4)});
+    }
+    return aggregate.to_string() + "\n" + per_replica.to_string() + "\n" +
+           tasks.to_string();
 }
 
 ServerPool::ServerPool(core::MimeNetwork& prototype,
                        ThresholdCache::Loader loader, PoolConfig config)
     : config_(config),
       prototype_(&prototype),
-      input_shape_(InferenceServer::serving_input_shape(prototype)),
+      input_shape_(serving_input_shape(prototype)),
       // One shared cost model feeds batcher feasibility and routing
       // loads; every replica calibrates it.
       cost_model_(config.cost_model ? config.cost_model
@@ -121,7 +160,6 @@ ServerPool::ServerPool(core::MimeNetwork& prototype,
         clones_.push_back(prototype.clone_with_shared_backbone());
     }
     ServerConfig server_config = config.server;
-    server_config.cost_model = cost_model_;
     if (!server_config.batcher.predict_batch_us) {
         // Shed predicted-infeasible work at batch forming; a caller's
         // own hook wins.
@@ -133,13 +171,15 @@ ServerPool::ServerPool(core::MimeNetwork& prototype,
     }
     servers_.reserve(replicas);
     for (std::size_t i = 0; i < replicas; ++i) {
-        server_config.on_requests_complete = [this, i](std::size_t count) {
-            on_requests_complete(i, count);
-        };
         core::MimeNetwork& network =
             i == 0 ? prototype : *clones_[i - 1];
-        servers_.push_back(std::make_unique<InferenceServer>(
-            network, loader, server_config));
+        // The replica's constructor is private to the pool, so
+        // make_unique cannot reach it.
+        servers_.push_back(std::unique_ptr<InferenceServer>(
+            new InferenceServer(network, loader, server_config, cost_model_,
+                                [this, i](std::size_t count) {
+                                    on_requests_complete(i, count);
+                                })));
     }
 }
 
@@ -180,55 +220,75 @@ RequestTicket ServerPool::submit(const std::string& task, Tensor image,
 
     std::size_t replica = 0;
     const double cost_us = request_cost_us(task);
-    InferenceServer* server = nullptr;
     {
         MutexLock lock(mutex_);
         replica = router_.route(task, loads_);
         loads_[replica] += cost_us;
         ++inflight_[replica];
         ++routed_[replica];
-        server = servers_[replica].get();
     }
+    InferenceRequest request;
+    request.enqueue_time = Clock::now();
     const std::optional<std::int64_t> id =
-        state_.register_submit(Clock::now());
+        state_.register_submit(request.enqueue_time);
     if (!id.has_value()) {
         // Raced with stop() after admission: unwind and reject.
-        {
-            MutexLock lock(mutex_);
-            loads_[replica] = std::max(0.0, loads_[replica] - cost_us);
-            --inflight_[replica];
-            --routed_[replica];
-        }
+        unroute(replica, cost_us);
         admission_.release();
         return reject(options, ServeStatus::shutdown,
                       "submit on a stopped pool");
     }
-
-    // The pool owns the sampling decision (envelope_checked callers
-    // suppress the replica's sampler): the admission span then covers
-    // pool admission + routing from this front door's entry.
-    std::shared_ptr<obs::Trace> trace;
-    if (options.trace || sampler_.sample()) {
-        trace = std::make_shared<obs::Trace>();
+    request.id = *id;
+    request.task = task;
+    request.image = std::move(image);
+    request.priority = options.priority;
+    request.control = std::make_shared<RequestControl>();
+    // Saturate: a deadline past the clock's range is no deadline, not
+    // an overflow that wraps into the past.
+    const auto range_left =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            Clock::time_point::max() - request.enqueue_time);
+    if (options.deadline.count() > 0 && options.deadline < range_left) {
+        request.deadline = request.enqueue_time + options.deadline;
     }
+    std::future<Outcome<InferenceResult>> future;
+    if (options.on_result) {
+        request.on_result = std::move(options.on_result);
+    } else {
+        future = request.promise.get_future();
+    }
+    // Record admission *before* the enqueue: after it the replica's
+    // dispatch thread owns the trace (the queue mutex is the hand-off),
+    // so this is the submitter's last write.
+    if (options.trace || sampler_.sample()) {
+        request.trace = std::make_shared<obs::Trace>();
+        request.trace->record(obs::SpanKind::admission, admission_start,
+                              Clock::now());
+    }
+    std::shared_ptr<RequestControl> control = request.control;
+    std::shared_ptr<const obs::Trace> trace = request.trace;
 
-    bool accepted = false;
-    RequestTicket ticket = server->submit_impl(
-        task, std::move(image), std::move(options), &accepted,
-        /*envelope_checked=*/true, std::move(trace), admission_start);
-    if (!accepted) {
-        // The replica rejected at its door (stop race); it already
-        // delivered the failure outcome — just unwind the accounting.
-        {
-            MutexLock lock(mutex_);
-            loads_[replica] = std::max(0.0, loads_[replica] - cost_us);
-            --inflight_[replica];
-            --routed_[replica];
-        }
+    if (!servers_[replica]->enqueue(std::move(request))) {
+        // Raced with stop(): the replica refused the request and left it
+        // intact. Unwind the accounting so drain() still terminates,
+        // then deliver the rejection.
+        unroute(replica, cost_us);
         state_.rollback_submit();
         admission_.release();
+        control->try_claim();  // so cancel() on the ticket reports false
+        request.deliver(Outcome<InferenceResult>(
+            ServeStatus::shutdown, "submit on a stopped pool"));
+        return RequestTicket(-1, std::move(control), std::move(future));
     }
-    return ticket;
+    return RequestTicket(*id, std::move(control), std::move(future),
+                         std::move(trace));
+}
+
+void ServerPool::unroute(std::size_t replica, double cost_us) {
+    MutexLock lock(mutex_);
+    loads_[replica] = std::max(0.0, loads_[replica] - cost_us);
+    --inflight_[replica];
+    --routed_[replica];
 }
 
 void ServerPool::on_requests_complete(std::size_t replica,
@@ -251,8 +311,11 @@ void ServerPool::on_requests_complete(std::size_t replica,
             inflight_[replica] = inflight - done;
         }
     }
-    state_.complete(count, Clock::now());
+    // Free the slots before completing: drain() wakes on the
+    // completion, and a shed-mode pool must not refuse the first
+    // request after it returns.
     admission_.release(count);
+    state_.complete(count, Clock::now());
 }
 
 void ServerPool::drain() { state_.drain(); }
@@ -270,18 +333,11 @@ void ServerPool::stop() {
     }
 }
 
-ServiceStats ServerPool::service_stats() const {
-    const PoolStats full = stats();
-    ServiceStats stats;
-    stats.submitted = full.requests_submitted;
-    stats.completed = full.requests_completed;
-    stats.shed = full.requests_shed;
-    stats.deadline_expired = full.deadline_expired;
-    stats.cancelled = full.cancelled;
-    stats.throughput_rps = full.throughput_rps;
-    stats.interactive = full.interactive;
-    stats.batch = full.batch;
-    return stats;
+const obs::MetricsRegistry& ServerPool::metrics(std::size_t replica) const {
+    MIME_REQUIRE(replica < servers_.size(),
+                 "replica " + std::to_string(replica) + " of a pool of " +
+                     std::to_string(servers_.size()));
+    return servers_[replica]->metrics();
 }
 
 PoolStats ServerPool::stats() const {

@@ -1,23 +1,24 @@
-// Sharded multi-network server pool: N replica InferenceServers behind
-// one InferenceService facade.
+// The serving front door: ServerPool is the one InferenceService, and it
+// serves on N replica InferenceServers (one is a valid pool).
 //
-// PR 2's single server runs one dispatch thread, so forwards serialize
-// no matter how many clients submit. The pool is the scaling step named
-// in ROADMAP.md: each replica owns a MimeNetwork whose frozen backbone
-// *aliases* the prototype's storage (one W_parent in host memory, N
-// replicas — the paper's DRAM argument applied to replication) plus its
-// own ThresholdCache, so forwards proceed genuinely in parallel while a
-// task switch still touches only T_child bytes per replica.
+// Each replica owns a MimeNetwork whose frozen backbone *aliases* the
+// prototype's storage (one W_parent in host memory, N replicas — the
+// paper's DRAM argument applied to replication) plus its own
+// ThresholdCache and dispatch thread, so forwards proceed genuinely in
+// parallel while a task switch still touches only T_child bytes per
+// replica.
 //
 // Request flow: envelope validation -> admission control (pool-wide
 // in-flight cap, block or shed; a shed request completes with
 // ServeStatus::overloaded, never an exception) -> routing policy
-// (round_robin / task_affinity / least_loaded) -> the chosen replica's
-// queue/batcher/dispatcher, which enforces deadlines, priorities and
-// cancellation exactly as a lone server does. task_affinity hashes each
-// task onto one replica so its thresholds are hydrated exactly once
-// pool-wide; round_robin spreads a task over every replica and pays
-// capacity-miss thrashing in exchange for strict fairness.
+// (round_robin / task_affinity / least_loaded) -> the pool builds the
+// InferenceRequest (pool-wide id, saturated deadline, delivery channel,
+// sampled trace with its admission span) and enqueues it on the chosen
+// replica, whose batcher and dispatcher enforce deadlines, priorities
+// and cancellation. task_affinity hashes each task onto one replica so
+// its thresholds are hydrated exactly once pool-wide; round_robin
+// spreads a task over every replica and pays capacity-miss thrashing in
+// exchange for strict fairness.
 //
 // stats() aggregates across replicas: counters sum, and latency
 // percentiles (total and per priority lane) are computed from the
@@ -37,6 +38,8 @@
 
 #include "common/sync.h"
 #include "core/mime_network.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/admission.h"
 #include "serve/cost_model.h"
 #include "serve/inference_server.h"
@@ -48,14 +51,16 @@
 namespace mime::serve {
 
 struct PoolConfig {
-    /// Replica servers (each with its own dispatch thread and cache).
+    /// Replicas (each with its own dispatch thread and cache); 1 serves
+    /// a single network.
     std::size_t replica_count = 2;
     RoutingPolicy routing = RoutingPolicy::task_affinity;
     AdmissionMode admission = AdmissionMode::block;
     /// Pool-wide cap on in-flight (admitted, not yet completed)
     /// requests; 0 = unlimited.
     std::size_t max_pending = 0;
-    /// Per-replica server configuration (batcher, cache, workers...).
+    /// Per-replica configuration (batcher, cache, workers...), plus the
+    /// front door's trace sampling rate.
     ServerConfig server{};
     /// Shared predictor; a default CostModel is built when null. Per-
     /// replica loads are its predicted microseconds outstanding, and
@@ -63,6 +68,15 @@ struct PoolConfig {
     /// (the pool installs server.batcher.predict_batch_us from the
     /// model unless the caller set one).
     std::shared_ptr<CostModel> cost_model;
+};
+
+/// Completion count and latency quantiles of one priority class.
+struct PriorityLaneStats {
+    std::int64_t completed = 0;  ///< requests served ok in this class
+    double p50_latency_us = 0.0;
+    double p95_latency_us = 0.0;
+    double p99_latency_us = 0.0;
+    double p999_latency_us = 0.0;  ///< p99.9, the SLO tail quantile
 };
 
 /// One replica's contribution to the pool.
@@ -135,7 +149,8 @@ struct PoolStats {
     /// (averaging per-replica percentiles would be wrong).
     void accumulate(const ServerStats& server);
 
-    /// Renders the aggregate + per-replica rows via common/table.
+    /// Renders the aggregate, per-replica and per-task rows via
+    /// common/table (per-task rows merged over the replicas).
     std::string to_table_string() const;
 };
 
@@ -164,23 +179,31 @@ public:
     /// Unified submission surface (see InferenceService::submit):
     /// admission shedding completes the request with
     /// ServeStatus::overloaded, a stopped pool with shutdown — no
-    /// exceptions on either path.
+    /// exceptions on either path. Ticket ids are unique pool-wide.
     RequestTicket submit(const std::string& task, Tensor image,
                          SubmitOptions options) override;
 
-    /// Blocks until every admitted request has completed.
+    /// Blocks until every admitted request has completed and released
+    /// its admission slot.
     void drain() override;
 
     /// Drains and stops every replica. Idempotent; the destructor calls
     /// it.
     void stop() override;
 
-    ServiceStats service_stats() const override;
     PoolStats stats() const MIME_EXCLUDES(mutex_);
 
+    /// Replica `replica`'s runtime metrics registry ("serve.*"
+    /// counters, gauges and histograms).
+    const obs::MetricsRegistry& metrics(std::size_t replica) const;
+
 private:
+    /// Releases the admission slots, then completes the requests, so
+    /// drain() never returns with a slot still held.
     void on_requests_complete(std::size_t replica, std::size_t count)
         MIME_EXCLUDES(mutex_);
+    /// Undoes the routing of a request that never reached its replica.
+    void unroute(std::size_t replica, double cost_us) MIME_EXCLUDES(mutex_);
     /// Predicted cost one request of `task` adds to a replica's load.
     /// EXCLUDES(mutex_) is the machine-checked lock-order contract: this
     /// calls into the shared CostModel, whose mutex the dispatch threads
@@ -202,13 +225,12 @@ private:
     std::vector<std::unique_ptr<core::MimeNetwork>> clones_;
     std::vector<std::unique_ptr<InferenceServer>> servers_;
     AdmissionController admission_;
-    /// Pool-level sampler (rate from config.server.trace_sample_rate):
-    /// the pool owns the tracing decision so the admission span covers
-    /// pool admission + routing, not just the replica's front door.
+    /// Rate from config.server.trace_sample_rate; the admission span
+    /// covers pool admission + routing.
     obs::TraceSampler sampler_;
 
-    /// Admitted/completed counters, drain condvar, idempotent stop,
-    /// throughput window — shared bookkeeping via ServiceState.
+    /// Request ids, admitted/completed counters, drain condvar,
+    /// idempotent stop, throughput window.
     ServiceState state_;
 
     mutable Mutex mutex_;

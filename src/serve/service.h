@@ -1,16 +1,15 @@
 // Unified client API for the serving runtime.
 //
-// `InferenceService` is the one submission surface every serving backend
-// implements — today `InferenceServer` (one network, one dispatch
-// thread) and `ServerPool` (N sharded replicas); the ROADMAP's
-// cross-host sharding step plugs behind the same contract. A submission
-// carries a `SubmitOptions` envelope (relative deadline, priority class,
-// delivery channel) and returns a move-only `RequestTicket` supporting
-// best-effort cancel(). Results arrive as `Outcome<InferenceResult>` —
-// overload shedding, stopped-service submission, deadline expiry and
-// cancellation are ServeStatus values on that channel, never exceptions
-// — through the ticket's future or, when `on_result` is set, a callback
-// invoked from the dispatch side.
+// `InferenceService` is the submission surface clients program
+// against; `ServerPool` (N replicas over one shared backbone, N >= 1)
+// implements it. A submission carries a `SubmitOptions` envelope
+// (relative deadline, priority class, delivery channel) and returns a
+// move-only `RequestTicket` supporting best-effort cancel(). Results
+// arrive as `Outcome<InferenceResult>` — overload shedding,
+// stopped-service submission, deadline expiry and cancellation are
+// ServeStatus values on that channel, never exceptions — through the
+// ticket's future or, when `on_result` is set, a callback invoked from
+// the dispatch side.
 #pragma once
 
 #include <chrono>
@@ -70,7 +69,8 @@ public:
     RequestTicket(const RequestTicket&) = delete;
     RequestTicket& operator=(const RequestTicket&) = delete;
 
-    /// Service-local request id (replica-local under a pool).
+    /// Request id, unique within the service (equal to the result's
+    /// InferenceResult::request_id); -1 for a rejected submission.
     std::int64_t id() const noexcept { return id_; }
     bool valid() const noexcept { return control_ != nullptr; }
     /// True for future delivery while wait() has not consumed the
@@ -105,31 +105,6 @@ private:
     std::shared_ptr<const obs::Trace> trace_;
 };
 
-/// Completion count and latency quantiles of one priority class.
-struct PriorityLaneStats {
-    std::int64_t completed = 0;  ///< requests served ok in this class
-    double p50_latency_us = 0.0;
-    double p95_latency_us = 0.0;
-    double p99_latency_us = 0.0;
-    double p999_latency_us = 0.0;  ///< p99.9, the SLO tail quantile
-};
-
-/// Backend-agnostic serving counters, comparable across every
-/// InferenceService implementation (the richer ServerStats / PoolStats
-/// remain on the concrete classes).
-struct ServiceStats {
-    std::int64_t submitted = 0;  ///< accepted past the front door
-    std::int64_t completed = 0;  ///< terminal outcomes delivered
-    std::int64_t shed = 0;       ///< rejected with ServeStatus::overloaded
-    std::int64_t deadline_expired = 0;
-    std::int64_t cancelled = 0;
-    /// Completed requests per wall-clock second between first accept and
-    /// last completion; 0 while the window is empty or zero-length.
-    double throughput_rps = 0.0;
-    PriorityLaneStats interactive;
-    PriorityLaneStats batch;
-};
-
 class InferenceService {
 public:
     virtual ~InferenceService() = default;
@@ -152,20 +127,15 @@ public:
     /// Drains in-flight work, then stops serving. Idempotent.
     virtual void stop() = 0;
 
-    virtual ServiceStats service_stats() const = 0;
-
 protected:
     /// Delivers an immediate rejection on the envelope's channel and
-    /// returns the (already-completed) ticket. Shared by every backend's
-    /// front door.
+    /// returns the (already-completed) ticket.
     static RequestTicket reject(SubmitOptions& options, ServeStatus status,
                                 std::string message);
 
-    /// The envelope rules every backend's front door enforces (task
-    /// named, image matches `input_shape`, deadline non-negative):
-    /// returns the invalid_request message, or nullopt when valid. One
-    /// definition so a lone server and a pool can never drift on what
-    /// they accept.
+    /// The envelope rules the front door enforces (task named, image
+    /// matches `input_shape`, deadline non-negative): returns the
+    /// invalid_request message, or nullopt when valid.
     static std::optional<std::string> envelope_error(
         const std::string& task, const Tensor& image,
         const Shape& input_shape, const SubmitOptions& options);

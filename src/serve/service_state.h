@@ -1,14 +1,11 @@
-// Shared submission/completion bookkeeping for InferenceService
-// implementations.
+// Submission/completion bookkeeping of the serving front door.
 //
-// InferenceServer and ServerPool used to each re-declare the same
-// cluster of state: submitted/completed counters, the drained_ condvar,
-// the idempotent stopped_ flag, and the first-accept / last-completion
-// wall-clock window behind throughput_rps. ServiceState is that cluster
-// factored out once: the front door registers accepted submissions (and
-// rolls back ones whose enqueue raced with close), the dispatch side
-// records terminal deliveries, and drain()/begin_stop() provide the
-// blocking and idempotence semantics both backends share.
+// ServerPool's front door registers accepted submissions here (taking
+// each request's id, and rolling back ones whose enqueue raced with
+// close), the replicas' completion reports record terminal deliveries,
+// and drain()/begin_stop() provide the blocking and idempotence
+// semantics of InferenceService::drain() and stop(). The first-accept /
+// last-completion wall-clock window backs PoolStats::throughput_rps.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +18,8 @@ namespace mime::serve {
 
 class ServiceState {
 public:
-    /// Registers one accepted submission and returns its service-local
-    /// id, or nullopt once stop has begun (the caller rejects with
+    /// Registers one accepted submission and returns its id (sequential
+    /// from 0), or nullopt once stop has begun (the caller rejects with
     /// ServeStatus::shutdown). The first registration opens the
     /// throughput window.
     std::optional<std::int64_t> register_submit(Clock::time_point now)

@@ -462,7 +462,9 @@ TEST(Linear, ComputesWithEveryInputListItIsHanded) {
     // Handed 15 of 16 input features (above the default cutoff), the
     // layer contracts over those only: the unlisted feature's nonzero
     // values never reach the output, which bit-matches a dense forward
-    // of the input with that feature zeroed.
+    // of the input with that feature zeroed. On the int8 path the
+    // unlisted feature (set to 50, far above the others) must not set
+    // the per-sample scale either.
     Rng rng(22);
     Linear fc(16, 6, rng);
     fc.bias().value = Tensor::randn({6}, rng);
@@ -476,19 +478,37 @@ TEST(Linear, ComputesWithEveryInputListItIsHanded) {
     }
     const ActiveIndexView view{live.data(), 15, 16};
     ASSERT_GT(view.density(), kDefaultSparseDensityCutoff);
-    const Tensor x = Tensor::randn({3, 16}, rng);
+    Tensor x = Tensor::randn({3, 16}, rng);
+    for (std::int64_t n = 0; n < 3; ++n) {
+        x[n * 16 + kUnlisted] = 50.0f;
+    }
     Tensor zeroed = x;
     for (std::int64_t n = 0; n < 3; ++n) {
         zeroed[n * 16 + kUnlisted] = 0.0f;
     }
-    Tensor want({3, 6});
-    fc.forward_into(zeroed, want);
-    Tensor got({3, 6});
-    fc.forward_into(x, got, &view);
-    EXPECT_EQ(0, std::memcmp(want.data(), got.data(), 18 * sizeof(float)));
-    Tensor leaked({3, 6});
-    fc.forward_into(x, leaked);
-    EXPECT_NE(0, std::memcmp(want.data(), leaked.data(), 18 * sizeof(float)));
+    const QuantizedTensor q = transpose_quantized(
+        quantize_weights_per_channel(fc.weight().value));
+    Workspace ws(fc.quantized_workspace_bytes(3));
+    for (const bool int8 : {false, true}) {
+        SCOPED_TRACE(int8 ? "int8" : "float");
+        auto run = [&](const Tensor& in, const ActiveIndexView* list) {
+            Tensor out({3, 6});
+            if (int8) {
+                fc.forward_into_quantized(in, ws, out, q, list);
+            } else {
+                fc.forward_into(in, out, list);
+            }
+            return out;
+        };
+        const Tensor want = run(zeroed, nullptr);
+        const Tensor got = run(x, &view);
+        EXPECT_EQ(0,
+                  std::memcmp(want.data(), got.data(), 18 * sizeof(float)));
+        const Tensor leaked = run(x, nullptr);
+        EXPECT_NE(0, std::memcmp(want.data(), leaked.data(),
+                                 18 * sizeof(float)));
+    }
+    EXPECT_EQ(ws.used_bytes(), 0u);
 }
 
 TEST(Linear, ForwardMatchesManual) {

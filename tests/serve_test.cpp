@@ -1,5 +1,5 @@
 // Tests for the serving runtime: task batching, the LRU threshold cache,
-// and the InferenceServer end to end (served outputs must bit-match
+// and a one-replica ServerPool end to end (served outputs must bit-match
 // direct per-task forward passes; concurrent submits must be safe).
 #include <gtest/gtest.h>
 
@@ -12,9 +12,9 @@
 #include "core/adaptation_store.h"
 #include "obs/trace.h"
 #include "serve/batcher.h"
-#include "serve/inference_server.h"
 #include "serve/latency_stats.h"
 #include "serve/request_queue.h"
+#include "serve/server_pool.h"
 #include "serve/threshold_cache.h"
 #include "tensor/tensor_ops.h"
 
@@ -451,8 +451,16 @@ TEST(LatencyRecorder, MergeBeyondReservoirKeepsProportionalSample) {
 }
 
 // ---------------------------------------------------------------------------
-// InferenceServer end to end
+// One-replica pool end to end
 // ---------------------------------------------------------------------------
+
+/// A pool serving one network: the single-network deployment.
+PoolConfig one_replica(const ServerConfig& server = {}) {
+    PoolConfig config;
+    config.replica_count = 1;
+    config.server = server;
+    return config;
+}
 
 struct ServeFixture {
     core::MimeNetwork network{tiny_config()};
@@ -501,7 +509,7 @@ struct ServeFixture {
     }
 };
 
-TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
+TEST(OneReplicaPool, ServedOutputsBitMatchDirectForward) {
     ServeFixture fixture;
     Rng rng(17);
     const std::vector<std::string> tasks = {"alpha", "beta", "gamma"};
@@ -514,7 +522,7 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
         config.batcher.max_batch_size = 4;
         config.cache_capacity = 3;
         config.worker_threads = 1;
-        InferenceServer server(fixture.network, fixture.loader(), config);
+        ServerPool pool(fixture.network, fixture.loader(), one_replica(config));
 
         for (std::int64_t i = 0; i < 18; ++i) {
             const std::string task =
@@ -522,16 +530,16 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
             Tensor image = Tensor::randn({3, 32, 32}, rng);
             request_tasks.push_back(task);
             request_images.push_back(image);
-            tickets.push_back(server.submit(task, std::move(image), {}));
+            tickets.push_back(pool.submit(task, std::move(image), {}));
         }
-        server.drain();
+        pool.drain();
 
-        const ServerStats stats = server.stats();
+        const PoolStats stats = pool.stats();
         EXPECT_EQ(stats.requests_completed, 18);
         EXPECT_GT(stats.batches_run, 0);
         EXPECT_GT(stats.threshold_swaps, 0);
         EXPECT_EQ(stats.cache_misses, 3);  // one hydrate per task
-        server.stop();
+        pool.stop();
     }
 
     for (std::size_t i = 0; i < tickets.size(); ++i) {
@@ -555,31 +563,31 @@ TEST(InferenceServer, ServedOutputsBitMatchDirectForward) {
     }
 }
 
-TEST(InferenceServer, QuantizedExecutionServesAndReportsCounters) {
+TEST(OneReplicaPool, QuantizedExecutionServesAndReportsCounters) {
     ServeFixture fixture;
     ServerConfig config;
     config.batcher.max_batch_size = 4;
     config.worker_threads = 1;
     config.quantized_execution = true;
-    InferenceServer server(fixture.network, fixture.loader(), config);
+    ServerPool pool(fixture.network, fixture.loader(), one_replica(config));
 
     Rng rng(19);
     const Tensor image = Tensor::randn({3, 32, 32}, rng);
     // The same (task, image) twice: the int8 path is deterministic, so
     // serving must reproduce logits bit-for-bit across batches.
-    const InferenceResult first = server.run("alpha", image.clone()).value();
-    server.drain();
+    const InferenceResult first = pool.run("alpha", image.clone()).value();
+    pool.drain();
     const InferenceResult second =
-        server.run("alpha", image.clone()).value();
-    EXPECT_TRUE(server.run("beta", image.clone()).ok());
-    server.drain();
+        pool.run("alpha", image.clone()).value();
+    EXPECT_TRUE(pool.run("beta", image.clone()).ok());
+    pool.drain();
 
     ASSERT_EQ(first.logits.numel(), second.logits.numel());
     for (std::int64_t c = 0; c < first.logits.numel(); ++c) {
         ASSERT_EQ(first.logits[c], second.logits[c]) << "class " << c;
     }
 
-    const ServerStats stats = server.stats();
+    const PoolStats stats = pool.stats();
     EXPECT_EQ(stats.requests_served, 3);
     EXPECT_GT(stats.quantized_path_hits, 0);
     EXPECT_GT(stats.quantized_weight_max_rel_error, 0.0);
@@ -587,7 +595,7 @@ TEST(InferenceServer, QuantizedExecutionServesAndReportsCounters) {
     // The counters ride the metrics registry like every other serving
     // stat (JSON / Prometheus export included).
     bool found = false;
-    for (const auto& metric : server.metrics().snapshot()) {
+    for (const auto& metric : pool.metrics(0).snapshot()) {
         if (metric.name == "serve.quantized_path_hits") {
             EXPECT_EQ(metric.type, obs::MetricType::gauge);
             EXPECT_GT(metric.value, 0.0);
@@ -595,25 +603,25 @@ TEST(InferenceServer, QuantizedExecutionServesAndReportsCounters) {
         }
     }
     EXPECT_TRUE(found);
-    server.stop();
+    pool.stop();
 
-    // A float server reports zero quantized activity.
+    // A float pool reports zero quantized activity.
     config.quantized_execution = false;
-    InferenceServer fp32(fixture.network, fixture.loader(), config);
+    ServerPool fp32(fixture.network, fixture.loader(), one_replica(config));
     EXPECT_TRUE(fp32.run("alpha", image.clone()).ok());
     fp32.drain();
     EXPECT_EQ(fp32.stats().quantized_path_hits, 0);
     EXPECT_EQ(fp32.stats().quantized_weight_max_rel_error, 0.0);
 }
 
-TEST(InferenceServer, ConcurrentSubmitsAreSafe) {
+TEST(OneReplicaPool, ConcurrentSubmitsAreSafe) {
     ServeFixture fixture;
     ServerConfig config;
     config.batcher.max_batch_size = 8;
     config.cache_capacity = 2;  // force evictions among 3 tasks
     config.worker_threads = 1;
     config.queue_capacity = 16;  // exercise backpressure
-    InferenceServer server(fixture.network, fixture.loader(), config);
+    ServerPool pool(fixture.network, fixture.loader(), one_replica(config));
 
     const std::vector<std::string> tasks = {"alpha", "beta", "gamma"};
     constexpr int kThreads = 4;
@@ -627,7 +635,7 @@ TEST(InferenceServer, ConcurrentSubmitsAreSafe) {
                 const std::string& task =
                     tasks[static_cast<std::size_t>((t + i) % 3)];
                 results[static_cast<std::size_t>(t)].push_back(
-                    server.run(task, Tensor::randn({3, 32, 32}, rng))
+                    pool.run(task, Tensor::randn({3, 32, 32}, rng))
                         .value());
             }
         });
@@ -635,9 +643,9 @@ TEST(InferenceServer, ConcurrentSubmitsAreSafe) {
     for (std::thread& client : clients) {
         client.join();
     }
-    server.stop();
+    pool.stop();
 
-    const ServerStats stats = server.stats();
+    const PoolStats stats = pool.stats();
     EXPECT_EQ(stats.requests_completed, kThreads * kPerThread);
     EXPECT_GE(stats.cache_misses, 3);
     for (const auto& per_client : results) {
@@ -651,9 +659,9 @@ TEST(InferenceServer, ConcurrentSubmitsAreSafe) {
     }
 }
 
-TEST(InferenceServer, IdleReplicaServesLoneRequestWithoutWaiting) {
+TEST(OneReplicaPool, IdleReplicaServesLoneRequestWithoutWaiting) {
     ServeFixture fixture;
-    InferenceServer server(fixture.network, fixture.loader(), ServerConfig{});
+    ServerPool pool(fixture.network, fixture.loader(), one_replica());
 
     // One request in flight at a time, so every batch is partial: an
     // idle replica must run each at once, not hold it back for peers.
@@ -663,7 +671,7 @@ TEST(InferenceServer, IdleReplicaServesLoneRequestWithoutWaiting) {
         SubmitOptions options;
         options.trace = true;
         RequestTicket ticket =
-            server.submit("alpha", image.clone(), std::move(options));
+            pool.submit("alpha", image.clone(), std::move(options));
         ASSERT_TRUE(ticket.wait().ok()) << "request " << i;
         const obs::Trace* trace = ticket.trace();
         ASSERT_NE(trace, nullptr) << "request " << i;
@@ -675,26 +683,26 @@ TEST(InferenceServer, IdleReplicaServesLoneRequestWithoutWaiting) {
                         static_cast<std::ptrdiff_t>(batch_form_us.size() / 2);
     std::nth_element(batch_form_us.begin(), median, batch_form_us.end());
     EXPECT_LT(*median, 500.0) << "median batch_form span (us)";
-    server.stop();
+    pool.stop();
 }
 
-TEST(InferenceServer, RejectsWrongImageShapeAtSubmit) {
+TEST(OneReplicaPool, RejectsWrongImageShapeAtSubmit) {
     ServeFixture fixture;
-    InferenceServer server(fixture.network, fixture.loader());
+    ServerPool pool(fixture.network, fixture.loader(), one_replica());
     // A mis-shaped request must fail at the door, not poison a batch.
-    EXPECT_EQ(server.run("alpha", Tensor({1, 28, 28})).status(),
+    EXPECT_EQ(pool.run("alpha", Tensor({1, 28, 28})).status(),
               ServeStatus::invalid_request);
-    EXPECT_EQ(server.run("alpha", Tensor({3, 32})).status(),
+    EXPECT_EQ(pool.run("alpha", Tensor({3, 32})).status(),
               ServeStatus::invalid_request);
     // Well-formed traffic is unaffected.
     const Outcome<InferenceResult> result =
-        server.run("alpha", Tensor({3, 32, 32}, 0.2f));
+        pool.run("alpha", Tensor({3, 32, 32}, 0.2f));
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result.value().task, "alpha");
-    server.stop();
+    pool.stop();
 }
 
-TEST(InferenceServer, HydratesFromAdaptationStoreOnDisk) {
+TEST(OneReplicaPool, HydratesFromAdaptationStoreOnDisk) {
     ServeFixture fixture;
     const std::string dir = ::testing::TempDir() + "/serve_store_test";
     std::filesystem::remove_all(dir);
@@ -703,54 +711,55 @@ TEST(InferenceServer, HydratesFromAdaptationStoreOnDisk) {
         store.save_task(adaptation);
     }
 
-    InferenceServer server(fixture.network, store.task_loader());
+    ServerPool pool(fixture.network, store.task_loader(), one_replica());
     const InferenceResult result =
-        server.run("beta", Tensor({3, 32, 32}, 0.1f)).value();
+        pool.run("beta", Tensor({3, 32, 32}, 0.1f)).value();
     EXPECT_EQ(result.task, "beta");
-    EXPECT_EQ(server.stats().cache_misses, 1);
-    server.stop();
+    EXPECT_EQ(pool.stats().cache_misses, 1);
+    pool.stop();
     std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
-// Planned executor in the server (Workspace stats, steady-state allocs)
+// Planned executor in the replica (Workspace stats, steady-state allocs)
 // ---------------------------------------------------------------------------
 
-TEST(InferenceServer, ReportsWorkspaceBytesWithPlannedExecutor) {
+TEST(OneReplicaPool, ReportsWorkspaceBytesWithPlannedExecutor) {
     ServeFixture fixture;
     ServerConfig config;
     config.batcher.max_batch_size = 4;
     config.worker_threads = 1;
-    InferenceServer server(fixture.network, fixture.loader(), config);
+    ServerPool pool(fixture.network, fixture.loader(), one_replica(config));
 
     Rng rng(27);
     for (int i = 0; i < 8; ++i) {
         EXPECT_TRUE(
-            server.run("alpha", Tensor::randn({3, 32, 32}, rng)).ok());
+            pool.run("alpha", Tensor::randn({3, 32, 32}, rng)).ok());
     }
-    server.drain();
-    const ServerStats stats = server.stats();
+    pool.drain();
+    const PoolStats stats = pool.stats();
     // Steady-state workspace bytes are reported alongside sparsity.
     EXPECT_GT(stats.workspace_peak_bytes, 0);
     EXPECT_GT(stats.plan_buffer_bytes, 0);
-    EXPECT_GT(stats.per_task.at("alpha").mean_sparsity, 0.0);
-    server.stop();
+    EXPECT_GT(stats.replicas[0].server.per_task.at("alpha").mean_sparsity,
+              0.0);
+    pool.stop();
 }
 
-TEST(InferenceServer, SteadyStateBatchesAllocateNoTensorStorage) {
+TEST(OneReplicaPool, SteadyStateBatchesAllocateNoTensorStorage) {
     ServeFixture fixture;
     ServerConfig config;
     config.batcher.max_batch_size = 1;  // fixed batch size -> one plan
     config.worker_threads = 1;
-    InferenceServer server(fixture.network, fixture.loader(), config);
+    ServerPool pool(fixture.network, fixture.loader(), one_replica(config));
 
     const Tensor image({3, 32, 32}, 0.1f);
     // Warm-up: hydrate the task, build the plan, reserve the workspace.
-    ASSERT_TRUE(server.run("alpha", image).ok());
-    ASSERT_TRUE(server.run("alpha", image).ok());
+    ASSERT_TRUE(pool.run("alpha", image).ok());
+    ASSERT_TRUE(pool.run("alpha", image).ok());
 
     const std::int64_t allocations = Tensor::storage_allocation_count();
-    ASSERT_TRUE(server.run("alpha", image).ok());
+    ASSERT_TRUE(pool.run("alpha", image).ok());
     const std::int64_t per_request =
         Tensor::storage_allocation_count() - allocations;
     // The forward itself is allocation-free; what remains is request
@@ -761,7 +770,7 @@ TEST(InferenceServer, SteadyStateBatchesAllocateNoTensorStorage) {
     EXPECT_LE(per_request, 8)
         << "steady-state request allocated " << per_request
         << " tensor storage blocks";
-    server.stop();
+    pool.stop();
 }
 
 // ---------------------------------------------------------------------------

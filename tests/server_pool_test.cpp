@@ -414,6 +414,60 @@ TEST(ServerPool, ShedModeRefusesDeterministically) {
     pool.stop();
 }
 
+TEST(ServerPool, DrainReturnsWithEveryAdmissionSlotFree) {
+    // drain() returning means every admitted request has released its
+    // slot: at max_pending=1 in shed mode, the request after each drain
+    // must be admitted, never shed.
+    PoolFixture fixture(1);
+    PoolConfig config;
+    config.replica_count = 1;
+    config.admission = AdmissionMode::shed;
+    config.max_pending = 1;
+    config.server.worker_threads = 1;
+    ServerPool pool(fixture.network, fixture.loader(), config);
+
+    constexpr int kRounds = 300;
+    std::vector<RequestTicket> tickets;
+    tickets.reserve(kRounds);
+    for (int i = 0; i < kRounds; ++i) {
+        tickets.push_back(
+            pool.submit("task0", Tensor({3, 32, 32}, 0.1f), {}));
+        pool.drain();
+    }
+    const PoolStats stats = pool.stats();
+    pool.stop();
+
+    EXPECT_EQ(stats.requests_shed, 0);
+    EXPECT_EQ(stats.requests_completed, kRounds);
+    for (RequestTicket& ticket : tickets) {
+        EXPECT_TRUE(ticket.wait().ok());
+    }
+}
+
+TEST(ServerPool, TicketIdsAreUniqueAcrossReplicas) {
+    PoolFixture fixture(2);
+    PoolConfig config;
+    config.replica_count = 2;
+    config.routing = RoutingPolicy::round_robin;
+    config.server.worker_threads = 1;
+    ServerPool pool(fixture.network, fixture.loader(), config);
+
+    std::vector<RequestTicket> tickets;
+    for (int i = 0; i < 8; ++i) {
+        tickets.push_back(pool.submit("task" + std::to_string(i % 2),
+                                      Tensor({3, 32, 32}, 0.1f), {}));
+    }
+    std::set<std::int64_t> ids;
+    for (RequestTicket& ticket : tickets) {
+        EXPECT_TRUE(ids.insert(ticket.id()).second)
+            << "id " << ticket.id() << " repeats";
+        const Outcome<InferenceResult> outcome = ticket.wait();
+        ASSERT_TRUE(outcome.ok());
+        EXPECT_EQ(outcome.value().request_id, ticket.id());
+    }
+    pool.stop();
+}
+
 TEST(ServerPool, BlockModeNeverExceedsMaxPending) {
     PoolFixture fixture(2);
     PoolConfig config;
@@ -526,6 +580,9 @@ TEST(ServerPool, StatsMergeUsesPooledReservoirs) {
     const std::string table = stats.to_table_string();
     EXPECT_NE(table.find("replicas"), std::string::npos);
     EXPECT_NE(table.find("cache hit rate"), std::string::npos);
+    // Per-task rows, one per task whichever replica served it.
+    EXPECT_NE(table.find("mean sparsity"), std::string::npos);
+    EXPECT_NE(table.find("task1"), std::string::npos);
 }
 
 TEST(ServerPool, CostAwareSchedulingCalibratesAndRetiresLoad) {

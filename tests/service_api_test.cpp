@@ -1,12 +1,12 @@
-// Conformance suite for the unified InferenceService client API,
-// parameterized over both backends (InferenceServer, ServerPool). The
-// contract under test: overload shed, stopped-service submission,
-// expired deadlines and cancellation surface as ServeStatus values on
-// the result channel (never exceptions), expired requests complete at
-// batch-forming time without occupying a forward, cancel() reports
-// whether it won the race with dispatch, and callback delivery carries
-// bit-identical results to future delivery. The cancel-race cases run
-// under ThreadSanitizer in CI.
+// Conformance suite for the unified InferenceService client API, run on
+// ServerPools of one and two replicas. The contract under test:
+// overload shed, stopped-service submission, expired deadlines and
+// cancellation surface as ServeStatus values on the result channel
+// (never exceptions), expired requests complete at batch-forming time
+// without occupying a forward, cancel() reports whether it won the race
+// with dispatch, and callback delivery carries bit-identical results to
+// future delivery. The cancel-race cases run under ThreadSanitizer in
+// CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +21,6 @@
 #include "common/sync.h"
 #include "core/multitask.h"
 #include "obs/trace.h"
-#include "serve/inference_server.h"
 #include "serve/server_pool.h"
 #include "serve/service.h"
 #include "serve/service_state.h"
@@ -85,40 +84,38 @@ struct LoaderGate {
     }
 };
 
-enum class BackendKind { server, pool };
-
-struct BackendSpec {
+struct PoolSpec {
     const char* name;
-    BackendKind kind;
+    std::size_t replicas;
 };
 
-/// Both backends behind the one interface the suite drives.
-std::unique_ptr<InferenceService> make_backend(
-    BackendKind kind, ServiceFixture& fixture,
-    ThresholdCache::Loader loader) {
-    ServerConfig server_config;
-    server_config.batcher.max_batch_size = 4;
-    server_config.cache_capacity = 4;
-    server_config.worker_threads = 1;
-    if (kind == BackendKind::server) {
-        return std::make_unique<InferenceServer>(fixture.network,
-                                                 std::move(loader),
-                                                 server_config);
-    }
+ServerConfig small_server() {
+    ServerConfig config;
+    config.batcher.max_batch_size = 4;
+    config.cache_capacity = 4;
+    config.worker_threads = 1;
+    return config;
+}
+
+/// A task-affinity pool of `replicas` replicas over the fixture network.
+std::unique_ptr<ServerPool> make_pool(
+    std::size_t replicas, ServiceFixture& fixture,
+    ThresholdCache::Loader loader,
+    const ServerConfig& server = small_server()) {
     PoolConfig pool_config;
-    pool_config.replica_count = 2;
+    pool_config.replica_count = replicas;
     pool_config.routing = RoutingPolicy::task_affinity;
-    pool_config.server = server_config;
+    pool_config.server = server;
     return std::make_unique<ServerPool>(fixture.network, std::move(loader),
                                         pool_config);
 }
 
-class ServiceApiTest : public ::testing::TestWithParam<BackendSpec> {};
+class ServiceApiTest : public ::testing::TestWithParam<PoolSpec> {};
 
 TEST_P(ServiceApiTest, OkOutcomeCarriesResultThroughTicket) {
     ServiceFixture fixture;
     auto service =
-        make_backend(GetParam().kind, fixture, fixture.loader());
+        make_pool(GetParam().replicas, fixture, fixture.loader());
 
     RequestTicket ticket =
         service->submit("task0", Tensor({3, 32, 32}, 0.1f), {});
@@ -135,9 +132,9 @@ TEST_P(ServiceApiTest, OkOutcomeCarriesResultThroughTicket) {
     // wait() can return before the pool's completion hook runs; drain()
     // synchronizes the counters.
     service->drain();
-    const ServiceStats stats = service->service_stats();
-    EXPECT_EQ(stats.submitted, 1);
-    EXPECT_EQ(stats.completed, 1);
+    const PoolStats stats = service->stats();
+    EXPECT_EQ(stats.requests_submitted, 1);
+    EXPECT_EQ(stats.requests_completed, 1);
     EXPECT_EQ(stats.interactive.completed, 1);  // the default priority
     EXPECT_EQ(stats.batch.completed, 0);
     service->stop();
@@ -146,7 +143,7 @@ TEST_P(ServiceApiTest, OkOutcomeCarriesResultThroughTicket) {
 TEST_P(ServiceApiTest, StoppedServiceDeliversShutdownNotException) {
     ServiceFixture fixture;
     auto service =
-        make_backend(GetParam().kind, fixture, fixture.loader());
+        make_pool(GetParam().replicas, fixture, fixture.loader());
     service->stop();
 
     RequestTicket ticket =
@@ -165,7 +162,7 @@ TEST_P(ServiceApiTest, StoppedServiceDeliversShutdownNotException) {
 TEST_P(ServiceApiTest, MalformedEnvelopeDeliversInvalidRequest) {
     ServiceFixture fixture;
     auto service =
-        make_backend(GetParam().kind, fixture, fixture.loader());
+        make_pool(GetParam().replicas, fixture, fixture.loader());
 
     EXPECT_EQ(service->run("", Tensor({3, 32, 32})).status(),
               ServeStatus::invalid_request);
@@ -181,7 +178,7 @@ TEST_P(ServiceApiTest, MalformedEnvelopeDeliversInvalidRequest) {
     // Rejections never enter the submitted/completed accounting and
     // never block drain.
     service->drain();
-    EXPECT_EQ(service->service_stats().submitted, 0);
+    EXPECT_EQ(service->stats().requests_submitted, 0);
 
     // Well-formed traffic is unaffected.
     EXPECT_TRUE(service->run("task0", Tensor({3, 32, 32}, 0.2f)).ok());
@@ -192,7 +189,7 @@ TEST_P(ServiceApiTest, ExpiredDeadlineReapsBeforeLaterBatches) {
     ServiceFixture fixture;
     LoaderGate gate;
     auto service =
-        make_backend(GetParam().kind, fixture, gate.wrap(fixture.loader()));
+        make_pool(GetParam().replicas, fixture, gate.wrap(fixture.loader()));
 
     Mutex order_mutex;
     std::vector<std::string> order;
@@ -235,9 +232,9 @@ TEST_P(ServiceApiTest, ExpiredDeadlineReapsBeforeLaterBatches) {
         EXPECT_EQ(order[1], "b:deadline_exceeded");
         EXPECT_EQ(order[2], "c:ok");
     }
-    const ServiceStats stats = service->service_stats();
-    EXPECT_EQ(stats.submitted, 3);
-    EXPECT_EQ(stats.completed, 3);
+    const PoolStats stats = service->stats();
+    EXPECT_EQ(stats.requests_submitted, 3);
+    EXPECT_EQ(stats.requests_completed, 3);
     EXPECT_EQ(stats.deadline_expired, 1);
     service->stop();
 }
@@ -248,7 +245,7 @@ TEST_P(ServiceApiTest, DeadlinePastTheClockMeansNoDeadline) {
     // enqueue-time addition and wrap into the past.
     ServiceFixture fixture;
     auto service =
-        make_backend(GetParam().kind, fixture, fixture.loader());
+        make_pool(GetParam().replicas, fixture, fixture.loader());
 
     SubmitOptions options;
     options.deadline = std::chrono::microseconds::max();
@@ -257,7 +254,7 @@ TEST_P(ServiceApiTest, DeadlinePastTheClockMeansNoDeadline) {
     EXPECT_TRUE(outcome.ok()) << to_string(outcome.status()) << ": "
                               << outcome.message();
     service->drain();
-    EXPECT_EQ(service->service_stats().deadline_expired, 0);
+    EXPECT_EQ(service->stats().deadline_expired, 0);
     service->stop();
 }
 
@@ -265,7 +262,7 @@ TEST_P(ServiceApiTest, CancelBeforeDispatchWinsAndDeliversCancelled) {
     ServiceFixture fixture;
     LoaderGate gate;
     auto service =
-        make_backend(GetParam().kind, fixture, gate.wrap(fixture.loader()));
+        make_pool(GetParam().replicas, fixture, gate.wrap(fixture.loader()));
 
     RequestTicket wedge =
         service->submit("task0", Tensor({3, 32, 32}, 0.1f), {});
@@ -282,8 +279,8 @@ TEST_P(ServiceApiTest, CancelBeforeDispatchWinsAndDeliversCancelled) {
     EXPECT_TRUE(wedge.wait().ok());
 
     service->drain();
-    const ServiceStats stats = service->service_stats();
-    EXPECT_EQ(stats.completed, 2);
+    const PoolStats stats = service->stats();
+    EXPECT_EQ(stats.requests_completed, 2);
     EXPECT_EQ(stats.cancelled, 1);
     service->stop();
 }
@@ -291,12 +288,12 @@ TEST_P(ServiceApiTest, CancelBeforeDispatchWinsAndDeliversCancelled) {
 TEST_P(ServiceApiTest, CancelAfterCompletionLoses) {
     ServiceFixture fixture;
     auto service =
-        make_backend(GetParam().kind, fixture, fixture.loader());
+        make_pool(GetParam().replicas, fixture, fixture.loader());
     RequestTicket ticket =
         service->submit("task0", Tensor({3, 32, 32}, 0.1f), {});
     ASSERT_TRUE(ticket.wait().ok());
     EXPECT_FALSE(ticket.cancel());
-    EXPECT_EQ(service->service_stats().cancelled, 0);
+    EXPECT_EQ(service->stats().cancelled, 0);
     service->stop();
 }
 
@@ -308,7 +305,7 @@ TEST_P(ServiceApiTest, CancelRacingDispatchIsConsistent) {
     // for the cancelled ones.
     ServiceFixture fixture;
     auto service =
-        make_backend(GetParam().kind, fixture, fixture.loader());
+        make_pool(GetParam().replicas, fixture, fixture.loader());
 
     constexpr int kRequests = 48;
     std::vector<RequestTicket> tickets;
@@ -341,8 +338,8 @@ TEST_P(ServiceApiTest, CancelRacingDispatchIsConsistent) {
                 << "request " << i << ": " << to_string(outcome.status());
         }
     }
-    const ServiceStats stats = service->service_stats();
-    EXPECT_EQ(stats.completed, kRequests);
+    const PoolStats stats = service->stats();
+    EXPECT_EQ(stats.requests_completed, kRequests);
     EXPECT_EQ(stats.cancelled, cancelled);
     EXPECT_EQ(stats.interactive.completed, kRequests - cancelled);
     service->stop();
@@ -351,7 +348,7 @@ TEST_P(ServiceApiTest, CancelRacingDispatchIsConsistent) {
 TEST_P(ServiceApiTest, CallbackAndFutureDeliverBitIdenticalResults) {
     ServiceFixture fixture;
     auto service =
-        make_backend(GetParam().kind, fixture, fixture.loader());
+        make_pool(GetParam().replicas, fixture, fixture.loader());
     Rng rng(19);
     const Tensor image = Tensor::randn({3, 32, 32}, rng);
 
@@ -386,21 +383,21 @@ TEST_P(ServiceApiTest, CallbackAndFutureDeliverBitIdenticalResults) {
     EXPECT_EQ(via_future.value().predicted_class,
               via_callback.value().predicted_class);
 
-    const ServiceStats stats = service->service_stats();
+    const PoolStats stats = service->stats();
     EXPECT_EQ(stats.interactive.completed, 1);
     EXPECT_EQ(stats.batch.completed, 1);
     service->stop();
 }
 
 // ---------------------------------------------------------------------------
-// Request tracing conformance (ISSUE: every span the serving path emits,
-// in order, on both backends; read-after-delivery only). TSan runs these.
+// Request tracing conformance: every span the serving path emits, in
+// order, on both pool sizes; read-after-delivery only. TSan runs these.
 // ---------------------------------------------------------------------------
 
 TEST_P(ServiceApiTest, TracedRequestExposesOrderedSpanTimeline) {
     ServiceFixture fixture;
     auto service =
-        make_backend(GetParam().kind, fixture, fixture.loader());
+        make_pool(GetParam().replicas, fixture, fixture.loader());
 
     SubmitOptions options;
     options.trace = true;  // explicit opt-in beats the sample rate
@@ -432,7 +429,7 @@ TEST_P(ServiceApiTest, TracedRequestExposesOrderedSpanTimeline) {
 TEST_P(ServiceApiTest, UntracedByDefault) {
     ServiceFixture fixture;
     auto service =
-        make_backend(GetParam().kind, fixture, fixture.loader());
+        make_pool(GetParam().replicas, fixture, fixture.loader());
     RequestTicket ticket =
         service->submit("task0", Tensor({3, 32, 32}, 0.1f), {});
     ASSERT_TRUE(ticket.wait().ok());
@@ -445,7 +442,7 @@ TEST_P(ServiceApiTest, ExpiredTracedRequestHasDeliveryButNoForward) {
     ServiceFixture fixture;
     LoaderGate gate;
     auto service =
-        make_backend(GetParam().kind, fixture, gate.wrap(fixture.loader()));
+        make_pool(GetParam().replicas, fixture, gate.wrap(fixture.loader()));
 
     // Wedge dispatch, then let a traced request expire while pending.
     RequestTicket wedge =
@@ -475,21 +472,10 @@ TEST_P(ServiceApiTest, ExpiredTracedRequestHasDeliveryButNoForward) {
 
 TEST_P(ServiceApiTest, SampleRateOneTracesEveryRequest) {
     ServiceFixture fixture;
-    ServerConfig server_config;
-    server_config.batcher.max_batch_size = 4;
-    server_config.worker_threads = 1;
+    ServerConfig server_config = small_server();
     server_config.trace_sample_rate = 1.0;
-    std::unique_ptr<InferenceService> service;
-    if (GetParam().kind == BackendKind::server) {
-        service = std::make_unique<InferenceServer>(
-            fixture.network, fixture.loader(), server_config);
-    } else {
-        PoolConfig pool_config;
-        pool_config.replica_count = 2;
-        pool_config.server = server_config;
-        service = std::make_unique<ServerPool>(fixture.network,
-                                               fixture.loader(), pool_config);
-    }
+    auto service = make_pool(GetParam().replicas, fixture,
+                                fixture.loader(), server_config);
     for (int i = 0; i < 4; ++i) {
         RequestTicket ticket =
             service->submit("task" + std::to_string(i % 2),
@@ -504,10 +490,10 @@ TEST_P(ServiceApiTest, SampleRateOneTracesEveryRequest) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Backends, ServiceApiTest,
-    ::testing::Values(BackendSpec{"server", BackendKind::server},
-                      BackendSpec{"pool", BackendKind::pool}),
-    [](const ::testing::TestParamInfo<BackendSpec>& info) {
+    Pools, ServiceApiTest,
+    ::testing::Values(PoolSpec{"one_replica", 1},
+                      PoolSpec{"two_replicas", 2}),
+    [](const ::testing::TestParamInfo<PoolSpec>& info) {
         return std::string(info.param.name);
     });
 
@@ -543,9 +529,9 @@ TEST(ServiceApiPool, OverloadShedDeliversOverloadedOutcome) {
     EXPECT_TRUE(second.wait().ok());
     service.drain();
 
-    const ServiceStats stats = service.service_stats();
-    EXPECT_EQ(stats.completed, 2);
-    EXPECT_EQ(stats.shed, 1);
+    const PoolStats stats = pool.stats();
+    EXPECT_EQ(stats.requests_completed, 2);
+    EXPECT_EQ(stats.requests_shed, 1);
     service.stop();
 }
 
@@ -553,43 +539,40 @@ TEST(ServiceApiPool, OverloadShedDeliversOverloadedOutcome) {
 // Work-conserving dispatch under backlog
 // ---------------------------------------------------------------------------
 
-TEST(ServiceApiServer, BacklogStillFormsFullTaskGroupedBatches) {
+TEST(ServiceApiOneReplica, BacklogStillFormsFullTaskGroupedBatches) {
     // Partial batches leave as soon as the replica is idle, but a
     // backlog that piled up during a forward must still batch fully:
     // the loop must not degrade to one request per forward.
     ServiceFixture fixture;
     LoaderGate gate;
-    ServerConfig config;
-    config.batcher.max_batch_size = 4;
-    config.worker_threads = 1;
-    InferenceServer server(fixture.network, gate.wrap(fixture.loader()),
-                           config);
+    auto pool = make_pool(1, fixture, gate.wrap(fixture.loader()));
 
     RequestTicket wedge =
-        server.submit("task0", Tensor({3, 32, 32}, 0.1f), {});
+        pool->submit("task0", Tensor({3, 32, 32}, 0.1f), {});
     gate.entered.wait();  // the dispatch thread is mid-hydration
     std::vector<RequestTicket> tickets;
     for (int i = 0; i < 8; ++i) {
-        tickets.push_back(server.submit("task" + std::to_string(i % 2),
-                                        Tensor({3, 32, 32}, 0.01f * i), {}));
+        tickets.push_back(pool->submit("task" + std::to_string(i % 2),
+                                       Tensor({3, 32, 32}, 0.01f * i), {}));
     }
     gate.open_promise.set_value();
-    server.drain();
+    pool->drain();
 
     EXPECT_TRUE(wedge.wait().ok());
     for (RequestTicket& ticket : tickets) {
         EXPECT_TRUE(ticket.wait().ok());
     }
     // The wedged batch of one, then one full batch per task.
-    const ServerStats stats = server.stats();
+    const PoolStats stats = pool->stats();
     EXPECT_EQ(stats.batches_run, 3);
-    EXPECT_EQ(stats.per_task.at("task0").batches, 2);
-    EXPECT_EQ(stats.per_task.at("task1").batches, 1);
-    server.stop();
+    const ServerStats& replica = stats.replicas[0].server;
+    EXPECT_EQ(replica.per_task.at("task0").batches, 2);
+    EXPECT_EQ(replica.per_task.at("task1").batches, 1);
+    pool->stop();
 }
 
 // ---------------------------------------------------------------------------
-// ServiceState (the shared drain/stop/throughput bookkeeping)
+// ServiceState (the front door's drain/stop/throughput bookkeeping)
 // ---------------------------------------------------------------------------
 
 TEST(ServiceState, ThroughputGuardsZeroLengthWindow) {
