@@ -11,7 +11,8 @@
 //      skipped-MAC fraction,
 //   5. int8 qgemm vs float gemm across the tiny-VGG conv shapes, plus
 //      report-only rows for the 2x2-output (n = 4) conv shapes that run
-//      the kernels' narrow paths,
+//      the kernels' narrow paths, and float GFLOP/s of the width-0.25
+//      VGG's wide per-sample conv GEMMs on pre-packed weights,
 //   6. int8 quantized planned forward vs the float sparse forward on
 //      the same pruned tiny-VGG (A/B-interleaved, min-of-N timing).
 //
@@ -223,6 +224,7 @@ int run(bool check_mode) {
     reps.set("forward_dense_sparse", kTimeReps);
     reps.set("qgemm_shapes", kQgemmReps);
     reps.set("narrow_shapes", kNarrowReps);
+    reps.set("wide_conv_shapes", kTimeReps);
     reps.set("forward_int8", kInt8ForwardReps);
     json.set("timing_reps", std::move(reps));
 
@@ -485,6 +487,48 @@ int run(bool check_mode) {
         narrow_json.push_back(std::move(row));
     }
     json.set("narrow_shapes", std::move(narrow_json));
+
+    // Report-only (no gate): the wide per-sample conv GEMMs of the
+    // width-0.25 VGG that `singular` serves (m = Cout, n = output
+    // positions, k = Cin * 3 * 3), run the way Conv2d::forward_into runs
+    // them: the weights packed once with gemm_pack, then one gemm_packed
+    // per sample, which is what is timed here.
+    const QShape wide_shapes[] = {{"w0.25 conv2", 16, 1024, 144},
+                                  {"w0.25 conv4", 32, 256, 288},
+                                  {"w0.25 conv6-7", 64, 64, 576},
+                                  {"w0.25 conv9-10", 128, 16, 1152}};
+    std::printf("\n  wide conv shapes, packed once, report-only:\n");
+    std::vector<Json> wide_json;
+    for (const QShape& shape : wide_shapes) {
+        const Tensor fa = Tensor::randn({shape.m, shape.k}, rng);
+        const Tensor fb = Tensor::randn({shape.k, shape.n}, rng);
+        Tensor fc({shape.m, shape.n});
+        std::vector<float> packed(
+            static_cast<std::size_t>(gemm_pack_floats(shape.m, shape.k)));
+        gemm_pack(false, shape.m, shape.k, nullptr, shape.k, 1.0f, fa.data(),
+                  shape.k, packed.data());
+        const double float_s = time_seconds(iters, [&] {
+            gemm_packed(shape.m, shape.n, shape.k, nullptr, shape.k,
+                        packed.data(), fb.data(), shape.n, 0.0f, fc.data(),
+                        shape.n);
+        });
+        const double float_gflops = 2.0 *
+                                    static_cast<double>(shape.m * shape.n *
+                                                        shape.k) *
+                                    iters / float_s / 1e9;
+        std::printf("    %-15s %3lldx%4lldx%4lld: float %6.2f GFLOP/s\n",
+                    shape.name, static_cast<long long>(shape.m),
+                    static_cast<long long>(shape.n),
+                    static_cast<long long>(shape.k), float_gflops);
+        Json row;
+        row.set("shape", std::string(shape.name));
+        row.set("m", shape.m);
+        row.set("n", shape.n);
+        row.set("k", shape.k);
+        row.set("float_gflops", float_gflops);
+        wide_json.push_back(std::move(row));
+    }
+    json.set("wide_conv_shapes", std::move(wide_json));
 
     // -- 6. int8 quantized planned forward vs float sparse -----------------
     // Two networks with identical weights and pruning so the A/B can

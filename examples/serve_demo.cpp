@@ -127,10 +127,31 @@ int main(int argc, char** argv) {
                     service.run("cifar10-like", Tensor({3, 32, 32}, 0.2f),
                                 std::move(expired))
                         .status()));
+    // A cancel wins only while its request still waits in the queue,
+    // and an idle replica's dispatch thread claims a request at once. So
+    // wedge that thread first: a served request's callback runs on the
+    // dispatch side, and this one blocks until released. (A request
+    // refused at submit gets its callback on the submitting thread,
+    // which must not block.)
+    std::promise<void> wedged;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    serve::SubmitOptions wedge;
+    wedge.on_result = [&wedged, released](
+                          serve::Outcome<serve::InferenceResult> outcome) {
+        wedged.set_value();
+        if (outcome.ok()) {
+            released.wait();
+        }
+    };
+    service.submit("cifar10-like", Tensor({3, 32, 32}, 0.3f),
+                   std::move(wedge));
+    wedged.get_future().wait();
     serve::RequestTicket doomed =
         service.submit("fmnist-like", Tensor({3, 32, 32}, 0.3f), {});
-    std::printf("cancel() won: %s    -> %s\n",
-                doomed.cancel() ? "yes" : "no",
+    const bool won = doomed.cancel();
+    release.set_value();
+    std::printf("cancel() won: %s    -> %s\n", won ? "yes" : "no",
                 serve::to_string(doomed.wait().status()));
     std::printf("mis-shaped request  -> %s\n",
                 serve::to_string(

@@ -135,11 +135,8 @@ std::int64_t Conv2d::workspace_floats(std::int64_t in_height,
                                       std::int64_t in_width,
                                       std::int64_t batch) const {
     const ConvGeometry g = geometry(in_height, in_width);
-    const auto packed =
-        g.col_cols() < kGemmNarrowN
-            ? static_cast<std::int64_t>(Workspace::aligned_floats(
-                  gemm_narrow_pack_floats(out_channels_, g.col_rows())))
-            : 0;
+    const auto packed = static_cast<std::int64_t>(Workspace::aligned_floats(
+        gemm_pack_floats(out_channels_, g.col_rows())));
     return packed + conv_bands(batch) *
                         static_cast<std::int64_t>(Workspace::aligned_floats(
                             g.col_rows() * g.col_cols()));
@@ -230,18 +227,12 @@ void Conv2d::forward_into(const Tensor& input, Workspace& workspace,
     const std::int64_t out_stride = out_channels_ * spatial;
 
     const Workspace::Checkpoint mark = workspace.checkpoint();
-    // Narrow outputs (fewer than kGemmNarrowN spatial positions) take the
-    // GEMM's narrow path, which vectorizes across output channels from a
-    // packed copy of the weights. Every sample contracts against the
-    // same weights, so pack them once per call rather than per sample.
-    float* packed = nullptr;
-    if (spatial < kGemmNarrowN) {
-        packed = workspace.alloc_floats(
-            gemm_narrow_pack_floats(out_count, row_count));
-        gemm_narrow_pack(false, out_channels_, ckk, rows, row_count, 1.0f,
-                         weight_.value.data(), ckk, packed, out_rows,
-                         out_count);
-    }
+    // Every sample contracts against the same weights, so pack them once
+    // per call; every sample, and every band worker, reads that pack.
+    float* packed =
+        workspace.alloc_floats(gemm_pack_floats(out_count, row_count));
+    gemm_pack(false, out_channels_, ckk, rows, row_count, 1.0f,
+              weight_.value.data(), ckk, packed, out_rows, out_count);
 
     auto run_sample = [&](std::int64_t n, float* cols,
                           ThreadPool* gemm_pool) {
@@ -254,16 +245,9 @@ void Conv2d::forward_into(const Tensor& input, Workspace& workspace,
         } else {
             im2col(g, input.data() + n * in_stride, cols);
         }
-        if (packed != nullptr) {
-            gemm_narrow_packed(out_channels_, spatial, ckk, rows, row_count,
-                               packed, cols, spatial, 0.0f, out, spatial,
-                               gemm_pool, out_rows, out_count);
-        } else {
-            gemm_rows(false, false, out_channels_, spatial, ckk, rows,
-                      row_count, 1.0f, weight_.value.data(), ckk, cols,
-                      spatial, 0.0f, out, spatial, gemm_pool, out_rows,
-                      out_count);
-        }
+        gemm_packed(out_channels_, spatial, ckk, rows, row_count, packed,
+                    cols, spatial, 0.0f, out, spatial, gemm_pool, out_rows,
+                    out_count);
         if (bias_) {
             const float* b = bias_->value.data();
             for (std::int64_t q = 0; q < out_count; ++q) {

@@ -30,8 +30,11 @@ public:
     std::int64_t cached_state_bytes() const override;
 
     /// Planned-executor forward: writes into the caller-preallocated
-    /// `output` ([N, Cout, Ho, Wo]) using `workspace` for the im2col
-    /// scratch — no tensor-storage allocation, no backward caching.
+    /// `output` ([N, Cout, Ho, Wo]) using `workspace` for the packed
+    /// weights and the im2col scratch — no tensor-storage allocation, no
+    /// backward caching. The weights (only the listed rows and columns,
+    /// under the lists below) are packed once per call, and every
+    /// sample's GEMM reads that one pack.
     /// When this module has a pool and batch > 1, samples are split
     /// across conv_bands() workers, each with its own pre-carved
     /// workspace slice (the band scratch is allocated up front on the
@@ -110,8 +113,8 @@ public:
 
     /// Workspace floats forward_into() allocates for one forward at
     /// this input geometry and batch size (already alignment-rounded):
-    /// one im2col scratch slice per band, plus the packed weights when
-    /// the output has fewer than kGemmNarrowN spatial positions.
+    /// the weights packed once per call, plus one im2col scratch slice
+    /// per band.
     std::int64_t workspace_floats(std::int64_t in_height,
                                   std::int64_t in_width,
                                   std::int64_t batch = 1) const;

@@ -19,13 +19,7 @@ namespace {
 // Cache-blocking parameters chosen for float32 on typical 32KiB L1 /
 // 1MiB L2 caches; correctness does not depend on them.
 constexpr std::int64_t kBlockM = 64;
-constexpr std::int64_t kBlockN = 256;
 constexpr std::int64_t kBlockK = 256;
-
-inline float load(const float* p, std::int64_t ld, std::int64_t row,
-                  std::int64_t col, bool transposed) {
-    return transposed ? p[col * ld + row] : p[row * ld + col];
-}
 
 inline std::int64_t stored_index(const std::int64_t* rows, std::int64_t p) {
     return rows != nullptr ? rows[p] : p;
@@ -33,81 +27,9 @@ inline std::int64_t stored_index(const std::int64_t* rows, std::int64_t p) {
 
 // Packing scratch lives per thread so a pool-banded gemm never shares
 // (or repeatedly reallocates) pack buffers; capacity is retained across
-// calls, so the serving hot path stops paying a heap allocation per
-// conv sample that the old per-call std::vector cost.
+// calls, so a steady caller pays no heap allocation.
 thread_local std::vector<float> tl_a_pack;
 thread_local std::vector<float> tl_b_pack;
-
-// One row of the microkernel: c[jj:jend) += sum_p arow[p] * brows[p][j],
-// with arow already alpha-scaled. Dense and row-compacted execution both
-// funnel through this exact loop nest, which is what makes the sparse
-// path bit-match the dense one: for a given output element the FMA chain
-// visits the same surviving p's in the same order, and the terms the
-// sparse path drops are exactly zero in the dense run (a +0 accumulator
-// is unchanged by adding ±0, and cancellation can only produce +0 in
-// round-to-nearest, never -0).
-#if defined(MIME_GEMM_AVX2)
-inline void micro_row(float* crow, const float* arow,
-                      const float* const* brows, std::int64_t pack_cols,
-                      std::int64_t jj, std::int64_t jend) {
-    std::int64_t j = jj;
-    for (; j + 16 <= jend; j += 16) {
-        __m256 acc0 = _mm256_loadu_ps(crow + j);
-        __m256 acc1 = _mm256_loadu_ps(crow + j + 8);
-        for (std::int64_t p = 0; p < pack_cols; ++p) {
-            const float av = arow[p];
-            if (av == 0.0f) {
-                continue;
-            }
-            const __m256 a_vec = _mm256_set1_ps(av);
-            const float* brow = brows[p] + j;
-            acc0 = _mm256_fmadd_ps(a_vec, _mm256_loadu_ps(brow), acc0);
-            acc1 = _mm256_fmadd_ps(a_vec, _mm256_loadu_ps(brow + 8), acc1);
-        }
-        _mm256_storeu_ps(crow + j, acc0);
-        _mm256_storeu_ps(crow + j + 8, acc1);
-    }
-    for (; j + 8 <= jend; j += 8) {
-        __m256 acc = _mm256_loadu_ps(crow + j);
-        for (std::int64_t p = 0; p < pack_cols; ++p) {
-            const float av = arow[p];
-            if (av == 0.0f) {
-                continue;
-            }
-            acc = _mm256_fmadd_ps(_mm256_set1_ps(av),
-                                  _mm256_loadu_ps(brows[p] + j), acc);
-        }
-        _mm256_storeu_ps(crow + j, acc);
-    }
-    for (; j < jend; ++j) {
-        float acc = crow[j];
-        for (std::int64_t p = 0; p < pack_cols; ++p) {
-            const float av = arow[p];
-            if (av == 0.0f) {
-                continue;
-            }
-            acc = std::fma(av, brows[p][j], acc);
-        }
-        crow[j] = acc;
-    }
-}
-#else
-inline void micro_row(float* crow, const float* arow,
-                      const float* const* brows, std::int64_t pack_cols,
-                      std::int64_t jj, std::int64_t jend) {
-    for (std::int64_t j = jj; j < jend; ++j) {
-        float acc = crow[j];
-        for (std::int64_t p = 0; p < pack_cols; ++p) {
-            const float av = arow[p];
-            if (av == 0.0f) {
-                continue;
-            }
-            acc = std::fma(av, brows[p][j], acc);
-        }
-        crow[j] = acc;
-    }
-}
-#endif
 
 // C[m0:m1, 0:n) *= beta, with beta == 0 overwriting (so NaN garbage in
 // an uninitialized C never survives). m0 and m1 are positions in the
@@ -128,105 +50,26 @@ void scale_rows(float beta, float* c, std::int64_t ldc,
     }
 }
 
-// Computes one row-band [m0, m1) of C without any threading. `rows`
-// restricts the contraction to the listed stored indices (identity when
-// null, in which case the contraction length is `row_count` itself);
-// `out_rows` maps band positions to the rows of op(A) and C (identity
-// when null).
-void gemm_band(bool trans_a, bool trans_b, std::int64_t m0, std::int64_t m1,
-               std::int64_t n, const std::int64_t* rows,
-               std::int64_t row_count, const std::int64_t* out_rows,
-               float alpha, const float* a, std::int64_t lda, const float* b,
-               std::int64_t ldb, float beta, float* c, std::int64_t ldc) {
-    scale_rows(beta, c, ldc, out_rows, m0, m1, n);
-
-    std::vector<float>& a_pack = tl_a_pack;
-    std::vector<float>& b_pack = tl_b_pack;
-    const float* brows[kBlockK];
-
-    // Blocking runs over *positions* in the (possibly compacted) row
-    // list, so the per-output accumulation order is the ascending stored
-    // index order for dense and compacted execution alike.
-    for (std::int64_t kk = 0; kk < row_count; kk += kBlockK) {
-        const std::int64_t kend = std::min(kk + kBlockK, row_count);
-        const std::int64_t pack_cols = kend - kk;
-
-        // Resolve this block's op(B) row bases once. The transposed case
-        // packs the strided columns of the stored B into contiguous rows
-        // (one pass per K-block, amortized over every row of the band).
-        if (!trans_b) {
-            for (std::int64_t p = 0; p < pack_cols; ++p) {
-                const std::int64_t row =
-                    rows != nullptr ? rows[kk + p] : kk + p;
-                brows[p] = b + row * ldb;
-            }
-        } else {
-            b_pack.resize(static_cast<std::size_t>(pack_cols * n));
-            for (std::int64_t p = 0; p < pack_cols; ++p) {
-                const std::int64_t row =
-                    rows != nullptr ? rows[kk + p] : kk + p;
-                float* dst = b_pack.data() + p * n;
-                for (std::int64_t j = 0; j < n; ++j) {
-                    dst[j] = b[j * ldb + row];
-                }
-                brows[p] = dst;
-            }
-        }
-
-        for (std::int64_t ii = m0; ii < m1; ii += kBlockM) {
-            const std::int64_t iend = std::min(ii + kBlockM, m1);
-            const std::int64_t pack_rows = iend - ii;
-            // Pack op(A) alpha-scaled so the microkernel streams
-            // contiguously regardless of the transpose flag. Scaling at
-            // pack time is the same single multiply the inner loop used
-            // to do, so results are unchanged.
-            a_pack.resize(static_cast<std::size_t>(pack_rows * pack_cols));
-            for (std::int64_t i = 0; i < pack_rows; ++i) {
-                const std::int64_t row = stored_index(out_rows, ii + i);
-                for (std::int64_t p = 0; p < pack_cols; ++p) {
-                    const std::int64_t col =
-                        rows != nullptr ? rows[kk + p] : kk + p;
-                    a_pack[static_cast<std::size_t>(i * pack_cols + p)] =
-                        alpha * load(a, lda, row, col, trans_a);
-                }
-            }
-            for (std::int64_t jj = 0; jj < n; jj += kBlockN) {
-                const std::int64_t jend = std::min(jj + kBlockN, n);
-                for (std::int64_t i = 0; i < pack_rows; ++i) {
-                    micro_row(c + stored_index(out_rows, ii + i) * ldc,
-                              a_pack.data() + i * pack_cols, brows, pack_cols,
-                              jj, jend);
-                }
-            }
-        }
-    }
-}
-
-// -- narrow-N path (n < kGemmNarrowN) --------------------------------------
-// A conv whose output has 2x2 spatial positions is an [M, 4] product:
-// micro_row vectorizes across columns of C, so all of it would land in
-// micro_row's scalar tail. Here the vector lanes run across *rows* of C
-// (output channels) instead. op(A) is packed alpha-scaled into panels of
-// kPanelRows rows stored p-major — panel[p * kPanelRows + r] =
-// alpha * op(A)[i0 + r, stored p] — so one load yields the same
-// contraction term for eight output rows. Each output element is still
-// one FMA chain over ascending p, started from the beta-scaled C: the
-// result equals micro_row's for finite inputs (micro_row only skips
-// av == 0 terms, which leave a finite nonzero accumulator unchanged), and
-// the compacted path keeps bit-matching dense for the same reason.
-// narrow_gemm_band blocks the contraction by kBlockK like gemm_band, so
-// its pack scratch stays bounded; a tile stores its accumulators to C
-// between K-blocks and reloads them, which is exact and keeps the chain.
+// -- packed panels ---------------------------------------------------------
+// Both tiles read op(A) packed alpha-scaled into panels of kPanelRows
+// rows stored p-major: panel[p * kPanelRows + r] = alpha * op(A)[i0 + r,
+// stored p]. One load then yields the same contraction term for eight
+// output rows (the narrow tile), and consecutive broadcasts walk one
+// 32-byte group per term (the wide tile). Each output element is one
+// FMA chain over ascending p, started from the beta-scaled C, on either
+// tile: a tile stores its accumulators to C between K-blocks and
+// reloads them, which is exact and keeps the chain, so the result does
+// not depend on the tile, the blocking or the band split.
 constexpr std::int64_t kPanelRows = 8;
 
-std::int64_t narrow_pack_floats(std::int64_t m, std::int64_t row_count) {
+std::int64_t pack_floats(std::int64_t m, std::int64_t row_count) {
     return (m + kPanelRows - 1) / kPanelRows * kPanelRows * row_count;
 }
 
 // Packs the rows of alpha * op(A) at positions [i0, i0 + m) of the
 // output-row list (identity when null), contracted over the (possibly
 // compacted) index list, into ceil(m / kPanelRows) panels. Rows past m
-// are zero so every tile runs full-width.
+// are zero so every narrow tile runs full-width.
 void pack_panels(bool trans_a, std::int64_t i0, std::int64_t m,
                  const std::int64_t* rows, std::int64_t row_count,
                  const std::int64_t* out_rows, float alpha, const float* a,
@@ -260,12 +103,16 @@ void pack_panels(bool trans_a, std::int64_t i0, std::int64_t m,
 }
 
 #if defined(MIME_GEMM_AVX2)
-// NP panels (NP * 8 rows of C, `live_rows` of them real) by NC <= 4
-// columns, all held in registers across the whole contraction: two
-// panels by four columns is 8 accumulators fed by 2 panel loads and 4
-// broadcasts per term. `c` points at the tile's first column in row 0
-// of C, and the tile's row i is C row stored(out_rows, i0 + i); op(B)'s
-// compacted row p is b + stored(p) * ldb.
+// -- narrow tile (n < kGemmNarrowN) ---------------------------------------
+// A conv whose output has 2x2 spatial positions is an [M, 4] product, too
+// narrow for vectors across the columns of C, so the lanes run across
+// its rows (output channels): NP panels (NP * 8 rows of C, `live_rows`
+// of them real) by NC <= 4 columns, all held in registers across the
+// whole contraction. Two panels by four columns is 8 accumulators fed by
+// 2 panel loads and 4 broadcasts per term. `c` points at the tile's
+// first column in row 0 of C, and the tile's row i is C row
+// stored(out_rows, i0 + i); op(B)'s compacted row p is
+// b + stored(p) * ldb.
 template <int NP, int NC>
 inline void narrow_tile(const float* panels, std::int64_t row_count,
                         const float* b, std::int64_t ldb,
@@ -341,8 +188,6 @@ void narrow_tile_cols(std::int64_t cols, const float* panels,
     }
 }
 
-// Rows at positions [i0, i0 + m) of C += packed panels * op(B), C
-// already beta-scaled; `packed` holds those positions' panels.
 void narrow_band(const float* packed, std::int64_t i0, std::int64_t m,
                  std::int64_t n, std::int64_t row_count, const float* b,
                  std::int64_t ldb, const std::int64_t* rows, float* c,
@@ -362,11 +207,139 @@ void narrow_band(const float* packed, std::int64_t i0, std::int64_t m,
         }
     }
 }
+
+// -- wide tile (n >= kGemmNarrowN) ----------------------------------------
+// MR <= 4 rows by 8 * NV columns of C held in registers over `depth`
+// contraction steps: the 4 x 16 tile is 8 accumulators fed by 2 op(B)
+// loads and 4 panel broadcasts per term. `a` points at the tile's first
+// row in its panel at the block's first term (the rows of a term are
+// kPanelRows apart), brows[p] at op(B)'s row for the block's term p, and
+// crows[r] at C's row r.
+template <int MR, int NV>
+inline void wide_tile(const float* a, const float* const* brows,
+                      std::int64_t depth, float* const* crows,
+                      std::int64_t j) {
+    __m256 acc[MR][NV];
+    for (int r = 0; r < MR; ++r) {
+        for (int v = 0; v < NV; ++v) {
+            acc[r][v] = _mm256_loadu_ps(crows[r] + j + 8 * v);
+        }
+    }
+    for (std::int64_t p = 0; p < depth; ++p) {
+        const float* brow = brows[p] + j;
+        __m256 bv[NV];
+        for (int v = 0; v < NV; ++v) {
+            bv[v] = _mm256_loadu_ps(brow + 8 * v);
+        }
+        const float* ap = a + p * kPanelRows;
+        for (int r = 0; r < MR; ++r) {
+            const __m256 av = _mm256_broadcast_ss(ap + r);
+            for (int v = 0; v < NV; ++v) {
+                acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+            }
+        }
+    }
+    for (int r = 0; r < MR; ++r) {
+        for (int v = 0; v < NV; ++v) {
+            _mm256_storeu_ps(crows[r] + j + 8 * v, acc[r][v]);
+        }
+    }
+}
+
+// Columns [j0, j1) of MR rows, at most 16 of them: one 16-wide tile, or
+// an 8-wide tile and then scalar columns carrying MR chains each.
+template <int MR>
+void wide_rows(const float* a, const float* const* brows, std::int64_t depth,
+               float* const* crows, std::int64_t j0, std::int64_t j1) {
+    std::int64_t j = j0;
+    if (j + 16 <= j1) {
+        wide_tile<MR, 2>(a, brows, depth, crows, j);
+        return;
+    }
+    if (j + 8 <= j1) {
+        wide_tile<MR, 1>(a, brows, depth, crows, j);
+        j += 8;
+    }
+    for (; j < j1; ++j) {
+        float acc[MR];
+        for (int r = 0; r < MR; ++r) {
+            acc[r] = crows[r][j];
+        }
+        for (std::int64_t p = 0; p < depth; ++p) {
+            const float bv = brows[p][j];
+            for (int r = 0; r < MR; ++r) {
+                acc[r] = std::fma(a[p * kPanelRows + r], bv, acc[r]);
+            }
+        }
+        for (int r = 0; r < MR; ++r) {
+            crows[r][j] = acc[r];
+        }
+    }
+}
+
+// Per kBlockK block of terms, each 16-column strip of op(B) meets every
+// 4-row strip of the panels in turn, so the strip's block stays in L1
+// while the panels stream past it.
+void wide_band(const float* packed, std::int64_t i0, std::int64_t m,
+               std::int64_t n, std::int64_t row_count, const float* b,
+               std::int64_t ldb, const std::int64_t* rows, float* c,
+               std::int64_t ldc, const std::int64_t* out_rows) {
+    const float* brows[kBlockK];
+    for (std::int64_t kk = 0; kk < row_count; kk += kBlockK) {
+        const std::int64_t depth = std::min(kBlockK, row_count - kk);
+        for (std::int64_t p = 0; p < depth; ++p) {
+            brows[p] = b + stored_index(rows, kk + p) * ldb;
+        }
+        for (std::int64_t j = 0; j < n; j += 16) {
+            const std::int64_t j1 = std::min<std::int64_t>(j + 16, n);
+            for (std::int64_t i = 0; i < m; i += 4) {
+                const std::int64_t mr = std::min<std::int64_t>(4, m - i);
+                float* crows[4] = {};
+                for (std::int64_t r = 0; r < mr; ++r) {
+                    crows[r] = c + stored_index(out_rows, i0 + i + r) * ldc;
+                }
+                const float* a = packed +
+                                 (i - i % kPanelRows) * row_count +
+                                 i % kPanelRows + kk * kPanelRows;
+                switch (mr) {
+                    case 4:
+                        wide_rows<4>(a, brows, depth, crows, j, j1);
+                        break;
+                    case 3:
+                        wide_rows<3>(a, brows, depth, crows, j, j1);
+                        break;
+                    case 2:
+                        wide_rows<2>(a, brows, depth, crows, j, j1);
+                        break;
+                    default:
+                        wide_rows<1>(a, brows, depth, crows, j, j1);
+                        break;
+                }
+            }
+        }
+    }
+}
+
+// Rows at positions [i0, i0 + m) of C += packed panels * op(B), C
+// already beta-scaled; `packed` holds those positions' panels over
+// `row_count` terms. The tile follows from n alone.
+void panel_band(const float* packed, std::int64_t i0, std::int64_t m,
+                std::int64_t n, std::int64_t row_count, const float* b,
+                std::int64_t ldb, const std::int64_t* rows, float* c,
+                std::int64_t ldc, const std::int64_t* out_rows) {
+    if (n < kGemmNarrowN) {
+        narrow_band(packed, i0, m, n, row_count, b, ldb, rows, c, ldc,
+                    out_rows);
+    } else {
+        wide_band(packed, i0, m, n, row_count, b, ldb, rows, c, ldc,
+                  out_rows);
+    }
+}
 #else
-void narrow_band(const float* packed, std::int64_t i0, std::int64_t m,
-                 std::int64_t n, std::int64_t row_count, const float* b,
-                 std::int64_t ldb, const std::int64_t* rows, float* c,
-                 std::int64_t ldc, const std::int64_t* out_rows) {
+void panel_band(const float* packed, std::int64_t i0, std::int64_t m,
+                std::int64_t n, std::int64_t row_count, const float* b,
+                std::int64_t ldb, const std::int64_t* rows, float* c,
+                std::int64_t ldc, const std::int64_t* out_rows) {
     for (std::int64_t i = 0; i < m; ++i) {
         const float* arow =
             packed + (i - i % kPanelRows) * row_count + i % kPanelRows;
@@ -383,17 +356,17 @@ void narrow_band(const float* packed, std::int64_t i0, std::int64_t m,
 }
 #endif
 
-// gemm_band for n < kGemmNarrowN: the same beta prologue and K-blocking
-// over positions of the (possibly compacted) row list, with op(A) packed
-// into panels per kBlockM x kBlockK block and op(B) used in place (a
-// transposed op(B) is only n wide, so it packs into kBlockK dense rows).
-void narrow_gemm_band(bool trans_a, bool trans_b, std::int64_t m0,
-                      std::int64_t m1, std::int64_t n,
-                      const std::int64_t* rows, std::int64_t row_count,
-                      const std::int64_t* out_rows, float alpha,
-                      const float* a, std::int64_t lda, const float* b,
-                      std::int64_t ldb, float beta, float* c,
-                      std::int64_t ldc) {
+// Computes the row band [m0, m1) of C without any threading: the beta
+// prologue, then per kBlockK block of positions in the (possibly
+// compacted) row list, op(A) packed into panels per kBlockM rows and run
+// through panel_band against op(B) in place (a transposed op(B) packs
+// into `depth` dense rows first). `out_rows` maps band positions to the
+// rows of op(A) and C (identity when null).
+void gemm_band(bool trans_a, bool trans_b, std::int64_t m0, std::int64_t m1,
+               std::int64_t n, const std::int64_t* rows,
+               std::int64_t row_count, const std::int64_t* out_rows,
+               float alpha, const float* a, std::int64_t lda, const float* b,
+               std::int64_t ldb, float beta, float* c, std::int64_t ldc) {
     scale_rows(beta, c, ldc, out_rows, m0, m1, n);
 
     std::vector<float>& a_pack = tl_a_pack;
@@ -424,18 +397,18 @@ void narrow_gemm_band(bool trans_a, bool trans_b, std::int64_t m0,
         for (std::int64_t ii = m0; ii < m1; ii += kBlockM) {
             const std::int64_t rows_here = std::min(kBlockM, m1 - ii);
             a_pack.resize(
-                static_cast<std::size_t>(narrow_pack_floats(rows_here, depth)));
+                static_cast<std::size_t>(pack_floats(rows_here, depth)));
             pack_panels(trans_a, ii, rows_here, block_rows, depth, out_rows,
                         alpha, block_a, lda, a_pack.data());
-            narrow_band(a_pack.data(), ii, rows_here, n, depth, block_b,
-                        block_ldb, b_rows, c, ldc, out_rows);
+            panel_band(a_pack.data(), ii, rows_here, n, depth, block_b,
+                       block_ldb, b_rows, c, ldc, out_rows);
         }
     }
 }
 
 // Runs fn(m0, m1) over row bands of [0, m): inline without a pool or
 // for small m, else one band per worker. Band starts stay multiples of
-// kPanelRows so a pre-packed narrow operand splits on panel boundaries.
+// kPanelRows so a pre-packed operand splits on panel boundaries.
 template <typename Fn>
 void for_each_band(std::int64_t m, ThreadPool* pool, const Fn& fn) {
     if (pool == nullptr || pool->size() <= 1 || m < 2 * kBlockM) {
@@ -461,10 +434,9 @@ void gemm_dispatch(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                    const std::int64_t* out_rows, float alpha, const float* a,
                    std::int64_t lda, const float* b, std::int64_t ldb,
                    float beta, float* c, std::int64_t ldc, ThreadPool* pool) {
-    const auto band = n < kGemmNarrowN ? narrow_gemm_band : gemm_band;
     for_each_band(m, pool, [=](std::int64_t m0, std::int64_t m1) {
-        band(trans_a, trans_b, m0, m1, n, rows, row_count, out_rows, alpha, a,
-             lda, b, ldb, beta, c, ldc);
+        gemm_band(trans_a, trans_b, m0, m1, n, rows, row_count, out_rows,
+                  alpha, a, lda, b, ldb, beta, c, ldc);
     });
 }
 
@@ -542,49 +514,43 @@ void gemm_rows(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                   alpha, a, lda, b, ldb, beta, c, ldc, pool);
 }
 
-std::int64_t gemm_narrow_pack_floats(std::int64_t m, std::int64_t row_count) {
+std::int64_t gemm_pack_floats(std::int64_t m, std::int64_t row_count) {
     MIME_REQUIRE(m >= 0 && row_count >= 0,
-                 "gemm_narrow_pack_floats extents must be >= 0");
-    return narrow_pack_floats(m, row_count);
+                 "gemm_pack_floats extents must be >= 0");
+    return pack_floats(m, row_count);
 }
 
-void gemm_narrow_pack(bool trans_a, std::int64_t m, std::int64_t k,
-                      const std::int64_t* rows, std::int64_t row_count,
-                      float alpha, const float* a, std::int64_t lda,
-                      float* packed, const std::int64_t* out_rows,
-                      std::int64_t out_count) {
-    MIME_REQUIRE(m >= 0 && k >= 0, "gemm_narrow_pack dimensions must be >= 0");
+void gemm_pack(bool trans_a, std::int64_t m, std::int64_t k,
+               const std::int64_t* rows, std::int64_t row_count, float alpha,
+               const float* a, std::int64_t lda, float* packed,
+               const std::int64_t* out_rows, std::int64_t out_count) {
+    MIME_REQUIRE(m >= 0 && k >= 0, "gemm_pack dimensions must be >= 0");
     MIME_REQUIRE(a != nullptr && packed != nullptr,
-                 "gemm_narrow_pack operands must be non-null");
-    validate_rows("gemm_narrow_pack", k, rows, row_count);
-    pack_panels(trans_a, 0,
-                computed_rows("gemm_narrow_pack", m, out_rows, out_count),
+                 "gemm_pack operands must be non-null");
+    validate_rows("gemm_pack", k, rows, row_count);
+    pack_panels(trans_a, 0, computed_rows("gemm_pack", m, out_rows, out_count),
                 rows, row_count, out_rows, alpha, a, lda, packed);
 }
 
-void gemm_narrow_packed(std::int64_t m, std::int64_t n, std::int64_t k,
-                        const std::int64_t* rows, std::int64_t row_count,
-                        const float* packed, const float* b,
-                        std::int64_t ldb, float beta, float* c,
-                        std::int64_t ldc, ThreadPool* pool,
-                        const std::int64_t* out_rows,
-                        std::int64_t out_count) {
+void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k,
+                 const std::int64_t* rows, std::int64_t row_count,
+                 const float* packed, const float* b, std::int64_t ldb,
+                 float beta, float* c, std::int64_t ldc, ThreadPool* pool,
+                 const std::int64_t* out_rows, std::int64_t out_count) {
     MIME_REQUIRE(m >= 0 && n >= 0 && k >= 0,
-                 "gemm_narrow_packed dimensions must be >= 0");
-    MIME_REQUIRE(n < kGemmNarrowN,
-                 "gemm_narrow_packed needs n < kGemmNarrowN");
+                 "gemm_packed dimensions must be >= 0");
     MIME_REQUIRE(packed != nullptr && b != nullptr && c != nullptr,
-                 "gemm_narrow_packed operands must be non-null");
-    validate_rows("gemm_narrow_packed", k, rows, row_count);
+                 "gemm_packed operands must be non-null");
+    validate_rows("gemm_packed", k, rows, row_count);
     const std::int64_t computed =
-        computed_rows("gemm_narrow_packed", m, out_rows, out_count);
+        computed_rows("gemm_packed", m, out_rows, out_count);
     if (computed == 0 || n == 0) {
         return;
     }
     for_each_band(computed, pool, [=](std::int64_t m0, std::int64_t m1) {
         scale_rows(beta, c, ldc, out_rows, m0, m1, n);
-        narrow_band(packed + m0 * row_count, m0, m1 - m0, n, row_count, b,
-                    ldb, rows, c, ldc, out_rows);
+        panel_band(packed + m0 * row_count, m0, m1 - m0, n, row_count, b, ldb,
+                   rows, c, ldc, out_rows);
     });
 }
 

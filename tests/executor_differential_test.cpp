@@ -5,7 +5,9 @@
 // all-dead (everything past it then depends on the biases only). The
 // networks are a tiny VGG (whose 2x2 conv11-13 run the narrow GEMMs) and
 // a plain CNN with batchnorm whose channel counts are not multiples of
-// the SIMD width. At batch sizes 1, 3 and 8, in an order drawn per seed
+// the SIMD width, at 16x16 and at 20x20 input (whose conv outputs of
+// 100 and 25 positions run the wide GEMM tile's 8-wide and scalar
+// column tails). At batch sizes 1, 3 and 8, in an order drawn per seed
 // (so smaller plans also run on an arena a larger plan grew),
 // single-threaded and banded over a pool, and with the sparse policy's
 // density cutoff at 0, at its default and at 1.0:
@@ -71,9 +73,13 @@ core::MimeNetworkConfig tiny_vgg() {
     return config;
 }
 
-/// 16x16 input through four pooled blocks, so the last block's conv has
-/// a 2x2 output (the narrow GEMMs); every width is odd.
-core::MimeNetworkConfig odd_channel_cnn() {
+/// Four pooled blocks, so the last block's conv has a 2x2 output (the
+/// narrow GEMMs) at 16x16 and at 20x20 input; every width is odd.
+/// plain_cnn_spec takes only sizes divisible by 2^blocks, so the convs
+/// of the 16x16 spec are re-sized to `input_size`. Each 2x2 pool floors
+/// (20 -> 10 -> 5 -> 2 -> 1), so the fc widths stay the same, and at
+/// 20x20 the wide convs' outputs have 400, 100 and 25 positions.
+core::MimeNetworkConfig odd_channel_cnn(std::int64_t input_size) {
     arch::PlainCnnConfig cnn;
     cnn.input_size = 16;
     cnn.blocks = {{5, 1}, {13, 2}, {21, 1}, {13, 1}};
@@ -81,6 +87,14 @@ core::MimeNetworkConfig odd_channel_cnn() {
     cnn.num_classes = 7;
     core::MimeNetworkConfig config;
     config.custom_layers = arch::plain_cnn_spec(cnn);
+    std::int64_t hw = input_size;
+    for (arch::LayerSpec& spec : config.custom_layers) {
+        if (spec.kind == arch::LayerKind::conv) {
+            spec.in_height = hw;
+            spec.in_width = hw;
+            hw = spec.pool_after ? hw / 2 : hw;
+        }
+    }
     config.custom_classifier = arch::plain_cnn_classifier(cnn);
     config.batchnorm = true;
     config.seed = 5;
@@ -434,7 +448,11 @@ void check_network(const core::MimeNetworkConfig& config) {
 TEST(ExecutorDifferential, TinyVgg) { check_network(tiny_vgg()); }
 
 TEST(ExecutorDifferential, OddChannelCnnWithBatchnorm) {
-    check_network(odd_channel_cnn());
+    check_network(odd_channel_cnn(16));
+}
+
+TEST(ExecutorDifferential, OddChannelCnnWithBatchnormAt20x20) {
+    check_network(odd_channel_cnn(20));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -107,6 +108,13 @@ bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+// Bitwise equal, or both NaN (which NaN payload an FMA propagates is
+// the hardware's choice, not part of the contract).
+bool same_value(float a, float b) {
+    return (std::isnan(a) && std::isnan(b)) ||
+           std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
 // (m, trans_a, trans_b, compacted). Each case sweeps n = 1..17 — every
 // narrow width below kGemmNarrowN plus the first two wide ones — over
 // short contractions, and the 2x2-output conv width (n = 4) and the
@@ -167,10 +175,149 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool(), ::testing::Bool(),
                        ::testing::Bool()));
 
-TEST(GemmNarrow, PackedOnceBitMatchesGemmRows) {
+// (trans_a, trans_b, compacted). The wide path's register tile covers 4
+// rows by 16 columns of C; each case sweeps m = 1..9 (every row
+// remainder of the tile, and a second panel), n over the 16-wide, 8-wide
+// and scalar column tails (16, 17, 24, 25, 31, and 257 past sixteen
+// whole strips), and k across the K-block edges (255, 256, 257) and a
+// 3x3 conv over 128 channels (1152), each with and without an
+// output-row list. Every m reads the leading rows of one op(A) and one
+// C, so one oracle run over kMaxM rows serves them all.
+using WideCase = std::tuple<bool, bool, bool>;
+
+class GemmWideTest : public ::testing::TestWithParam<WideCase> {};
+
+TEST_P(GemmWideTest, BitMatchesSequentialFmaOracle) {
+    const auto [ta, tb, compacted] = GetParam();
+    constexpr std::int64_t kMaxM = 9;
+    for (const std::int64_t k : {1, 9, 255, 256, 257, 1152}) {
+        std::vector<std::int64_t> rows;
+        for (std::int64_t r = 0; r < k; ++r) {
+            if (!compacted || r % 3 != 1) {
+                rows.push_back(r);
+            }
+        }
+        const auto row_count = static_cast<std::int64_t>(rows.size());
+        Rng rng(static_cast<std::uint64_t>(k * 7 + (ta ? 1 : 0) +
+                                           (tb ? 2 : 0)));
+        const std::int64_t lda = ta ? kMaxM : k;
+        const auto a = random_matrix(ta ? k : kMaxM, lda, rng);
+        for (const std::int64_t n : {16, 17, 24, 25, 31, 257}) {
+            const std::int64_t ldb = tb ? k : n;
+            const auto b = random_matrix(tb ? n : k, ldb, rng);
+            // ldc > n so a kernel that writes past the row shows up.
+            const std::int64_t ldc = n + 3;
+            const auto c0 = random_matrix(kMaxM, ldc, rng);
+            for (const float beta : {0.0f, 1.0f, 0.7f}) {
+                std::vector<float> want_all = c0;
+                gemm_fma_oracle(ta, tb, kMaxM, n, rows, 1.3f, a.data(), lda,
+                                b.data(), ldb, beta, want_all.data(), ldc);
+                for (std::int64_t m = 1; m <= kMaxM; ++m) {
+                    SCOPED_TRACE("m=" + std::to_string(m) + " n=" +
+                                 std::to_string(n) + " k=" +
+                                 std::to_string(k) +
+                                 " beta=" + std::to_string(beta));
+                    const auto size = static_cast<std::size_t>(m * ldc);
+                    const std::vector<float> want(want_all.begin(),
+                                                  want_all.begin() + size);
+                    std::vector<float> got(c0.begin(), c0.begin() + size);
+                    if (compacted) {
+                        gemm_rows(ta, tb, m, n, k, rows.data(), row_count,
+                                  1.3f, a.data(), lda, b.data(), ldb, beta,
+                                  got.data(), ldc);
+                    } else {
+                        gemm(ta, tb, m, n, k, 1.3f, a.data(), lda, b.data(),
+                             ldb, beta, got.data(), ldc);
+                    }
+                    EXPECT_TRUE(bits_equal(want, got));
+                    // With an output-row list the listed rows bit-match
+                    // the full product and the others keep c0.
+                    std::vector<std::int64_t> out_rows;
+                    std::vector<float> want_listed(c0.begin(),
+                                                   c0.begin() + size);
+                    for (std::int64_t i = 0; i < m; ++i) {
+                        if (i % 3 != 1) {
+                            out_rows.push_back(i);
+                            std::copy_n(want.begin() + i * ldc, ldc,
+                                        want_listed.begin() + i * ldc);
+                        }
+                    }
+                    std::vector<float> listed(c0.begin(), c0.begin() + size);
+                    gemm_rows(ta, tb, m, n, k,
+                              compacted ? rows.data() : nullptr, row_count,
+                              1.3f, a.data(), lda, b.data(), ldb, beta,
+                              listed.data(), ldc, nullptr, out_rows.data(),
+                              static_cast<std::int64_t>(out_rows.size()));
+                    EXPECT_TRUE(bits_equal(want_listed, listed))
+                        << "output-row list";
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transposes, GemmWideTest,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Bool(),
+                                            ::testing::Bool()));
+
+TEST(Gemm, ZeroATermsMeetInfAndNanInB) {
+    // No term is skipped: an exact-zero op(A) entry against +-inf or NaN
+    // in op(B) contributes NaN, as the sequential oracle does, on the
+    // wide tile (n = 20: one 16-wide tile and a scalar tail) and the
+    // narrow one (n = 4), packed or not.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+    Rng rng(49);
+    const std::int64_t m = 6;
+    const std::int64_t k = 12;
+    // Column 3 of op(A) is all zeros; columns 7 and 8 are zero in
+    // alternate rows.
+    auto a = random_matrix(m, k, rng);
+    for (std::int64_t i = 0; i < m; ++i) {
+        a[i * k + 3] = 0.0f;
+        a[i * k + (i % 2 == 0 ? 7 : 8)] = 0.0f;
+    }
+    std::vector<std::int64_t> all;
+    for (std::int64_t p = 0; p < k; ++p) {
+        all.push_back(p);
+    }
+    for (const std::int64_t n : {4, 20}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        auto b = random_matrix(k, n, rng);
+        b[3 * n + 0] = kInf;
+        b[3 * n + n - 1] = -kInf;
+        b[7 * n + 1] = kNan;
+        b[8 * n + 2] = kInf;
+        std::vector<float> want(static_cast<std::size_t>(m * n), 0.0f);
+        gemm_fma_oracle(false, false, m, n, all, 1.0f, a.data(), k, b.data(),
+                        n, 0.0f, want.data(), n);
+        std::vector<float> got(want.size(), 5.0f);
+        gemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n, 0.0f,
+             got.data(), n);
+        std::vector<float> packed(
+            static_cast<std::size_t>(gemm_pack_floats(m, k)));
+        gemm_pack(false, m, k, nullptr, k, 1.0f, a.data(), k, packed.data());
+        std::vector<float> got_packed(want.size(), 5.0f);
+        gemm_packed(m, n, k, nullptr, k, packed.data(), b.data(), n, 0.0f,
+                    got_packed.data(), n);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_TRUE(same_value(want[i], got[i]))
+                << "gemm at " << i << ": want " << want[i] << ", got "
+                << got[i];
+            EXPECT_TRUE(same_value(want[i], got_packed[i]))
+                << "gemm_packed at " << i << ": want " << want[i]
+                << ", got " << got_packed[i];
+        }
+        EXPECT_TRUE(std::isnan(want[0]));  // 0 * inf reached row 0, col 0
+    }
+}
+
+TEST(GemmPacked, PackedOnceBitMatchesGemmRows) {
     // The conv path packs its weights once and reuses them per sample;
     // that must be the same arithmetic as a plain gemm_rows call, with
-    // and without a pool splitting the rows into bands.
+    // and without a pool splitting the rows into bands, for narrow and
+    // wide n (16-wide, 8-wide and scalar column tails).
     Rng rng(45);
     const std::int64_t m = 300;
     const std::int64_t k = 288;
@@ -181,60 +328,62 @@ TEST(GemmNarrow, PackedOnceBitMatchesGemmRows) {
     }
     const auto row_count = static_cast<std::int64_t>(rows.size());
     std::vector<float> packed(
-        static_cast<std::size_t>(gemm_narrow_pack_floats(m, row_count)));
-    gemm_narrow_pack(false, m, k, rows.data(), row_count, 1.0f, a.data(), k,
-                     packed.data());
+        static_cast<std::size_t>(gemm_pack_floats(m, row_count)));
+    gemm_pack(false, m, k, rows.data(), row_count, 1.0f, a.data(), k,
+              packed.data());
     ThreadPool pool(4);
-    for (const std::int64_t n : {1, 4, 15}) {
+    for (const std::int64_t n : {1, 4, 15, 16, 25, 40, 257}) {
         const auto b = random_matrix(k, n, rng);
         std::vector<float> want(static_cast<std::size_t>(m * n), 0.0f);
         gemm_rows(false, false, m, n, k, rows.data(), row_count, 1.0f,
                   a.data(), k, b.data(), n, 0.0f, want.data(), n);
         for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
             std::vector<float> got(want.size(), -1.0f);
-            gemm_narrow_packed(m, n, k, rows.data(), row_count, packed.data(),
-                               b.data(), n, 0.0f, got.data(), n, p);
+            gemm_packed(m, n, k, rows.data(), row_count, packed.data(),
+                        b.data(), n, 0.0f, got.data(), n, p);
             EXPECT_TRUE(bits_equal(want, got))
                 << "n=" << n << (p != nullptr ? " pooled" : "");
         }
     }
 }
 
-TEST(GemmNarrow, EmptyLiveSetOnlyScalesC) {
+TEST(GemmPacked, EmptyLiveSetOnlyScalesC) {
     // A conv whose input channels are all dead contracts over nothing:
-    // its live-row list is empty and may be a null pointer. Both narrow
-    // entry points then leave beta * C, as gemm_rows does.
+    // its live-row list is empty and may be a null pointer. The packed
+    // entry points then leave beta * C, as gemm_rows does, on the narrow
+    // and the wide tile.
     Rng rng(47);
     const std::int64_t m = 21;
-    const std::int64_t n = 4;
     const std::int64_t k = 36;
     const auto a = random_matrix(m, k, rng);
-    const auto b = random_matrix(k, n, rng);
-    const auto c0 = random_matrix(m, n, rng);
-    std::vector<float> want = c0;
-    for (float& v : want) {
-        v *= 0.5f;
-    }
     std::vector<float> packed(
-        static_cast<std::size_t>(gemm_narrow_pack_floats(m, 0)) + 1);
-    gemm_narrow_pack(false, m, k, nullptr, 0, 1.0f, a.data(), k,
-                     packed.data());
-    std::vector<float> got = c0;
-    gemm_narrow_packed(m, n, k, nullptr, 0, packed.data(), b.data(), n, 0.5f,
-                       got.data(), n);
-    EXPECT_TRUE(bits_equal(want, got));
-    got = c0;
-    gemm_rows(false, false, m, n, k, nullptr, 0, 1.0f, a.data(), k, b.data(),
-              n, 0.5f, got.data(), n);
-    EXPECT_TRUE(bits_equal(want, got));
+        static_cast<std::size_t>(gemm_pack_floats(m, 0)) + 1);
+    gemm_pack(false, m, k, nullptr, 0, 1.0f, a.data(), k, packed.data());
+    for (const std::int64_t n : {4, 20}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        const auto b = random_matrix(k, n, rng);
+        const auto c0 = random_matrix(m, n, rng);
+        std::vector<float> want = c0;
+        for (float& v : want) {
+            v *= 0.5f;
+        }
+        std::vector<float> got = c0;
+        gemm_packed(m, n, k, nullptr, 0, packed.data(), b.data(), n, 0.5f,
+                    got.data(), n);
+        EXPECT_TRUE(bits_equal(want, got));
+        got = c0;
+        gemm_rows(false, false, m, n, k, nullptr, 0, 1.0f, a.data(), k,
+                  b.data(), n, 0.5f, got.data(), n);
+        EXPECT_TRUE(bits_equal(want, got));
+    }
 }
 
 TEST(GemmRows, OutputRowListComputesListedRowsOnly) {
     // An output-row list reads only the listed rows of op(A) and writes
     // only the listed rows of C: each bit-matches the same row of the
     // full product, and every other row keeps its sentinel. Wide and
-    // narrow n, both orientations of A, the pre-packed narrow entry
-    // points, and a pool splitting the list into bands.
+    // narrow n, both orientations of A, the pre-packed entry points, and
+    // a pool splitting the list into bands.
     Rng rng(48);
     const std::int64_t m = 300;
     const std::int64_t k = 96;
@@ -281,17 +430,14 @@ TEST(GemmRows, OutputRowListComputesListedRowsOnly) {
                           lda, b.data(), n, 0.0f, got.data(), n, p,
                           out_rows.data(), oc);
                 expect_listed(full, got, n, what);
-                if (n >= kGemmNarrowN || ta) {
-                    continue;
-                }
-                std::vector<float> packed(static_cast<std::size_t>(
-                    gemm_narrow_pack_floats(oc, rc)));
-                gemm_narrow_pack(false, m, k, rows.data(), rc, 1.0f, a.data(),
-                                 k, packed.data(), out_rows.data(), oc);
+                std::vector<float> packed(
+                    static_cast<std::size_t>(gemm_pack_floats(oc, rc)));
+                gemm_pack(ta, m, k, rows.data(), rc, 1.0f, a.data(), lda,
+                          packed.data(), out_rows.data(), oc);
                 std::fill(got.begin(), got.end(), 7.0f);
-                gemm_narrow_packed(m, n, k, rows.data(), rc, packed.data(),
-                                   b.data(), n, 0.0f, got.data(), n, p,
-                                   out_rows.data(), oc);
+                gemm_packed(m, n, k, rows.data(), rc, packed.data(),
+                            b.data(), n, 0.0f, got.data(), n, p,
+                            out_rows.data(), oc);
                 expect_listed(full, got, n, what + " packed");
             }
         }
@@ -328,22 +474,18 @@ TEST(GemmNarrow, ThreadedBitMatchesSingle) {
     EXPECT_TRUE(bits_equal(c1, c2));
 }
 
-TEST(GemmNarrow, RejectsWideOrBadRows) {
+TEST(GemmPacked, RejectsBadRows) {
     const std::vector<float> packed(16, 1.0f);
     const std::vector<float> b(32, 1.0f);
     std::vector<float> c(32, 0.0f);
-    EXPECT_THROW(gemm_narrow_packed(1, kGemmNarrowN, 2, nullptr, 2,
-                                    packed.data(), b.data(), kGemmNarrowN,
-                                    0.0f, c.data(), kGemmNarrowN),
-                 check_error);
     // A null row list means every row or none, so row_count must be k
     // or 0.
-    EXPECT_THROW(gemm_narrow_packed(1, 2, 2, nullptr, 1, packed.data(),
-                                    b.data(), 2, 0.0f, c.data(), 2),
+    EXPECT_THROW(gemm_packed(1, 2, 2, nullptr, 1, packed.data(), b.data(),
+                             2, 0.0f, c.data(), 2),
                  check_error);
     const std::vector<std::int64_t> unsorted{1, 0};
-    EXPECT_THROW(gemm_narrow_pack(false, 1, 2, unsorted.data(), 2, 1.0f,
-                                  b.data(), 2, c.data()),
+    EXPECT_THROW(gemm_pack(false, 1, 2, unsorted.data(), 2, 1.0f, b.data(),
+                           2, c.data()),
                  check_error);
 }
 
@@ -464,8 +606,9 @@ TEST(GemmRows, TransBBitMatchesDenseWhenSkippedRowsAreZero) {
     const std::int64_t n = 33;
     const std::int64_t k = 96;
     // op(B) = stored-B^T, so op(B)'s row r is stored column r. Zeroing
-    // op(A)'s dead columns instead exercises the A-side zero skip the
-    // masked-linear path relies on.
+    // op(A)'s dead columns instead is the masked-linear case: the dense
+    // run adds their zero terms, which leave the finite accumulators
+    // unchanged.
     auto a = random_matrix(m, k, rng);
     const auto b = random_matrix(n, k, rng);
     std::vector<std::int64_t> rows;
