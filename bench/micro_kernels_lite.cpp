@@ -14,7 +14,11 @@
 //      the kernels' narrow paths, and float GFLOP/s of the width-0.25
 //      VGG's wide per-sample conv GEMMs on pre-packed weights,
 //   6. int8 quantized planned forward vs the float sparse forward on
-//      the same pruned tiny-VGG (A/B-interleaved, min-of-N timing).
+//      the same pruned tiny-VGG (A/B-interleaved, min-of-N timing),
+//   7. report-only data-movement rows of the planned conv step, per
+//      layer of the width-0.125 VGG at batch 1: the lowering and the
+//      weight pack in G elements/s, and the 2x2 max pool in G input
+//      floats/s.
 //
 // `--check` turns the bench into a perf gate: it exits nonzero unless
 //   * the sparse planned forward beats dense by >= 1.1x at 75% channel
@@ -38,11 +42,14 @@
 #include <thread>
 #include <vector>
 
+#include "arch/vgg.h"
 #include "bench_common.h"
 #include "common/check.h"
 #include "core/mime_network.h"
 #include "core/threshold_mask.h"
+#include "nn/pooling.h"
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "tensor/qgemm.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace.h"
@@ -226,6 +233,7 @@ int run(bool check_mode) {
     reps.set("narrow_shapes", kNarrowReps);
     reps.set("wide_conv_shapes", kTimeReps);
     reps.set("forward_int8", kInt8ForwardReps);
+    reps.set("conv_data_movement", kTimeReps);
     json.set("timing_reps", std::move(reps));
 
     // -- 1. dense GEMM ----------------------------------------------------
@@ -594,6 +602,117 @@ int run(bool check_mode) {
     json.set("forward_int8_top1_total", batch);
     json.set("quantized_weight_max_rel_error",
              qnet.planned_quantized_max_rel_error());
+
+    // -- 7. conv-step data movement, report-only ---------------------------
+    // Each conv of the width-0.125 VGG that `burst` serves, at batch 1:
+    // the lowering of one sample (column-matrix elements written per
+    // second, read off the zero-bordered plane) and the pack of the
+    // layer's Cout x C*K*K weights into panels (elements per second);
+    // then each 2x2 max pool's planned forward (input floats per
+    // second). One timed iteration makes kMoveCalls calls. The column
+    // matrix, the plane and the pack are carved from a Workspace, as
+    // Conv2d::forward_into carves them, so they are cacheline-aligned.
+    constexpr int kMoveCalls = 50;
+    arch::VggConfig vgg;
+    vgg.width_scale = 0.125;
+    std::printf("\n  conv-step data movement, width-0.125 VGG, batch 1, "
+                "report-only:\n");
+    std::vector<Json> movement_json;
+    std::vector<Json> pool_json;
+    const double calls = static_cast<double>(iters) * kMoveCalls;
+    for (const arch::LayerSpec& spec : arch::vgg16_spec(vgg)) {
+        if (spec.kind != arch::LayerKind::conv) {
+            continue;
+        }
+        ConvGeometry g;
+        g.in_channels = spec.in_channels;
+        g.in_height = spec.in_height;
+        g.in_width = spec.in_width;
+        g.kernel = spec.kernel;
+        g.stride = spec.stride;
+        g.padding = spec.padding;
+        const Tensor sample =
+            Tensor::randn({spec.in_channels, spec.in_height, spec.in_width},
+                          rng);
+        const std::int64_t lowered_floats = g.col_rows() * g.col_cols();
+        const std::int64_t packed_floats =
+            gemm_pack_floats(spec.out_channels, g.col_rows());
+        Workspace move_ws(
+            (Workspace::aligned_floats(lowered_floats) +
+             Workspace::aligned_floats(g.plane_elements()) +
+             Workspace::aligned_floats(packed_floats)) *
+            sizeof(float));
+        float* cols = move_ws.alloc_floats(lowered_floats);
+        float* plane = move_ws.alloc_floats(g.plane_elements());
+        float* packed = move_ws.alloc_floats(packed_floats);
+        const double lower_s = time_seconds(iters, [&] {
+            for (int i = 0; i < kMoveCalls; ++i) {
+                im2col(g, sample.data(), cols, plane);
+            }
+        });
+        const Tensor weight =
+            Tensor::randn({spec.out_channels, g.col_rows()}, rng);
+        const double pack_s = time_seconds(iters, [&] {
+            for (int i = 0; i < kMoveCalls; ++i) {
+                gemm_pack(false, spec.out_channels, g.col_rows(), nullptr,
+                          g.col_rows(), 1.0f, weight.data(), g.col_rows(),
+                          packed);
+            }
+        });
+        const double lowered = static_cast<double>(lowered_floats);
+        const double weights =
+            static_cast<double>(spec.out_channels * g.col_rows());
+        std::printf("    %-6s %3lld ch %2lldx%-2lld -> %3lld: lowering "
+                    "%5.2f G elem/s (%6.2f us), pack %5.2f G elem/s "
+                    "(%6.2f us)\n",
+                    spec.name.c_str(),
+                    static_cast<long long>(spec.in_channels),
+                    static_cast<long long>(spec.in_height),
+                    static_cast<long long>(spec.in_width),
+                    static_cast<long long>(spec.out_channels),
+                    lowered * calls / lower_s / 1e9, lower_s / calls * 1e6,
+                    weights * calls / pack_s / 1e9, pack_s / calls * 1e6);
+        Json row;
+        row.set("layer", spec.name);
+        row.set("in_channels", spec.in_channels);
+        row.set("out_channels", spec.out_channels);
+        row.set("in_size", spec.in_height);
+        row.set("lowering_gelem_per_s", lowered * calls / lower_s / 1e9);
+        row.set("lowering_us", lower_s / calls * 1e6);
+        row.set("pack_gelem_per_s", weights * calls / pack_s / 1e9);
+        row.set("pack_us", pack_s / calls * 1e6);
+        movement_json.push_back(std::move(row));
+        if (!spec.pool_after) {
+            continue;
+        }
+        nn::MaxPool2d pool(2, 2);
+        pool.set_eval_mode(true);
+        const Tensor pool_in = Tensor::randn(
+            {1, spec.out_channels, spec.out_height(), spec.out_width()}, rng);
+        Tensor pool_out(pool.output_shape(pool_in.shape()));
+        const double pool_s = time_seconds(iters, [&] {
+            for (int i = 0; i < kMoveCalls; ++i) {
+                pool.forward_into(pool_in, pool_out);
+            }
+        });
+        const double floats = static_cast<double>(pool_in.numel());
+        std::printf("    pool after %-6s %3lld ch %2lldx%-2lld: %5.2f G "
+                    "input floats/s (%6.2f us)\n",
+                    spec.name.c_str(),
+                    static_cast<long long>(spec.out_channels),
+                    static_cast<long long>(spec.out_height()),
+                    static_cast<long long>(spec.out_width()),
+                    floats * calls / pool_s / 1e9, pool_s / calls * 1e6);
+        Json pool_row;
+        pool_row.set("after", spec.name);
+        pool_row.set("channels", spec.out_channels);
+        pool_row.set("in_size", spec.out_height());
+        pool_row.set("gfloats_per_s", floats * calls / pool_s / 1e9);
+        pool_row.set("us", pool_s / calls * 1e6);
+        pool_json.push_back(std::move(pool_row));
+    }
+    json.set("conv_data_movement", std::move(movement_json));
+    json.set("max_pool_2x2", std::move(pool_json));
 
     write_json_file("BENCH_kernels.json", json);
 

@@ -60,8 +60,8 @@ Tensor Conv2d::forward(const Tensor& input) {
     const std::int64_t out_stride = out_channels_ * spatial;
 
     auto run_sample = [&](std::int64_t n, std::vector<float>& cols,
-                          ThreadPool* gemm_pool) {
-        im2col(g, input.data() + n * in_stride, cols.data());
+                          std::vector<float>& plane, ThreadPool* gemm_pool) {
+        im2col(g, input.data() + n * in_stride, cols.data(), plane.data());
         float* out = output.data() + n * out_stride;
         gemm(false, false, out_channels_, spatial, ckk, 1.0f,
              weight_.value.data(), ckk, cols.data(), spatial, 0.0f, out,
@@ -85,15 +85,19 @@ Tensor Conv2d::forward(const Tensor& input) {
             [&](std::size_t begin, std::size_t end) {
                 std::vector<float> cols(
                     static_cast<std::size_t>(ckk * spatial));
+                std::vector<float> plane(
+                    static_cast<std::size_t>(g.plane_elements()));
                 for (std::size_t n = begin; n < end; ++n) {
-                    run_sample(static_cast<std::int64_t>(n), cols, nullptr);
+                    run_sample(static_cast<std::int64_t>(n), cols, plane,
+                               nullptr);
                 }
             },
             /*min_chunk=*/1);
     } else {
         std::vector<float> cols(static_cast<std::size_t>(ckk * spatial));
+        std::vector<float> plane(static_cast<std::size_t>(g.plane_elements()));
         for (std::int64_t n = 0; n < batch; ++n) {
-            run_sample(n, cols, pool_);
+            run_sample(n, cols, plane, pool_);
         }
     }
     return output;
@@ -137,9 +141,11 @@ std::int64_t Conv2d::workspace_floats(std::int64_t in_height,
     const ConvGeometry g = geometry(in_height, in_width);
     const auto packed = static_cast<std::int64_t>(Workspace::aligned_floats(
         gemm_pack_floats(out_channels_, g.col_rows())));
-    return packed + conv_bands(batch) *
-                        static_cast<std::int64_t>(Workspace::aligned_floats(
-                            g.col_rows() * g.col_cols()));
+    // Per band: the column matrix and the lowering plane.
+    const auto band = static_cast<std::int64_t>(
+        Workspace::aligned_floats(g.col_rows() * g.col_cols()) +
+        Workspace::aligned_floats(g.plane_elements()));
+    return packed + conv_bands(batch) * band;
 }
 
 namespace {
@@ -234,16 +240,16 @@ void Conv2d::forward_into(const Tensor& input, Workspace& workspace,
     gemm_pack(false, out_channels_, ckk, rows, row_count, 1.0f,
               weight_.value.data(), ckk, packed, out_rows, out_count);
 
-    auto run_sample = [&](std::int64_t n, float* cols,
+    auto run_sample = [&](std::int64_t n, float* cols, float* pad_plane,
                           ThreadPool* gemm_pool) {
         float* out = output.data() + n * out_stride;
         if (sparse) {
             // Lower only the live channels; the dead channels' rows of
             // `cols` keep stale garbage the compacted GEMM never reads.
-            im2col(g, input.data() + n * in_stride, cols,
+            im2col(g, input.data() + n * in_stride, cols, pad_plane,
                    live_in_channels->indices, live_in_channels->count);
         } else {
-            im2col(g, input.data() + n * in_stride, cols);
+            im2col(g, input.data() + n * in_stride, cols, pad_plane);
         }
         gemm_packed(out_channels_, spatial, ckk, rows, row_count, packed,
                     cols, spatial, 0.0f, out, spatial, gemm_pool, out_rows,
@@ -263,9 +269,13 @@ void Conv2d::forward_into(const Tensor& input, Workspace& workspace,
     const std::int64_t bands = conv_bands(batch);
     const std::int64_t band_stride =
         static_cast<std::int64_t>(Workspace::aligned_floats(ckk * spatial));
-    // One carve for all bands, on this thread — Workspace is not
-    // thread-safe, so workers must never touch it.
+    const std::int64_t plane_stride = static_cast<std::int64_t>(
+        Workspace::aligned_floats(g.plane_elements()));
+    // One carve each for all bands' column matrices and lowering planes,
+    // on this thread — Workspace is not thread-safe, so workers must
+    // never touch it.
     float* cols_base = workspace.alloc_floats(bands * band_stride);
+    float* plane_base = workspace.alloc_floats(bands * plane_stride);
     if (bands > 1) {
         const std::int64_t per_band = (batch + bands - 1) / bands;
         for (std::int64_t band = 0; band < bands; ++band) {
@@ -275,18 +285,19 @@ void Conv2d::forward_into(const Tensor& input, Workspace& workspace,
                 break;
             }
             float* cols = cols_base + band * band_stride;
-            pool_->submit([&run_sample, cols, n0, n1] {
+            float* pad_plane = plane_base + band * plane_stride;
+            pool_->submit([&run_sample, cols, pad_plane, n0, n1] {
                 for (std::int64_t n = n0; n < n1; ++n) {
                     // Workers keep their sample GEMMs single-threaded;
                     // the parallelism is the per-sample banding itself.
-                    run_sample(n, cols, nullptr);
+                    run_sample(n, cols, pad_plane, nullptr);
                 }
             });
         }
         pool_->wait_idle();
     } else {
         for (std::int64_t n = 0; n < batch; ++n) {
-            run_sample(n, cols_base, pool_);
+            run_sample(n, cols_base, plane_base, pool_);
         }
     }
     workspace.rewind(mark);
@@ -317,6 +328,8 @@ std::size_t Conv2d::quantized_workspace_bytes(std::int64_t in_height,
            gathered +
            static_cast<std::size_t>(conv_bands(batch)) *
                (cols_copies * Workspace::aligned_bytes(cols) +
+                Workspace::aligned_bytes(
+                    static_cast<std::size_t>(g.plane_elements())) +
                 Workspace::aligned_bytes(acc));
 }
 
@@ -390,6 +403,8 @@ void Conv2d::forward_into_quantized(const Tensor& input,
     const std::size_t cols_bytes =
         Workspace::aligned_bytes(static_cast<std::size_t>(ckk * spatial));
     const std::size_t cols_stride = narrow ? 2 * cols_bytes : cols_bytes;
+    const std::size_t plane_stride = Workspace::aligned_bytes(
+        static_cast<std::size_t>(g.plane_elements()));
     const std::size_t acc_stride =
         Workspace::aligned_bytes(static_cast<std::size_t>(
             out_channels_ * spatial * sizeof(std::int32_t)));
@@ -397,6 +412,8 @@ void Conv2d::forward_into_quantized(const Tensor& input,
         workspace.alloc_bytes(static_cast<std::size_t>(bands) * cols_stride));
     auto* acc_base = static_cast<std::int32_t*>(
         workspace.alloc_bytes(static_cast<std::size_t>(bands) * acc_stride));
+    auto* plane_base = static_cast<std::int8_t*>(workspace.alloc_bytes(
+        static_cast<std::size_t>(bands) * plane_stride));
 
     const float* bias = bias_ ? bias_->value.data() : nullptr;
     const float* w_scales = qweight.scales.data();
@@ -441,7 +458,8 @@ void Conv2d::forward_into_quantized(const Tensor& input,
     };
 
     auto run_sample = [&](std::int64_t n, std::int8_t* cols,
-                          std::int32_t* acc, ThreadPool* gemm_pool) {
+                          std::int8_t* pad_plane, std::int32_t* acc,
+                          ThreadPool* gemm_pool) {
         const float* x = input.data() + n * in_stride;
         std::int8_t* xq = qinput + n * in_stride;
         float absmax = 0.0f;
@@ -456,10 +474,10 @@ void Conv2d::forward_into_quantized(const Tensor& input,
                                     inv_scale, xq + range_offset(i));
         }
         if (sparse) {
-            im2col(g, xq, cols, live_in_channels->indices,
+            im2col(g, xq, cols, pad_plane, live_in_channels->indices,
                    live_in_channels->count);
         } else {
-            im2col(g, xq, cols);
+            im2col(g, xq, cols, pad_plane);
         }
         float* out = output.data() + n * out_stride;
         if (narrow) {
@@ -512,16 +530,18 @@ void Conv2d::forward_into_quantized(const Tensor& input,
             auto* acc = reinterpret_cast<std::int32_t*>(
                 reinterpret_cast<std::int8_t*>(acc_base) +
                 static_cast<std::size_t>(band) * acc_stride);
-            pool_->submit([&run_sample, cols, acc, n0, n1] {
+            std::int8_t* pad_plane =
+                plane_base + static_cast<std::size_t>(band) * plane_stride;
+            pool_->submit([&run_sample, cols, pad_plane, acc, n0, n1] {
                 for (std::int64_t n = n0; n < n1; ++n) {
-                    run_sample(n, cols, acc, nullptr);
+                    run_sample(n, cols, pad_plane, acc, nullptr);
                 }
             });
         }
         pool_->wait_idle();
     } else {
         for (std::int64_t n = 0; n < batch; ++n) {
-            run_sample(n, cols_base, acc_base, pool_);
+            run_sample(n, cols_base, plane_base, acc_base, pool_);
         }
     }
     workspace.rewind(mark);
@@ -559,6 +579,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
 
     auto run_range = [&](std::size_t begin, std::size_t end) {
         std::vector<float> cols(static_cast<std::size_t>(ckk * spatial));
+        std::vector<float> plane(static_cast<std::size_t>(g.plane_elements()));
         std::vector<float> grad_cols(static_cast<std::size_t>(ckk * spatial));
         GradSlot& slot = slots[begin].emplace(
             GradSlot{Tensor(weight_.grad.shape()),
@@ -571,7 +592,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
             const float* gout = grad_output.data() + n * out_stride;
 
             // grad_W += gout [Cout, S] x cols^T [S, CKK]
-            im2col(g, cached_input_.data() + n * in_stride, cols.data());
+            im2col(g, cached_input_.data() + n * in_stride, cols.data(),
+                   plane.data());
             gemm(false, true, out_channels_, ckk, spatial, 1.0f, gout, spatial,
                  cols.data(), spatial, 1.0f, local_grad_w.data(), ckk,
                  nullptr);

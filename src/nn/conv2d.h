@@ -37,10 +37,11 @@ public:
     /// sample's GEMM reads that one pack.
     /// When this module has a pool and batch > 1, samples are split
     /// across conv_bands() workers, each with its own pre-carved
-    /// workspace slice (the band scratch is allocated up front on the
-    /// calling thread because Workspace is not thread-safe); outputs
-    /// are bit-identical to the sequential order because each output
-    /// row's FMA chain is the same either way.
+    /// workspace slice: a column matrix and the zero-bordered plane the
+    /// lowering copies each channel into (the band scratch is carved up
+    /// front on the calling thread because Workspace is not
+    /// thread-safe); outputs are bit-identical to the sequential order
+    /// because each output row's FMA chain is the same either way.
     ///
     /// The layer compacts over exactly the lists it is given; whether a
     /// list is worth compacting over (the sparse policy's density
@@ -83,8 +84,9 @@ public:
     /// 16-wide tiles span output channels rather than a scalar tail.
     /// Same live-channel compaction and output-channel list as
     /// forward_into; a compacted call also computes each sample's scale
-    /// from, and quantizes, only the listed channels' planes (the rest are zero, so the scale and the bytes the GEMM
-    /// reads are the same), and the dequant runs over the listed output
+    /// from, and quantizes, only the listed channels' planes (the rest
+    /// are zero, so the scale and the bytes the GEMM reads are the
+    /// same), and the dequant runs over the listed output
     /// channels only. On the swapped narrow GEMM the output channels are
     /// its columns, which a row list cannot reach, so the listed
     /// channels' weight columns are gathered once per call into
@@ -113,8 +115,9 @@ public:
 
     /// Workspace floats forward_into() allocates for one forward at
     /// this input geometry and batch size (already alignment-rounded):
-    /// the weights packed once per call, plus one im2col scratch slice
-    /// per band.
+    /// the weights packed once per call, plus per band a column matrix
+    /// and a zero-bordered (H+2p) x (W+2p) lowering plane. A Workspace
+    /// reserved to this size throws on any byte past it.
     std::int64_t workspace_floats(std::int64_t in_height,
                                   std::int64_t in_width,
                                   std::int64_t batch = 1) const;
@@ -122,8 +125,9 @@ public:
     /// Workspace bytes forward_into_quantized() allocates at this input
     /// geometry and batch size (alignment-rounded): the int8 input
     /// slab plus, per band, an int8 column matrix (and its transpose
-    /// for a narrow output) and an int32 accumulator tile; a narrow
-    /// output adds room for the gathered output-channel weights.
+    /// for a narrow output), an int8 lowering plane and an int32
+    /// accumulator tile; a narrow output adds room for the gathered
+    /// output-channel weights.
     std::size_t quantized_workspace_bytes(std::int64_t in_height,
                                           std::int64_t in_width,
                                           std::int64_t batch = 1) const;

@@ -2,6 +2,11 @@
 
 #include "common/check.h"
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#define MIME_POOL_AVX2 1
+#endif
+
 namespace mime::nn {
 
 namespace {
@@ -33,6 +38,27 @@ PoolGeometry pool_geometry(const Tensor& input, std::int64_t kernel,
     return pool_geometry(input.shape(), kernel, stride, who);
 }
 
+/// The max of the window at (y0, x0) of `plane` and its flat index in
+/// the plane: the taps in row-major order, a tap replacing the running
+/// max only when it compares greater. This is the scalar rule every
+/// window is pooled by, NaN and signed zeros included.
+inline float window_max(const float* plane, std::int64_t in_w,
+                        std::int64_t kernel, std::int64_t y0,
+                        std::int64_t x0, std::int64_t& best_idx) {
+    best_idx = y0 * in_w + x0;
+    float best = plane[best_idx];
+    for (std::int64_t ky = 0; ky < kernel; ++ky) {
+        for (std::int64_t kx = 0; kx < kernel; ++kx) {
+            const std::int64_t idx = (y0 + ky) * in_w + (x0 + kx);
+            if (plane[idx] > best) {
+                best = plane[idx];
+                best_idx = idx;
+            }
+        }
+    }
+    return best;
+}
+
 /// The one window-max loop nest shared by MaxPool2d::forward (argmax
 /// recorded for backward) and forward_into (argmax null): legacy and
 /// planned paths cannot diverge.
@@ -42,27 +68,15 @@ void max_pool_compute(const PoolGeometry& g, std::int64_t kernel,
     std::int64_t out_idx = 0;
     for (std::int64_t n = 0; n < g.batch; ++n) {
         for (std::int64_t c = 0; c < g.channels; ++c) {
-            const float* plane =
-                input.data() + (n * g.channels + c) * g.in_h * g.in_w;
             const std::int64_t plane_base =
                 (n * g.channels + c) * g.in_h * g.in_w;
+            const float* plane = input.data() + plane_base;
             for (std::int64_t oy = 0; oy < g.out_h; ++oy) {
                 for (std::int64_t ox = 0; ox < g.out_w; ++ox, ++out_idx) {
-                    const std::int64_t y0 = oy * stride;
-                    const std::int64_t x0 = ox * stride;
-                    float best = plane[y0 * g.in_w + x0];
-                    std::int64_t best_idx = y0 * g.in_w + x0;
-                    for (std::int64_t ky = 0; ky < kernel; ++ky) {
-                        for (std::int64_t kx = 0; kx < kernel; ++kx) {
-                            const std::int64_t idx =
-                                (y0 + ky) * g.in_w + (x0 + kx);
-                            if (plane[idx] > best) {
-                                best = plane[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    output[out_idx] = best;
+                    std::int64_t best_idx = 0;
+                    output[out_idx] = window_max(plane, g.in_w, kernel,
+                                                 oy * stride, ox * stride,
+                                                 best_idx);
                     if (argmax != nullptr) {
                         argmax[out_idx] = plane_base + best_idx;
                     }
@@ -71,6 +85,52 @@ void max_pool_compute(const PoolGeometry& g, std::int64_t kernel,
         }
     }
 }
+
+#if defined(MIME_POOL_AVX2)
+/// The 2x2, stride-2 pool at eight lanes: each output row reads its two
+/// input rows 16 floats at a time, de-interleaves their even and odd
+/// columns, and folds the four taps in the scalar order with
+/// `best = max(tap, best)`, which is (tap > best) ? tap : best lane by
+/// lane, the scalar rule. The shuffles leave every tap in the same lane
+/// order, so one permute per eight outputs restores it. The columns past
+/// the last whole group of eight take window_max.
+void max_pool_2x2(const PoolGeometry& g, const Tensor& input,
+                  Tensor& output) {
+    const std::int64_t planes = g.batch * g.channels;
+    const std::int64_t vec_w = g.out_w - g.out_w % 8;
+    for (std::int64_t pl = 0; pl < planes; ++pl) {
+        const float* plane = input.data() + pl * g.in_h * g.in_w;
+        float* out = output.data() + pl * g.out_h * g.out_w;
+        for (std::int64_t oy = 0; oy < g.out_h; ++oy, out += g.out_w) {
+            const float* top = plane + 2 * oy * g.in_w;
+            const float* bottom = top + g.in_w;
+            for (std::int64_t ox = 0; ox < vec_w; ox += 8) {
+                const __m256 t0 = _mm256_loadu_ps(top + 2 * ox);
+                const __m256 t1 = _mm256_loadu_ps(top + 2 * ox + 8);
+                const __m256 b0 = _mm256_loadu_ps(bottom + 2 * ox);
+                const __m256 b1 = _mm256_loadu_ps(bottom + 2 * ox + 8);
+                __m256 best =
+                    _mm256_shuffle_ps(t0, t1, _MM_SHUFFLE(2, 0, 2, 0));
+                best = _mm256_max_ps(
+                    _mm256_shuffle_ps(t0, t1, _MM_SHUFFLE(3, 1, 3, 1)), best);
+                best = _mm256_max_ps(
+                    _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0)), best);
+                best = _mm256_max_ps(
+                    _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1)), best);
+                _mm256_storeu_ps(
+                    out + ox, _mm256_castpd_ps(_mm256_permute4x64_pd(
+                                  _mm256_castps_pd(best),
+                                  _MM_SHUFFLE(3, 1, 2, 0))));
+            }
+            for (std::int64_t ox = vec_w; ox < g.out_w; ++ox) {
+                std::int64_t best_idx = 0;
+                out[ox] = window_max(plane, g.in_w, 2, 2 * oy, 2 * ox,
+                                     best_idx);
+            }
+        }
+    }
+}
+#endif
 }  // namespace
 
 MaxPool2d::MaxPool2d(std::int64_t kernel, std::int64_t stride)
@@ -107,6 +167,12 @@ void MaxPool2d::forward_into(const Tensor& input, Tensor& output) {
                      Shape({g.batch, g.channels, g.out_h, g.out_w}),
                  "MaxPool2d::forward_into output shape mismatch: " +
                      output.shape().to_string());
+#if defined(MIME_POOL_AVX2)
+    if (kernel_ == 2 && stride_ == 2) {
+        max_pool_2x2(g, input, output);
+        return;
+    }
+#endif
     max_pool_compute(g, kernel_, stride_, input, output, /*argmax=*/nullptr);
 }
 

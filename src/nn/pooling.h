@@ -21,7 +21,14 @@ public:
 
     /// Planned-executor forward: writes into the caller-preallocated
     /// `output`; no heap allocation and no argmax bookkeeping (that
-    /// exists only for backward). Bit-identical to forward().
+    /// exists only for backward). Bit-identical to forward(). With AVX2
+    /// a 2x2, stride-2 window (the only pool MimeNetwork builds) runs
+    /// eight outputs per step: the even and odd columns of its two input
+    /// rows are de-interleaved and folded in the scalar order with a
+    /// vector max that keeps the running max unless a tap compares
+    /// greater, the scalar rule, so NaN and signed zeros pool the same.
+    /// Row tails of fewer than eight outputs, other windows and the
+    /// scalar build take the scalar loop forward() runs.
     void forward_into(const Tensor& input, Tensor& output);
 
     /// Output shape for pooling `input_shape` (validates geometry).

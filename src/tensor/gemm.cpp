@@ -66,6 +66,72 @@ std::int64_t pack_floats(std::int64_t m, std::int64_t row_count) {
     return (m + kPanelRows - 1) / kPanelRows * kPanelRows * row_count;
 }
 
+#if defined(MIME_GEMM_AVX2)
+// Writes dst[j * kPanelRows + r] = alpha * src[r][col + j] for r, j < 8:
+// eight row loads, an 8x8 transpose (8 unpacks, 8 shuffles and 8 lane
+// permutes), and one multiply and store per contraction term. The
+// multiply is the scalar pack's, so the panel bytes are the same.
+inline void pack_block(const float* const* src, std::int64_t col,
+                       __m256 alpha, float* dst) {
+    __m256 r[kPanelRows];
+    for (int i = 0; i < kPanelRows; ++i) {
+        r[i] = _mm256_loadu_ps(src[i] + col);
+    }
+    __m256 t[kPanelRows];
+    for (int i = 0; i < kPanelRows; i += 2) {
+        t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+    }
+    // q[i] holds rows 0-3 (i < 4) or 4-7 of contraction terms i % 4 and
+    // i % 4 + 4, one per 128-bit lane.
+    __m256 q[kPanelRows];
+    for (int i = 0; i < kPanelRows; i += 4) {
+        q[i] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+        q[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+        q[i + 2] =
+            _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+        q[i + 3] =
+            _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+    }
+    for (int j = 0; j < 4; ++j) {
+        _mm256_storeu_ps(
+            dst + j * kPanelRows,
+            _mm256_mul_ps(alpha, _mm256_permute2f128_ps(q[j], q[j + 4], 0x20)));
+        _mm256_storeu_ps(
+            dst + (j + 4) * kPanelRows,
+            _mm256_mul_ps(alpha, _mm256_permute2f128_ps(q[j], q[j + 4], 0x31)));
+    }
+}
+
+// Packs one full panel of a non-transposed op(A), whose eight rows start
+// at src[r]. Walks the contraction list in runs of consecutive stored
+// indices (a conv's live list is runs of K*K, the identity list one
+// run), transposing 8x8 blocks along each run; a run's last < 8 terms
+// take the scalar loop.
+void pack_full_panel(const float* const* src, const std::int64_t* rows,
+                     std::int64_t row_count, float alpha, float* dst) {
+    const __m256 alpha_v = _mm256_set1_ps(alpha);
+    std::int64_t p = 0;
+    while (p < row_count) {
+        const std::int64_t first = stored_index(rows, p);
+        std::int64_t run = rows != nullptr ? 1 : row_count - p;
+        while (p + run < row_count && rows[p + run] == first + run) {
+            ++run;
+        }
+        std::int64_t q = 0;
+        for (; q + 8 <= run; q += 8) {
+            pack_block(src, first + q, alpha_v, dst + (p + q) * kPanelRows);
+        }
+        for (; q < run; ++q) {
+            for (std::int64_t r = 0; r < kPanelRows; ++r) {
+                dst[(p + q) * kPanelRows + r] = alpha * src[r][first + q];
+            }
+        }
+        p += run;
+    }
+}
+#endif
+
 // Packs the rows of alpha * op(A) at positions [i0, i0 + m) of the
 // output-row list (identity when null), contracted over the (possibly
 // compacted) index list, into ceil(m / kPanelRows) panels. Rows past m
@@ -89,14 +155,22 @@ void pack_panels(bool trans_a, std::int64_t i0, std::int64_t m,
                         alpha * src[stored_index(out_rows, i0 + r0 + r)];
                 }
             }
-        } else {
-            for (std::int64_t r = 0; r < live; ++r) {
-                const float* src =
-                    a + stored_index(out_rows, i0 + r0 + r) * lda;
-                for (std::int64_t p = 0; p < row_count; ++p) {
-                    dst[p * kPanelRows + r] =
-                        alpha * src[stored_index(rows, p)];
-                }
+            continue;
+        }
+#if defined(MIME_GEMM_AVX2)
+        if (live == kPanelRows) {
+            const float* src[kPanelRows];
+            for (std::int64_t r = 0; r < kPanelRows; ++r) {
+                src[r] = a + stored_index(out_rows, i0 + r0 + r) * lda;
+            }
+            pack_full_panel(src, rows, row_count, alpha, dst);
+            continue;
+        }
+#endif
+        for (std::int64_t r = 0; r < live; ++r) {
+            const float* src = a + stored_index(out_rows, i0 + r0 + r) * lda;
+            for (std::int64_t p = 0; p < row_count; ++p) {
+                dst[p * kPanelRows + r] = alpha * src[stored_index(rows, p)];
             }
         }
     }

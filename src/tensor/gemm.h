@@ -16,7 +16,14 @@
 // p-major panels. gemm / gemm_rows pack them per cache block into
 // thread-local scratch; gemm_pack / gemm_packed let a caller that runs
 // many products against one op(A) (a conv layer, once per sample) pack
-// it once and share the pack across calls and pool bands.
+// it once and share the pack across calls and pool bands. With AVX2, a
+// whole 8-row panel of a non-transposed op(A) is written by 8x8
+// transposes (8 row loads, 24 shuffles and 8 stores per block) along
+// each run of consecutive contraction indices — the identity list is one
+// run, and a conv's live list is runs of K*K — with the run's last
+// terms, partial panels and a transposed op(A) packed element by
+// element. Either way each panel entry is the one product
+// alpha * op(A)[i, p], so the panel bytes do not depend on the path.
 //
 // Orientation: with n >= kGemmNarrowN output columns, a register tile of
 // 4 rows by 16 columns of C vectorizes across the columns (with 3-, 2-

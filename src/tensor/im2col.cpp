@@ -20,71 +20,84 @@ void ConvGeometry::validate() const {
 
 namespace {
 
-// Lowers one input channel into its K*K block of rows starting at
-// `columns + c*K*K*cols`; shared by the dense and live-channel paths so
-// the bytes written for a given channel are identical in both. The
-// element type is templated — float for the f32 path, int8 for the
-// quantized executor (pure data movement either way; out-of-image taps
-// are the type's zero, which for int8 dequantizes to exactly 0).
+// Copies `rows` runs of `width` elements, run r from src + r * src_pitch
+// to dst + r * dst_pitch, each in fixed-size chunks of 8, 4, 2 and 1
+// elements that the compiler turns into register moves: no libc call
+// per run, and no image-bounds test, since the plane's zero border
+// supplies the padding.
 template <typename T>
-void im2col_channel(const ConvGeometry& g, const T* input, T* columns,
-                    std::int64_t c) {
+void copy_runs(const T* src, std::int64_t src_pitch, T* dst,
+               std::int64_t dst_pitch, std::int64_t rows,
+               std::int64_t width) {
+    for (std::int64_t r = 0; r < rows;
+         ++r, src += src_pitch, dst += dst_pitch) {
+        std::int64_t i = 0;
+        for (; i + 8 <= width; i += 8) {
+            std::memcpy(dst + i, src + i, 8 * sizeof(T));
+        }
+        if (i + 4 <= width) {
+            std::memcpy(dst + i, src + i, 4 * sizeof(T));
+            i += 4;
+        }
+        if (i + 2 <= width) {
+            std::memcpy(dst + i, src + i, 2 * sizeof(T));
+            i += 2;
+        }
+        if (i < width) {
+            dst[i] = src[i];
+        }
+    }
+}
+
+// The strided form: run r takes every `step`-th element of the plane
+// row at src + r * src_pitch into the contiguous dst + r * width.
+template <typename T>
+void gather_runs(const T* src, std::int64_t src_pitch, std::int64_t step,
+                 T* dst, std::int64_t rows, std::int64_t width) {
+    for (std::int64_t r = 0; r < rows; ++r, src += src_pitch, dst += width) {
+        for (std::int64_t x = 0; x < width; ++x) {
+            dst[x] = src[x * step];
+        }
+    }
+}
+
+// The one lowering routine: the `count` channels listed in `channels`
+// (the identity list when null), each copied into the zero-bordered
+// `plane` and its K*K rows of `columns` read off the plane as runs. The
+// element type is float for the f32 path and int8 for the quantized
+// executor (pure data movement either way; the border is the type's
+// zero, which for int8 dequantizes to exactly 0). Every extent is a
+// local: int8 stores may alias anything, so a field read in the loops
+// would be reloaded after each one.
+template <typename T>
+void lower(const ConvGeometry& g, const T* input, T* columns, T* plane,
+           const std::int64_t* channels, std::int64_t count) {
+    MIME_REQUIRE(plane != nullptr, "im2col needs a plane scratch buffer");
+    const std::int64_t h = g.in_height;
+    const std::int64_t w = g.in_width;
+    const std::int64_t k = g.kernel;
+    const std::int64_t stride = g.stride;
+    const std::int64_t pad = g.padding;
+    const std::int64_t pw = w + 2 * pad;
     const std::int64_t ho = g.out_height();
     const std::int64_t wo = g.out_width();
     const std::int64_t cols = ho * wo;
-    const T* channel = input + c * g.in_height * g.in_width;
-    std::int64_t row = c * g.kernel * g.kernel;
-    for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
-        for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
-            T* out_row = columns + row * cols;
-            if (g.stride == 1) {
-                // Stride 1 (every conv in the reproduced nets): each
-                // output row is one contiguous run of the input row
-                // between zero-padded edges — memset/memcpy instead of
-                // a bounds check per element. Bytes written are
-                // identical to the general loop below.
-                const std::int64_t x0 = std::max<std::int64_t>(
-                    0, g.padding - kx);
-                const std::int64_t x1 = std::min<std::int64_t>(
-                    wo, g.in_width + g.padding - kx);
-                for (std::int64_t oy = 0; oy < ho; ++oy) {
-                    const std::int64_t iy = oy + ky - g.padding;
-                    T* dst = out_row + oy * wo;
-                    if (iy < 0 || iy >= g.in_height || x0 >= x1) {
-                        std::memset(dst, 0,
-                                    static_cast<std::size_t>(wo) * sizeof(T));
-                        continue;
-                    }
-                    if (x0 > 0) {
-                        std::memset(dst, 0,
-                                    static_cast<std::size_t>(x0) * sizeof(T));
-                    }
-                    std::memcpy(dst + x0,
-                                channel + iy * g.in_width + x0 + kx -
-                                    g.padding,
-                                static_cast<std::size_t>(x1 - x0) *
-                                    sizeof(T));
-                    if (x1 < wo) {
-                        std::memset(dst + x1, 0,
-                                    static_cast<std::size_t>(wo - x1) *
-                                        sizeof(T));
-                    }
-                }
-                continue;
-            }
-            for (std::int64_t oy = 0; oy < ho; ++oy) {
-                const std::int64_t iy = oy * g.stride + ky - g.padding;
-                if (iy < 0 || iy >= g.in_height) {
-                    for (std::int64_t ox = 0; ox < wo; ++ox) {
-                        out_row[oy * wo + ox] = T{};
-                    }
-                    continue;
-                }
-                const T* in_row = channel + iy * g.in_width;
-                for (std::int64_t ox = 0; ox < wo; ++ox) {
-                    const std::int64_t ix = ox * g.stride + kx - g.padding;
-                    out_row[oy * wo + ox] =
-                        (ix >= 0 && ix < g.in_width) ? in_row[ix] : T{};
+    T* const interior = plane + pad * pw + pad;
+
+    // The border is the same for every channel: zero the plane once, and
+    // let each channel overwrite only the interior.
+    std::fill(plane, plane + g.plane_elements(), T{});
+    for (std::int64_t i = 0; i < count; ++i) {
+        const std::int64_t c = channels != nullptr ? channels[i] : i;
+        copy_runs(input + c * h * w, w, interior, pw, h, w);
+        T* out = columns + c * k * k * cols;
+        for (std::int64_t ky = 0; ky < k; ++ky) {
+            for (std::int64_t kx = 0; kx < k; ++kx, out += cols) {
+                const T* tap = plane + ky * pw + kx;
+                if (stride == 1) {
+                    copy_runs(tap, pw, out, wo, ho, wo);
+                } else {
+                    gather_runs(tap, stride * pw, stride, out, ho, wo);
                 }
             }
         }
@@ -92,16 +105,8 @@ void im2col_channel(const ConvGeometry& g, const T* input, T* columns,
 }
 
 template <typename T>
-void im2col_all(const ConvGeometry& g, const T* input, T* columns) {
-    g.validate();
-    for (std::int64_t c = 0; c < g.in_channels; ++c) {
-        im2col_channel(g, input, columns, c);
-    }
-}
-
-template <typename T>
-void im2col_live(const ConvGeometry& g, const T* input, T* columns,
-                 const std::int64_t* live_channels, std::int64_t live_count) {
+void lower_live(const ConvGeometry& g, const T* input, T* columns, T* plane,
+                const std::int64_t* live_channels, std::int64_t live_count) {
     g.validate();
     MIME_REQUIRE(live_channels != nullptr || live_count == 0,
                  "im2col needs a channel list unless live_count is 0");
@@ -111,30 +116,34 @@ void im2col_live(const ConvGeometry& g, const T* input, T* columns,
                          (i == 0 || c > live_channels[i - 1]),
                      "im2col live channels must be strictly ascending within "
                      "[0, in_channels)");
-        im2col_channel(g, input, columns, c);
     }
+    lower(g, input, columns, plane, live_channels, live_count);
 }
 
 }  // namespace
 
-void im2col(const ConvGeometry& g, const float* input, float* columns) {
-    im2col_all(g, input, columns);
+void im2col(const ConvGeometry& g, const float* input, float* columns,
+            float* plane) {
+    g.validate();
+    lower(g, input, columns, plane, nullptr, g.in_channels);
 }
 
 void im2col(const ConvGeometry& g, const std::int8_t* input,
-            std::int8_t* columns) {
-    im2col_all(g, input, columns);
+            std::int8_t* columns, std::int8_t* plane) {
+    g.validate();
+    lower(g, input, columns, plane, nullptr, g.in_channels);
 }
 
 void im2col(const ConvGeometry& g, const float* input, float* columns,
-            const std::int64_t* live_channels, std::int64_t live_count) {
-    im2col_live(g, input, columns, live_channels, live_count);
+            float* plane, const std::int64_t* live_channels,
+            std::int64_t live_count) {
+    lower_live(g, input, columns, plane, live_channels, live_count);
 }
 
 void im2col(const ConvGeometry& g, const std::int8_t* input,
-            std::int8_t* columns, const std::int64_t* live_channels,
-            std::int64_t live_count) {
-    im2col_live(g, input, columns, live_channels, live_count);
+            std::int8_t* columns, std::int8_t* plane,
+            const std::int64_t* live_channels, std::int64_t live_count) {
+    lower_live(g, input, columns, plane, live_channels, live_count);
 }
 
 void col2im(const ConvGeometry& g, const float* columns, float* input_grad) {

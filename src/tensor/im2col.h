@@ -4,6 +4,14 @@
 // [C*K*K, Hout*Wout]; the convolution then becomes a GEMM with the
 // [Cout, C*K*K] filter matrix. col2im is the adjoint used by the backward
 // pass w.r.t. the input.
+//
+// The lowering copies each channel it lowers once into a zero-bordered
+// (H+2p) x (W+2p) plane, caller scratch of plane_elements() elements.
+// Every tap's output row is then a run of that plane: contiguous at
+// stride 1, every s-th element at stride s. Padding never needs a bounds
+// test, and a stride-1 run is copied in fixed-size chunks that compile to
+// register moves. One routine serves float and int8, the dense and the
+// live-channel lowering, and every stride.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +37,11 @@ struct ConvGeometry {
     std::int64_t col_rows() const { return in_channels * kernel * kernel; }
     /// Columns of the lowered column matrix (= Hout*Wout).
     std::int64_t col_cols() const { return out_height() * out_width(); }
+    /// Elements of the zero-bordered plane one channel is lowered from
+    /// (= (H+2p) * (W+2p)).
+    std::int64_t plane_elements() const {
+        return (in_height + 2 * padding) * (in_width + 2 * padding);
+    }
 
     /// Validates extents; throws on non-positive output sizes.
     void validate() const;
@@ -36,14 +49,16 @@ struct ConvGeometry {
 
 /// Lowers one sample `input` [C, H, W] (contiguous) into `columns`
 /// [C*K*K, Hout*Wout] (contiguous, caller-allocated). Out-of-image taps
-/// contribute zeros.
-void im2col(const ConvGeometry& g, const float* input, float* columns);
+/// contribute zeros. `plane` is scratch of g.plane_elements() elements;
+/// its contents on entry do not matter.
+void im2col(const ConvGeometry& g, const float* input, float* columns,
+            float* plane);
 
 /// Int8 lowering for the quantized executor — identical layout and tap
 /// rules on already-quantized samples (pure data movement; a zero tap
 /// dequantizes to exactly 0 at any scale).
 void im2col(const ConvGeometry& g, const std::int8_t* input,
-            std::int8_t* columns);
+            std::int8_t* columns, std::int8_t* plane);
 
 /// Partial lowering for the sparse conv path: writes only the K*K row
 /// blocks of the `live_count` channels listed (strictly ascending) in
@@ -51,12 +66,13 @@ void im2col(const ConvGeometry& g, const std::int8_t* input,
 /// rows of dead channels are left untouched (their previous contents are
 /// garbage and must never be read; the row-compacted GEMM skips them).
 void im2col(const ConvGeometry& g, const float* input, float* columns,
-            const std::int64_t* live_channels, std::int64_t live_count);
+            float* plane, const std::int64_t* live_channels,
+            std::int64_t live_count);
 
 /// Int8 partial lowering (see above; composes with qgemm_rows).
 void im2col(const ConvGeometry& g, const std::int8_t* input,
-            std::int8_t* columns, const std::int64_t* live_channels,
-            std::int64_t live_count);
+            std::int8_t* columns, std::int8_t* plane,
+            const std::int64_t* live_channels, std::int64_t live_count);
 
 /// Adjoint of im2col: accumulates `columns` [C*K*K, Hout*Wout] back into
 /// `input_grad` [C, H, W]. `input_grad` must be zeroed by the caller

@@ -15,6 +15,7 @@
 #include "nn/gradcheck.h"
 #include "nn/linear.h"
 #include "nn/quantize.h"
+#include "tensor/gemm.h"
 #include "tensor/qgemm.h"
 #include "tensor/workspace.h"
 
@@ -214,7 +215,9 @@ TEST(Conv2d, QuantizedNarrowOutputSwapsOperandsExactly) {
         std::vector<std::int8_t> xq(32);
         quantize_with_scale(xn, 32, 127.0f / absmax, xq.data());
         std::vector<std::int8_t> cols(72 * 4);
-        im2col(g, xq.data(), cols.data());
+        std::vector<std::int8_t> plane(
+            static_cast<std::size_t>(g.plane_elements()));
+        im2col(g, xq.data(), cols.data(), plane.data());
         std::vector<std::int32_t> acc(24 * 4);
         qgemm_reference(24, 4, 72, wide.data.data(), 72, cols.data(), 4,
                         acc.data(), 4);
@@ -367,6 +370,87 @@ TEST(Conv2d, ComputesWithEveryInputListItIsHanded) {
             EXPECT_NE(0, std::memcmp(want.data(), leaked.data(),
                                      static_cast<std::size_t>(want.numel()) *
                                          sizeof(float)));
+        }
+    }
+}
+
+TEST(Conv2d, PlannedForwardFitsItsExactWorkspace) {
+    // workspace_floats and quantized_workspace_bytes count every byte a
+    // planned forward carves: the packed weights (float) or the int8
+    // slab, and per band the column matrix and the plane the lowering
+    // copies each channel into. A Workspace reserved to exactly that
+    // throws on one byte more, so a missed byte fails the call. Float and
+    // int8, wide (8x8, and 5x5 from a stride-2 conv) and narrow (2x2)
+    // outputs, dense and with input and output lists, on one thread and
+    // banded over a 4-thread pool, where every band carves its own plane
+    // and the output bit-matches the single-thread one.
+    ThreadPool pool(4);
+    const std::vector<std::int64_t> live_in{0, 2, 3};
+    const std::vector<std::int64_t> live_out{1, 5, 6, 19};
+    const ActiveIndexView in_view{live_in.data(), 3, 6};
+    const ActiveIndexView out_view{live_out.data(), 4, 20};
+    struct Case {
+        std::int64_t size;
+        std::int64_t stride;
+    };
+    for (const Case c : {Case{8, 1}, Case{2, 1}, Case{9, 2}}) {
+        Rng rng(23);
+        Conv2d conv(6, 20, 3, c.stride, 1, rng);
+        conv.bias().value = Tensor::randn({20}, rng);
+        conv.set_eval_mode(true);
+        Tensor x = Tensor::randn({4, 6, c.size, c.size}, rng);
+        for (std::int64_t i = 0; i < x.numel(); ++i) {
+            const std::int64_t ch = (i / (c.size * c.size)) % 6;
+            if (ch == 1 || ch == 4 || ch == 5) {
+                x[i] = 0.0f;
+            }
+        }
+        const QuantizedTensor q = conv.quantize_weights(c.size, c.size);
+        const ConvGeometry g = conv.geometry(c.size, c.size);
+        const Shape out_shape({4, 20, g.out_height(), g.out_width()});
+        for (const bool int8 : {false, true}) {
+            for (const bool listed : {false, true}) {
+                SCOPED_TRACE(std::string(int8 ? "int8" : "float") + " size " +
+                             std::to_string(c.size) + " stride " +
+                             std::to_string(c.stride) +
+                             (listed ? " listed" : ""));
+                Tensor single;
+                for (ThreadPool* p :
+                     {static_cast<ThreadPool*>(nullptr), &pool}) {
+                    conv.set_pool(p);
+                    Workspace ws(
+                        int8 ? conv.quantized_workspace_bytes(c.size, c.size,
+                                                              4)
+                             : static_cast<std::size_t>(conv.workspace_floats(
+                                   c.size, c.size, 4)) *
+                                   sizeof(float));
+                    Tensor out(out_shape, 0.0f);
+                    const ActiveIndexView* in = listed ? &in_view : nullptr;
+                    const ActiveIndexView* outv =
+                        listed ? &out_view : nullptr;
+                    if (int8) {
+                        ASSERT_NO_THROW(
+                            conv.forward_into_quantized(x, ws, out, q, in,
+                                                        outv));
+                    } else {
+                        ASSERT_NO_THROW(conv.forward_into(x, ws, out, in,
+                                                          outv));
+                    }
+                    // A dense call carves all of it, but for the room a
+                    // narrow int8 output keeps for gathered weights.
+                    if (!listed && !(int8 && g.col_cols() < kGemmNarrowN)) {
+                        EXPECT_EQ(ws.peak_bytes(), ws.capacity_bytes());
+                    }
+                    if (p == nullptr) {
+                        single = out;
+                    } else {
+                        EXPECT_EQ(0, std::memcmp(single.data(), out.data(),
+                                                 static_cast<std::size_t>(
+                                                     out.numel()) *
+                                                     sizeof(float)));
+                    }
+                }
+            }
         }
     }
 }

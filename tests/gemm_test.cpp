@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -25,6 +27,45 @@ std::vector<float> random_matrix(std::int64_t rows, std::int64_t cols,
         v = static_cast<float>(rng.normal());
     }
     return m;
+}
+
+// A conv's live-row list over [0, k): the 9 rows (K*K of a 3x3 kernel)
+// of each live input channel, channels 0-2, 4-5 and 7 of every 9 live,
+// so runs of 27, 18 and 9 consecutive indices with gaps between them.
+// Over k = 1152 the runs cross the K-block edges at list positions 256
+// and 512, and over k = 255-257 the list ends inside a run, so the
+// 8-wide transposing pack meets whole blocks and remainders on both
+// sides of each edge.
+std::vector<std::int64_t> conv_live_rows(std::int64_t k) {
+    std::vector<std::int64_t> rows;
+    for (std::int64_t r = 0; r < k; ++r) {
+        const std::int64_t channel = r / 9 % 9;
+        if (channel != 3 && channel != 6 && channel != 8) {
+            rows.push_back(r);
+        }
+    }
+    return rows;
+}
+
+// The (k, contraction list) cases a test sweeps over `ks`: per k the
+// identity list or, when compacted, every index except r % 3 == 1 (runs
+// of at most 2) and conv_live_rows(k).
+std::vector<std::pair<std::int64_t, std::vector<std::int64_t>>>
+contraction_cases(std::initializer_list<std::int64_t> ks, bool compacted) {
+    std::vector<std::pair<std::int64_t, std::vector<std::int64_t>>> cases;
+    for (const std::int64_t k : ks) {
+        std::vector<std::int64_t> rows;
+        for (std::int64_t r = 0; r < k; ++r) {
+            if (!compacted || r % 3 != 1) {
+                rows.push_back(r);
+            }
+        }
+        cases.emplace_back(k, std::move(rows));
+        if (compacted) {
+            cases.emplace_back(k, conv_live_rows(k));
+        }
+    }
+    return cases;
 }
 
 void expect_close(const std::vector<float>& a, const std::vector<float>& b,
@@ -118,20 +159,16 @@ bool same_value(float a, float b) {
 // (m, trans_a, trans_b, compacted). Each case sweeps n = 1..17 — every
 // narrow width below kGemmNarrowN plus the first two wide ones — over
 // short contractions, and the 2x2-output conv width (n = 4) and the
-// widest narrow one over a 3x3 conv across 128 channels (k = 1152).
+// widest narrow one over a 3x3 conv across 128 channels (k = 1152); a
+// compacted case runs both contraction_cases lists.
 using NarrowCase = std::tuple<int, bool, bool, bool>;
 
 class GemmNarrowTest : public ::testing::TestWithParam<NarrowCase> {};
 
 TEST_P(GemmNarrowTest, BitMatchesSequentialFmaOracle) {
     const auto [m, ta, tb, compacted] = GetParam();
-    for (const std::int64_t k : {1, 9, 300, 1152}) {
-        std::vector<std::int64_t> rows;
-        for (std::int64_t r = 0; r < k; ++r) {
-            if (!compacted || r % 3 != 1) {
-                rows.push_back(r);
-            }
-        }
+    for (const auto& [k, rows] :
+         contraction_cases({1, 9, 300, 1152}, compacted)) {
         const auto row_count = static_cast<std::int64_t>(rows.size());
         Rng rng(static_cast<std::uint64_t>(m * 131 + k));
         const std::int64_t lda = ta ? m : k;
@@ -163,7 +200,8 @@ TEST_P(GemmNarrowTest, BitMatchesSequentialFmaOracle) {
                     gemm(ta, tb, m, n, k, 1.3f, a.data(), lda, b.data(), ldb,
                          beta, got.data(), ldc);
                 }
-                EXPECT_TRUE(bits_equal(want, got)) << "beta=" << beta;
+                EXPECT_TRUE(bits_equal(want, got))
+                    << "beta=" << beta << " rows=" << row_count;
             }
         }
     }
@@ -180,9 +218,10 @@ INSTANTIATE_TEST_SUITE_P(
 // remainder of the tile, and a second panel), n over the 16-wide, 8-wide
 // and scalar column tails (16, 17, 24, 25, 31, and 257 past sixteen
 // whole strips), and k across the K-block edges (255, 256, 257) and a
-// 3x3 conv over 128 channels (1152), each with and without an
-// output-row list. Every m reads the leading rows of one op(A) and one
-// C, so one oracle run over kMaxM rows serves them all.
+// 3x3 conv over 128 channels (1152), a compacted case over both
+// contraction_cases lists, each without and with two output-row lists.
+// Every m reads the leading rows of one op(A) and one C, so one oracle
+// run over kMaxM rows serves them all.
 using WideCase = std::tuple<bool, bool, bool>;
 
 class GemmWideTest : public ::testing::TestWithParam<WideCase> {};
@@ -190,13 +229,8 @@ class GemmWideTest : public ::testing::TestWithParam<WideCase> {};
 TEST_P(GemmWideTest, BitMatchesSequentialFmaOracle) {
     const auto [ta, tb, compacted] = GetParam();
     constexpr std::int64_t kMaxM = 9;
-    for (const std::int64_t k : {1, 9, 255, 256, 257, 1152}) {
-        std::vector<std::int64_t> rows;
-        for (std::int64_t r = 0; r < k; ++r) {
-            if (!compacted || r % 3 != 1) {
-                rows.push_back(r);
-            }
-        }
+    for (const auto& [k, rows] :
+         contraction_cases({1, 9, 255, 256, 257, 1152}, compacted)) {
         const auto row_count = static_cast<std::int64_t>(rows.size());
         Rng rng(static_cast<std::uint64_t>(k * 7 + (ta ? 1 : 0) +
                                            (tb ? 2 : 0)));
@@ -231,25 +265,31 @@ TEST_P(GemmWideTest, BitMatchesSequentialFmaOracle) {
                     }
                     EXPECT_TRUE(bits_equal(want, got));
                     // With an output-row list the listed rows bit-match
-                    // the full product and the others keep c0.
-                    std::vector<std::int64_t> out_rows;
-                    std::vector<float> want_listed(c0.begin(),
-                                                   c0.begin() + size);
-                    for (std::int64_t i = 0; i < m; ++i) {
-                        if (i % 3 != 1) {
-                            out_rows.push_back(i);
-                            std::copy_n(want.begin() + i * ldc, ldc,
-                                        want_listed.begin() + i * ldc);
+                    // the full product and the others keep c0: every row
+                    // but i % 3 == 1, and every row listed (m of them,
+                    // so at m = 9 a whole panel and a partial one).
+                    for (const bool gaps : {true, false}) {
+                        std::vector<std::int64_t> out_rows;
+                        std::vector<float> want_listed(c0.begin(),
+                                                       c0.begin() + size);
+                        for (std::int64_t i = 0; i < m; ++i) {
+                            if (!gaps || i % 3 != 1) {
+                                out_rows.push_back(i);
+                                std::copy_n(want.begin() + i * ldc, ldc,
+                                            want_listed.begin() + i * ldc);
+                            }
                         }
+                        std::vector<float> listed(c0.begin(),
+                                                  c0.begin() + size);
+                        gemm_rows(ta, tb, m, n, k,
+                                  compacted ? rows.data() : nullptr,
+                                  row_count, 1.3f, a.data(), lda, b.data(),
+                                  ldb, beta, listed.data(), ldc, nullptr,
+                                  out_rows.data(),
+                                  static_cast<std::int64_t>(out_rows.size()));
+                        EXPECT_TRUE(bits_equal(want_listed, listed))
+                            << "output-row list of " << out_rows.size();
                     }
-                    std::vector<float> listed(c0.begin(), c0.begin() + size);
-                    gemm_rows(ta, tb, m, n, k,
-                              compacted ? rows.data() : nullptr, row_count,
-                              1.3f, a.data(), lda, b.data(), ldb, beta,
-                              listed.data(), ldc, nullptr, out_rows.data(),
-                              static_cast<std::int64_t>(out_rows.size()));
-                    EXPECT_TRUE(bits_equal(want_listed, listed))
-                        << "output-row list";
                 }
             }
         }
@@ -317,32 +357,54 @@ TEST(GemmPacked, PackedOnceBitMatchesGemmRows) {
     // The conv path packs its weights once and reuses them per sample;
     // that must be the same arithmetic as a plain gemm_rows call, with
     // and without a pool splitting the rows into bands, for narrow and
-    // wide n (16-wide, 8-wide and scalar column tails).
+    // wide n (16-wide, 8-wide and scalar column tails). Contraction over
+    // every second index and over a conv's runs of 9, 18 and 27; all 300
+    // output rows, and a list of 225 (a partial last panel).
     Rng rng(45);
     const std::int64_t m = 300;
     const std::int64_t k = 288;
     const auto a = random_matrix(m, k, rng);
-    std::vector<std::int64_t> rows;
+    std::vector<std::int64_t> every_second;
     for (std::int64_t r = 0; r < k; r += 2) {
-        rows.push_back(r);
+        every_second.push_back(r);
     }
-    const auto row_count = static_cast<std::int64_t>(rows.size());
-    std::vector<float> packed(
-        static_cast<std::size_t>(gemm_pack_floats(m, row_count)));
-    gemm_pack(false, m, k, rows.data(), row_count, 1.0f, a.data(), k,
-              packed.data());
+    std::vector<std::int64_t> out_list;
+    for (std::int64_t i = 0; i < m; ++i) {
+        if (i % 4 != 3) {
+            out_list.push_back(i);
+        }
+    }
     ThreadPool pool(4);
-    for (const std::int64_t n : {1, 4, 15, 16, 25, 40, 257}) {
-        const auto b = random_matrix(k, n, rng);
-        std::vector<float> want(static_cast<std::size_t>(m * n), 0.0f);
-        gemm_rows(false, false, m, n, k, rows.data(), row_count, 1.0f,
-                  a.data(), k, b.data(), n, 0.0f, want.data(), n);
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-            std::vector<float> got(want.size(), -1.0f);
-            gemm_packed(m, n, k, rows.data(), row_count, packed.data(),
-                        b.data(), n, 0.0f, got.data(), n, p);
-            EXPECT_TRUE(bits_equal(want, got))
-                << "n=" << n << (p != nullptr ? " pooled" : "");
+    for (const std::vector<std::int64_t>& rows :
+         {every_second, conv_live_rows(k)}) {
+        const auto row_count = static_cast<std::int64_t>(rows.size());
+        for (const bool listed : {false, true}) {
+            const std::int64_t* out_rows = listed ? out_list.data() : nullptr;
+            const std::int64_t out_count =
+                listed ? static_cast<std::int64_t>(out_list.size()) : m;
+            std::vector<float> packed(static_cast<std::size_t>(
+                gemm_pack_floats(out_count, row_count)));
+            gemm_pack(false, m, k, rows.data(), row_count, 1.0f, a.data(), k,
+                      packed.data(), out_rows, out_count);
+            for (const std::int64_t n : {1, 4, 15, 16, 25, 40, 257}) {
+                const auto b = random_matrix(k, n, rng);
+                std::vector<float> want(static_cast<std::size_t>(m * n),
+                                        -1.0f);
+                gemm_rows(false, false, m, n, k, rows.data(), row_count, 1.0f,
+                          a.data(), k, b.data(), n, 0.0f, want.data(), n,
+                          nullptr, out_rows, out_count);
+                for (ThreadPool* p :
+                     {static_cast<ThreadPool*>(nullptr), &pool}) {
+                    std::vector<float> got(want.size(), -1.0f);
+                    gemm_packed(m, n, k, rows.data(), row_count,
+                                packed.data(), b.data(), n, 0.0f, got.data(),
+                                n, p, out_rows, out_count);
+                    EXPECT_TRUE(bits_equal(want, got))
+                        << "n=" << n << " rows=" << row_count
+                        << (listed ? " listed" : "")
+                        << (p != nullptr ? " pooled" : "");
+                }
+            }
         }
     }
 }
@@ -382,21 +444,22 @@ TEST(GemmRows, OutputRowListComputesListedRowsOnly) {
     // An output-row list reads only the listed rows of op(A) and writes
     // only the listed rows of C: each bit-matches the same row of the
     // full product, and every other row keeps its sentinel. Wide and
-    // narrow n, both orientations of A, the pre-packed entry points, and
-    // a pool splitting the list into bands.
+    // narrow n, both orientations of A, contraction over every odd
+    // index and over a conv's runs, the pre-packed entry points, and a
+    // pool splitting the list (101 rows, a partial last panel) into
+    // bands.
     Rng rng(48);
     const std::int64_t m = 300;
     const std::int64_t k = 96;
-    std::vector<std::int64_t> rows;
+    std::vector<std::int64_t> odd;
     for (std::int64_t r = 1; r < k; r += 2) {
-        rows.push_back(r);
+        odd.push_back(r);
     }
     std::vector<std::int64_t> out_rows;
     for (std::int64_t i = 0; i < m; i += 3) {
         out_rows.push_back(i);
     }
     out_rows.push_back(m - 1);
-    const auto rc = static_cast<std::int64_t>(rows.size());
     const auto oc = static_cast<std::int64_t>(out_rows.size());
     const auto expect_listed = [&](const std::vector<float>& full,
                                    const std::vector<float>& got,
@@ -413,32 +476,38 @@ TEST(GemmRows, OutputRowListComputesListedRowsOnly) {
         }
     };
     ThreadPool pool(4);
-    for (const std::int64_t n : {4, 40}) {
-        const auto b = random_matrix(k, n, rng);
-        for (const bool ta : {false, true}) {
-            const std::int64_t lda = ta ? m : k;
-            const auto a = random_matrix(ta ? k : m, lda, rng);
-            std::vector<float> full(static_cast<std::size_t>(m * n), 0.0f);
-            gemm_rows(ta, false, m, n, k, rows.data(), rc, 1.0f, a.data(),
-                      lda, b.data(), n, 0.0f, full.data(), n);
-            for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-                const std::string what = "n=" + std::to_string(n) +
-                                          (ta ? " trans_a" : "") +
-                                          (p != nullptr ? " pooled" : "");
-                std::vector<float> got(full.size(), 7.0f);
-                gemm_rows(ta, false, m, n, k, rows.data(), rc, 1.0f, a.data(),
-                          lda, b.data(), n, 0.0f, got.data(), n, p,
-                          out_rows.data(), oc);
-                expect_listed(full, got, n, what);
-                std::vector<float> packed(
-                    static_cast<std::size_t>(gemm_pack_floats(oc, rc)));
-                gemm_pack(ta, m, k, rows.data(), rc, 1.0f, a.data(), lda,
-                          packed.data(), out_rows.data(), oc);
-                std::fill(got.begin(), got.end(), 7.0f);
-                gemm_packed(m, n, k, rows.data(), rc, packed.data(),
-                            b.data(), n, 0.0f, got.data(), n, p,
-                            out_rows.data(), oc);
-                expect_listed(full, got, n, what + " packed");
+    for (const std::vector<std::int64_t>& rows : {odd, conv_live_rows(k)}) {
+        const auto rc = static_cast<std::int64_t>(rows.size());
+        for (const std::int64_t n : {4, 40}) {
+            const auto b = random_matrix(k, n, rng);
+            for (const bool ta : {false, true}) {
+                const std::int64_t lda = ta ? m : k;
+                const auto a = random_matrix(ta ? k : m, lda, rng);
+                std::vector<float> full(static_cast<std::size_t>(m * n),
+                                        0.0f);
+                gemm_rows(ta, false, m, n, k, rows.data(), rc, 1.0f,
+                          a.data(), lda, b.data(), n, 0.0f, full.data(), n);
+                for (ThreadPool* p :
+                     {static_cast<ThreadPool*>(nullptr), &pool}) {
+                    const std::string what =
+                        "n=" + std::to_string(n) + " rows=" +
+                        std::to_string(rc) + (ta ? " trans_a" : "") +
+                        (p != nullptr ? " pooled" : "");
+                    std::vector<float> got(full.size(), 7.0f);
+                    gemm_rows(ta, false, m, n, k, rows.data(), rc, 1.0f,
+                              a.data(), lda, b.data(), n, 0.0f, got.data(), n,
+                              p, out_rows.data(), oc);
+                    expect_listed(full, got, n, what);
+                    std::vector<float> packed(
+                        static_cast<std::size_t>(gemm_pack_floats(oc, rc)));
+                    gemm_pack(ta, m, k, rows.data(), rc, 1.0f, a.data(), lda,
+                              packed.data(), out_rows.data(), oc);
+                    std::fill(got.begin(), got.end(), 7.0f);
+                    gemm_packed(m, n, k, rows.data(), rc, packed.data(),
+                                b.data(), n, 0.0f, got.data(), n, p,
+                                out_rows.data(), oc);
+                    expect_listed(full, got, n, what + " packed");
+                }
             }
         }
     }

@@ -26,12 +26,21 @@ ConvGeometry make_geometry(std::int64_t c, std::int64_t h, std::int64_t w,
     return g;
 }
 
+// The lowering's plane scratch for `g`, filled with a nonzero value so a
+// border the lowering failed to zero shows up as data.
+template <typename T>
+std::vector<T> plane_for(const ConvGeometry& g) {
+    return std::vector<T>(static_cast<std::size_t>(g.plane_elements()),
+                          T{9});
+}
+
 TEST(ConvGeometry, OutputExtents) {
     const auto g = make_geometry(3, 32, 32, 3, 1, 1);
     EXPECT_EQ(g.out_height(), 32);
     EXPECT_EQ(g.out_width(), 32);
     EXPECT_EQ(g.col_rows(), 27);
     EXPECT_EQ(g.col_cols(), 1024);
+    EXPECT_EQ(g.plane_elements(), 34 * 34);
 }
 
 TEST(ConvGeometry, StridedExtents) {
@@ -54,7 +63,7 @@ TEST(Im2col, IdentityKernel) {
     std::iota(input.begin(), input.end(), 0.0f);
     std::vector<float> cols(
         static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-    im2col(g, input.data(), cols.data());
+    im2col(g, input.data(), cols.data(), plane_for<float>(g).data());
     for (std::size_t i = 0; i < input.size(); ++i) {
         EXPECT_EQ(cols[i], input[i]);
     }
@@ -65,7 +74,7 @@ TEST(Im2col, KnownWindow) {
     const auto g = make_geometry(1, 3, 3, 2, 1, 0);
     const std::vector<float> input{1, 2, 3, 4, 5, 6, 7, 8, 9};
     std::vector<float> cols(static_cast<std::size_t>(4 * 4));
-    im2col(g, input.data(), cols.data());
+    im2col(g, input.data(), cols.data(), plane_for<float>(g).data());
     // Row 0 is kernel tap (0,0): top-left of each window.
     EXPECT_EQ(cols[0], 1);
     EXPECT_EQ(cols[1], 2);
@@ -80,7 +89,7 @@ TEST(Im2col, PaddingProducesZeros) {
     const auto g = make_geometry(1, 2, 2, 3, 1, 1);
     const std::vector<float> input{1, 2, 3, 4};
     std::vector<float> cols(static_cast<std::size_t>(9 * 4));
-    im2col(g, input.data(), cols.data());
+    im2col(g, input.data(), cols.data(), plane_for<float>(g).data());
     // Tap (0,0) for output (0,0) reads input (-1,-1) → zero.
     EXPECT_EQ(cols[0], 0.0f);
     // Tap (1,1) for output (0,0) reads input (0,0) = 1.
@@ -105,7 +114,7 @@ TEST(Col2im, AdjointOfIm2col) {
     }
 
     std::vector<float> cols(static_cast<std::size_t>(col_size));
-    im2col(g, x.data(), cols.data());
+    im2col(g, x.data(), cols.data(), plane_for<float>(g).data());
     double lhs = 0.0;
     for (std::int64_t i = 0; i < col_size; ++i) {
         lhs += static_cast<double>(cols[static_cast<std::size_t>(i)]) *
@@ -181,7 +190,8 @@ void expect_lowering_matches_oracle(const ConvGeometry& g) {
     }
     const std::vector<T> want = im2col_oracle(g, x);
     std::vector<T> dense(want.size(), T{7});
-    im2col(g, x.data(), dense.data());
+    std::vector<T> plane = plane_for<T>(g);
+    im2col(g, x.data(), dense.data(), plane.data());
     EXPECT_EQ(dense, want);
 
     // Live channels only: their rows match, every other row is untouched.
@@ -190,7 +200,8 @@ void expect_lowering_matches_oracle(const ConvGeometry& g) {
     const std::size_t block = static_cast<std::size_t>(
         rows_per_channel * g.out_height() * g.out_width());
     std::vector<T> sparse(want.size(), T{7});
-    im2col(g, x.data(), sparse.data(), live.data(),
+    plane = plane_for<T>(g);
+    im2col(g, x.data(), sparse.data(), plane.data(), live.data(),
            static_cast<std::int64_t>(live.size()));
     for (std::int64_t c = 0; c < g.in_channels; ++c) {
         const bool is_live = c == 0 || c == 2;
@@ -203,8 +214,10 @@ void expect_lowering_matches_oracle(const ConvGeometry& g) {
 }
 
 // (height, width, kernel, stride, padding): same-padded squares from the
-// VGG's 2x2 block up and stride-1 rectangular, unpadded and over-padded
-// geometries (the row-copy path), plus a strided one (the general loop).
+// VGG's 2x2 block up, stride-1 rectangular, unpadded and over-padded
+// geometries (runs shorter than, equal to and longer than each copy
+// chunk), and strided ones, square, over-padded and unpadded
+// rectangular, all read off the same zero-bordered plane.
 using LoweringCase = std::tuple<int, int, int, int, int>;
 
 class Im2colOracleTest : public ::testing::TestWithParam<LoweringCase> {};
@@ -228,7 +241,9 @@ INSTANTIATE_TEST_SUITE_P(
                       LoweringCase{5, 9, 3, 1, 1}, LoweringCase{9, 5, 3, 1, 1},
                       LoweringCase{8, 8, 3, 2, 1}, LoweringCase{9, 9, 3, 1, 0},
                       LoweringCase{4, 4, 3, 1, 2},
-                      LoweringCase{12, 12, 3, 1, 2}));
+                      LoweringCase{12, 12, 3, 1, 2},
+                      LoweringCase{7, 7, 3, 2, 1}, LoweringCase{9, 9, 5, 2, 2},
+                      LoweringCase{6, 9, 3, 2, 0}));
 
 class Im2colRoundTrip
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
@@ -250,7 +265,7 @@ TEST_P(Im2colRoundTrip, AdjointHoldsAcrossGeometries) {
         v = static_cast<float>(rng.normal());
     }
     std::vector<float> cols(static_cast<std::size_t>(col_size));
-    im2col(g, x.data(), cols.data());
+    im2col(g, x.data(), cols.data(), plane_for<float>(g).data());
     std::vector<float> back(static_cast<std::size_t>(in_size), 0.0f);
     col2im(g, y.data(), back.data());
 

@@ -3,6 +3,10 @@
 // max pooling).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "common/check.h"
 #include "nn/gradcheck.h"
 #include "nn/layers.h"
@@ -45,6 +49,37 @@ TEST(MaxPool2d, ForwardIntoBitMatchesForwardWithoutArgmaxState) {
         ASSERT_EQ(out[i], expected[i]);
     }
     EXPECT_EQ(pool.cached_state_bytes(), 0);
+}
+
+TEST(MaxPool2d, ForwardIntoBitMatchesScalarPoolOnEdgeValues) {
+    // The planned 2x2 pool writes the bytes of the scalar window loop
+    // (forward() in training mode, which also records the argmax): a
+    // NaN tap never replaces the running max and a NaN first tap is never
+    // replaced, and of tied signed zeros the first tap stays. Heights
+    // and widths cover odd extents, outputs narrower than one 8-wide
+    // vector, whole vectors and vectors with a scalar tail.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+    const float values[] = {0.0f, -0.0f, kNan,  kInf,
+                            -kInf, 1.0f, -1.0f, 1e30f};
+    Rng rng(29);
+    for (const std::int64_t h : {2, 3, 4, 7, 16, 18, 33, 34}) {
+        for (const std::int64_t w : {2, 3, 4, 7, 16, 17, 18, 32, 33, 34}) {
+            Tensor x({2, 3, h, w});
+            for (std::int64_t i = 0; i < x.numel(); ++i) {
+                x[i] = values[rng.uniform_index(8)];
+            }
+            MaxPool2d pool(2, 2);
+            const Tensor want = pool.forward(x);
+            pool.set_eval_mode(true);
+            Tensor got(want.shape(), 5.0f);
+            pool.forward_into(x, got);
+            ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                                     static_cast<std::size_t>(want.numel()) *
+                                         sizeof(float)))
+                << "input " << h << "x" << w;
+        }
+    }
 }
 
 TEST(Dropout, EvalModePassesThroughWithoutScaleCache) {
